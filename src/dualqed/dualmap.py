@@ -313,5 +313,13 @@ def _flux_class_snf(lat: Lattice):
 
 
 def flux_class_contains(lat: Lattice, vec) -> bool:
-    """Whether a flux/winding vector lies in the zero-offset class lattice."""
-    return rational.in_integer_image(_flux_class_snf(lat), [int(round(x)) for x in vec])
+    """Whether an integer flux/winding vector lies in the zero-offset class lattice."""
+    ints = [int(x) for x in vec]
+    if any(i != x for i, x in zip(ints, vec)):
+        raise TypeError("flux class membership needs integer entries")
+    return rational.in_integer_image(_flux_class_snf(lat), ints)
+
+
+def flux_class_members(lat: Lattice, vecs: np.ndarray) -> np.ndarray:
+    """`flux_class_contains` for every column of an integer array at once."""
+    return rational.integer_image_mask(_flux_class_snf(lat), vecs)

@@ -1,23 +1,30 @@
 """Hamiltonians for the electric description and its dual reformulations.
 
+Both descriptions are a diagonal Coulomb kernel plus integer ladder
+stencils read off the lattice maps, and the code says so once: each builder
+supplies only its diagonal, computed from the basis configurations, and the
+integer rows its off-diagonal terms step by.  One shared builder turns
+those into the sector matrix with `hilbert.apply_product` and adds the
+hermitian conjugates.
+
 Electric description (``links_E`` spaces):
 
     H = (g2/2) sum_links E^2  -  1/(2 g2) sum_plaq (loop + loop^dag)
         + t sum_links (psi^dag(x) U psi(x+e))  + h.c.  + mass term,
 
-with the plaquette loop the ordered product of link ladders along the
-circulation signs.  Static charges enter only through the choice of Gauss
-sector.
+with the plaquette loop stepping the links by a row of the curl ``C`` and
+the hopping stepping one link by a unit row.  Static charges enter only
+through the choice of Gauss sector.
 
 Compact dual description (``plaqs_M`` spaces, 2D): the gauge content is one
 flux rotor per plaquette plus, on periodic lattices, two winding rotors.
 Both Coulomb pieces are diagonal — the matter charge pairs through the site
 Green's table, the flux/winding variables through the condensed energy
-kernel — while the magnetic and hopping terms act with integer ladder
-powers read off the rows of the interaction matrix and of the dual
-embedding.  That reuse is deliberate: the operator content of the compact
-theory is exactly the integer stencil content of the linear maps, so the
-two layers cannot drift apart.
+kernel — while the magnetic term steps the rotors by a row of the
+interaction matrix ``D`` and the hopping by a row of the dual embedding.
+That reuse is deliberate: the operator content of the compact theory is
+exactly the integer stencil content of the linear maps, so the two layers
+cannot drift apart.
 
 The continuous dual description has no independent operator content at the
 quadratic level; `bl_classical_report` instead verifies its defining
@@ -72,29 +79,19 @@ class ModelParams:
         return self
 
 
-def _accumulate(basis, total, term):
-    """Add a term to the running sum, projected to the sector if given."""
-    if basis is None:
-        return total + term
-    return total + (basis.isometry.T @ (term @ basis.isometry)).tocsr()
-
-
-def _matter_mass_terms(spec: hilbert.HilbertSpec, m: float):
+def _mass_diagonal(basis: hilbert.BasisMap, m: float) -> np.ndarray:
     """Diagonal mass contribution, staggered for fermions."""
-    if spec.matter == "none" or m == 0.0:
-        return None
+    spec = basis.spec
     lat = spec.lattice
-    diag = np.zeros(spec.total_dim)
+    diag = np.zeros(basis.dim)
+    if spec.matter == "none":
+        return diag
     if spec.matter == "staggered_fermion":
-        parities = site_parity(lat)
-        n_diag = np.array([0.0, 1.0])
-        for s in range(lat.n_sites):
-            diag += m * parities[s] * hilbert.factor_diagonal(spec, spec.matter_pos(s), n_diag)
+        weights, table = m * site_parity(lat), np.array([0.0, 1.0])
     else:
-        ops = spec.matter_ops()
-        local = np.real(ops["n_total"].matrix.diagonal())
-        for s in range(lat.n_sites):
-            diag += m * hilbert.factor_diagonal(spec, spec.matter_pos(s), local)
+        weights, table = np.full(lat.n_sites, m), np.real(spec.matter_ops()["n_total"].matrix.diagonal())
+    for s in range(lat.n_sites):
+        diag += weights[s] * table[basis.configs[:, spec.matter_pos(s)]]
     return diag
 
 
@@ -110,12 +107,58 @@ def _ladder_power(ops: dict[str, hilbert.LocalOp], k: int) -> hilbert.LocalOp:
     return hilbert.LocalOp(f"{base.name}^{abs(k)}", out.tocsr())
 
 
+def _stencil(spec: hilbert.HilbertSpec, row: sp.csr_matrix) -> list[tuple[int, hilbert.LocalOp]]:
+    """Ladder factors stepping every gauge (then global) cell by its row entry.
+
+    Zero entries, which the periodic 1x1 maps store explicitly, act as the
+    identity and are skipped.
+    """
+    gauge, glob = spec.gauge_ops(), spec.global_ops()
+    return [
+        (spec.n_matter + cell, _ladder_power(gauge if cell < spec.n_gauge else glob, int(k)))
+        for cell, k in zip(row.indices, row.data)
+        if k != 0
+    ]
+
+
 def _matter_pair(spec: hilbert.HilbertSpec):
     """(creator, annihilator) local ops for the configured matter kind."""
     ops = spec.matter_ops()
     if spec.matter == "staggered_fermion":
         return ops["create"], ops["annihilate"]
     return ops["field_dag"], ops["field"]
+
+
+def _sector_hamiltonian(
+    params: ModelParams,
+    basis: hilbert.BasisMap,
+    diag: np.ndarray,
+    loop_rows: sp.csr_matrix,
+    hop_rows: sp.csr_matrix,
+) -> sp.csr_matrix:
+    """Diagonal plus the magnetic and hopping stencil terms, each with its h.c.
+
+    Row p of ``loop_rows`` is the ladder stencil of plaquette p; row n of
+    ``hop_rows`` is the stencil the hopping along link n carries between
+    its two matter factors.
+    """
+    spec = basis.spec
+    lat = spec.lattice
+    diag = diag + _mass_diagonal(basis, params.m)
+    loop = -1.0 / (2.0 * params.g2)
+    terms = [(loop, _stencil(spec, loop_rows.getrow(p))) for p in range(loop_rows.shape[0])]
+    if spec.matter != "none" and params.t != 0.0:
+        create, annihilate = _matter_pair(spec)
+        for n, (x, i) in enumerate(links(lat)):
+            sx = spec.matter_pos(site_index(lat, x))
+            sy = spec.matter_pos(site_index(lat, shift_site(lat, x, i, +1)))
+            factors = [(sx, create)] + _stencil(spec, hop_rows.getrow(n)) + [(sy, annihilate)]
+            terms.append((params.t, factors))
+    H = sp.csr_matrix((basis.dim, basis.dim), dtype=complex) + sp.diags(diag.astype(complex)).tocsr()
+    for coeff, factors in terms:
+        A = hilbert.apply_product(basis, factors)
+        H = H + coeff * (A + A.conjugate().T)
+    return H.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -128,60 +171,16 @@ def h_original(
     params: ModelParams,
     basis: hilbert.BasisMap | None = None,
 ) -> sp.csr_matrix:
-    """Electric-description Hamiltonian, optionally projected term by term.
-
-    Passing a sector basis keeps peak memory at one term rather than the
-    full operator sum — every term is gauge invariant, so projection
-    commutes with summation.
-    """
+    """Electric-description Hamiltonian on a basis (default: the product space)."""
     if spec.gauge_kind != "links_E":
         raise ValueError("h_original needs a links_E space")
     params = params.validated(spec.lattice)
+    basis = hilbert.product_basis(spec) if basis is None else basis
     lat = spec.lattice
-    g2, t, m = params.g2, params.t, params.m
-    dim_out = spec.total_dim if basis is None else basis.dim
-    H = sp.csr_matrix((dim_out, dim_out), dtype=complex)
-
-    # electric + mass: one diagonal pass
-    levels = hilbert.gauge_level_diagonals(spec)
-    diag = 0.5 * g2 * np.sum(levels**2, axis=0)
-    mass = _matter_mass_terms(spec, m)
-    if mass is not None:
-        diag = diag + mass
-    H = _accumulate(basis, H, sp.diags(diag.astype(complex)).tocsr())
-
-    # magnetic: plaquette loops along circulation signs
-    gauge_ops = spec.gauge_ops()
-    C = curl_link_to_plaq_matrix(lat)
-    for p in range(lat.n_plaqs):
-        row = C.getrow(p)
-        factors = [
-            (spec.gauge_pos(link), _ladder_power(gauge_ops, int(sgn)))
-            for link, sgn in zip(row.indices, row.data)
-        ]
-        loop = hilbert.assemble(spec, factors)
-        term = (-1.0 / (2.0 * g2)) * (loop + loop.conjugate().T)
-        H = _accumulate(basis, H, term.tocsr())
-
-    # hopping
-    if spec.matter != "none" and t != 0.0:
-        create, annihilate = _matter_pair(spec)
-        raise_op = gauge_ops["raise"]
-        for n, (x, i) in enumerate(links(lat)):
-            head = shift_site(lat, x, i, +1)
-            sx = site_index(lat, x)
-            sy = site_index(lat, head)
-            hop = hilbert.assemble(
-                spec,
-                [
-                    (spec.matter_pos(sx), create),
-                    (spec.gauge_pos(n), raise_op),
-                    (spec.matter_pos(sy), annihilate),
-                ],
-            )
-            term = t * (hop + hop.conjugate().T)
-            H = _accumulate(basis, H, term.tocsr())
-    return H.tocsr()
+    levels = hilbert.gauge_level_diagonals(basis)
+    diag = 0.5 * params.g2 * np.sum(levels**2, axis=0)
+    units = sp.identity(lat.n_links, dtype=np.int64, format="csr")
+    return _sector_hamiltonian(params, basis, diag, curl_link_to_plaq_matrix(lat), units)
 
 
 # ---------------------------------------------------------------------------
@@ -204,80 +203,18 @@ def h_dual_thetam(
     if spec.gauge_kind != "plaqs_M":
         raise ValueError("h_dual_thetam needs a plaqs_M space")
     params = params.validated(spec.lattice)
+    basis = hilbert.product_basis(spec) if basis is None else basis
     lat = spec.lattice
-    g2, t, m = params.g2, params.t, params.m
-    dim_out = spec.total_dim if basis is None else basis.dim
-    H = sp.csr_matrix((dim_out, dim_out), dtype=complex)
+    g2 = params.g2
 
-    # diagonal: both Coulomb pieces plus mass
-    flux_diags = hilbert.gauge_level_diagonals(spec)
-    if spec.n_globals:
-        flux_diags = np.vstack([flux_diags, hilbert.global_level_diagonals(spec)])
-    Gt = dualmap.modified_greens(lat)
-    diag = 0.5 * g2 * _quadratic_diagonal(Gt, flux_diags)
-
+    flux = np.vstack([hilbert.gauge_level_diagonals(basis), hilbert.global_level_diagonals(basis)])
+    diag = 0.5 * g2 * _quadratic_diagonal(dualmap.modified_greens(lat), flux)
     q = params.charges(lat)
     if spec.matter != "none" or np.any(q):
-        rho = np.tile(q[:, None], (1, spec.total_dim))
-        if spec.matter != "none":
-            rho = rho + hilbert.charge_diagonals(spec)
-        Gsite = greens_sites(lat).values
-        diag = diag + 0.5 * g2 * _quadratic_diagonal(Gsite, rho)
-    mass = _matter_mass_terms(spec, m)
-    if mass is not None:
-        diag = diag + mass
-    H = _accumulate(basis, H, sp.diags(diag.astype(complex)).tocsr())
-
-    # magnetic: integer ladder powers from the interaction-matrix rows
-    D = dualmap.d_matrix(lat)
-    flux_ops = spec.gauge_ops()
-    glob_ops = spec.global_ops() if spec.n_globals else None
-    for p in range(lat.n_plaqs):
-        row = D.getrow(p)
-        factors = []
-        for cell, k in zip(row.indices, row.data):
-            k = int(k)
-            if k == 0:
-                continue
-            if cell < lat.n_plaqs:
-                factors.append((spec.gauge_pos(cell), _ladder_power(flux_ops, k)))
-            else:
-                factors.append(
-                    (spec.global_pos(cell - lat.n_plaqs), _ladder_power(glob_ops, k))
-                )
-        loop = (
-            hilbert.assemble(spec, factors)
-            if factors
-            else sp.identity(spec.total_dim, format="csr", dtype=complex)
-        )
-        term = (-1.0 / (2.0 * g2)) * (loop + loop.conjugate().T)
-        H = _accumulate(basis, H, term.tocsr())
-
-    # hopping: ladder powers from the dual-embedding rows
-    if spec.matter != "none" and t != 0.0:
-        create, annihilate = _matter_pair(spec)
-        emb = dualmap.dual_embedding(lat).matrix
-        for n, (x, i) in enumerate(links(lat)):
-            head = shift_site(lat, x, i, +1)
-            sx = site_index(lat, x)
-            sy = site_index(lat, head)
-            factors = [(spec.matter_pos(sx), create)]
-            row = emb.getrow(n)
-            for cell, k in zip(row.indices, row.data):
-                k = int(k)
-                if k == 0:
-                    continue
-                if cell < lat.n_plaqs:
-                    factors.append((spec.gauge_pos(cell), _ladder_power(flux_ops, k)))
-                else:
-                    factors.append(
-                        (spec.global_pos(cell - lat.n_plaqs), _ladder_power(glob_ops, k))
-                    )
-            factors.append((spec.matter_pos(sy), annihilate))
-            hop = hilbert.assemble(spec, factors)
-            term = t * (hop + hop.conjugate().T)
-            H = _accumulate(basis, H, term.tocsr())
-    return H.tocsr()
+        rho = q[:, None] + hilbert.charge_diagonals(basis)
+        diag = diag + 0.5 * g2 * _quadratic_diagonal(greens_sites(lat).values, rho)
+    emb = dualmap.dual_embedding(lat).matrix
+    return _sector_hamiltonian(params, basis, diag, dualmap.d_matrix(lat)[: lat.n_plaqs], emb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,20 @@
-"""Tensor-product Hilbert spaces for the electric and dual descriptions.
+"""Product-state bases and one operator kernel for both descriptions.
 
 Factor layout: matter sites first (row-major site order, so fermion sign
 strings are a contiguous prefix), then gauge cells — links for the
 electric description (`links_E`), plaquettes followed by the global rotors
 for the dual one (`plaqs_M`).  The first factor varies slowest.
+
+A basis (`BasisMap`) is a sorted list of product states, each held both as
+its mixed-radix product index and as its configuration: the integer local
+level of every factor.  Charges, rotor levels and Gauss residuals are
+integer functions of the configurations, so sectors are selected by exact
+integer tests.  Every operator is built by one kernel, `apply_product`: a
+product of local operators acts on the configurations right to left, and
+each target state is looked up among the basis indices (the lookup-table
+technique of H. Q. Lin, PRB 42, 6561 (1990)).  The result is the sector
+matrix directly; no operator is ever built on the whole product space
+unless the basis is the whole product space.
 
 Gauge cells carry truncated rotors: integer levels -cutoff..+cutoff with
 ladder operators that *annihilate* at the ends rather than wrap.  The
@@ -22,7 +33,8 @@ Matter species:
   operator carries a full unit of charge.
 
 A hard product-dimension guard protects against accidentally requesting an
-exponentially large space; raise `max_dim` deliberately to go past it.
+exponentially large space (sector selection still scans the product
+space); raise `max_dim` deliberately to go past it.
 """
 
 from __future__ import annotations
@@ -33,12 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import Lattice, divergence_matrix, site_parity, sites
+from .lattice import Lattice, divergence_matrix, site_parity
 
 MATTER_KINDS = ("none", "staggered_fermion", "hardcore_boson", "truncated_boson")
 GAUGE_KINDS = ("links_E", "plaqs_M")
 
 DEFAULT_MAX_DIM = 2**26
+SCAN_BLOCK = 2**16  # product states per block of a sector scan
 
 
 class MemoryGuardError(RuntimeError):
@@ -218,54 +231,83 @@ class HilbertSpec:
 
 
 # ---------------------------------------------------------------------------
-# Embedding and assembly
+# Bases: product states as integer configurations
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> sp.csr_matrix:
-    return sp.identity(n, format="csr", dtype=complex)
+@dataclass
+class BasisMap:
+    """A sorted selection of product states.
 
-
-def factor_diagonal(spec: HilbertSpec, pos: int, local_diag: np.ndarray) -> np.ndarray:
-    """Full-space diagonal of a local diagonal operator at factor `pos`."""
-    left = int(np.prod(spec.dims[:pos], dtype=object)) if pos else 1
-    right = int(np.prod(spec.dims[pos + 1 :], dtype=object)) if pos + 1 < len(spec.dims) else 1
-    return np.tile(np.repeat(np.asarray(local_diag), right), left)
-
-
-def _fermion_string_diag(spec: HilbertSpec, pos: int) -> np.ndarray:
-    """Diagonal of the sign string over matter factors left of `pos`."""
-    total = spec.total_dim
-    signs = np.ones(total)
-    z = np.array([1.0, -1.0])
-    for k in range(min(pos, spec.n_matter)):
-        signs *= factor_diagonal(spec, k, z)
-    return signs
-
-
-def embed(spec: HilbertSpec, pos: int, op: LocalOp) -> sp.csr_matrix:
-    """Embed a local operator at factor `pos`, with fermion string if odd."""
-    dl = int(np.prod(spec.dims[:pos], dtype=object)) if pos else 1
-    dr = int(np.prod(spec.dims[pos + 1 :], dtype=object)) if pos + 1 < len(spec.dims) else 1
-    full = sp.kron(sp.kron(_identity(dl), op.matrix), _identity(dr), format="csr")
-    if op.fermion_parity % 2:
-        string = _fermion_string_diag(spec, pos)
-        full = sp.diags(string).tocsr() @ full
-    return full
-
-
-def assemble(spec: HilbertSpec, ops: list[tuple[int, LocalOp]]) -> sp.csr_matrix:
-    """Operator product of embedded factors, applied right to left.
-
-    The list reads like the written product: ops[0] acts last.  Fermionic
-    entries pick up their sign strings individually, which composes to the
-    standard convention for multi-site strings.
+    ``indices`` are the mixed-radix product indices (first factor slowest);
+    ``configs`` holds the local level of every factor, one row per state.
     """
-    total = spec.total_dim
-    out = _identity(total)
-    for pos, op in reversed(ops):
-        out = embed(spec, pos, op) @ out
-    return out.tocsr()
+
+    spec: HilbertSpec
+    indices: np.ndarray
+    configs: np.ndarray  # (dim, n_factors) int64
+
+    @property
+    def dim(self) -> int:
+        return len(self.indices)
+
+
+def _product_states(spec: HilbertSpec, start: int, stop: int) -> BasisMap:
+    indices = np.arange(start, stop, dtype=np.int64)
+    return BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
+
+
+def product_basis(spec: HilbertSpec) -> BasisMap:
+    """Every product state of the space."""
+    return _product_states(spec, 0, spec.total_dim)
+
+
+def select_states(spec: HilbertSpec, keep) -> BasisMap:
+    """Product states on which ``keep(block)`` holds, for blocks of the product basis.
+
+    Scanning block by block bounds the scan's working memory by the block,
+    not by the product dimension.
+    """
+    indices, configs = [], []
+    for start in range(0, spec.total_dim, SCAN_BLOCK):
+        block = _product_states(spec, start, min(start + SCAN_BLOCK, spec.total_dim))
+        mask = keep(block)
+        indices.append(block.indices[mask])
+        configs.append(block.configs[mask])
+    return BasisMap(spec, np.concatenate(indices), np.concatenate(configs))
+
+
+def apply_product(basis: BasisMap, factors: list[tuple[int, LocalOp]]) -> sp.csr_matrix:
+    """Matrix of an operator product on a basis: S^T A S for the selection S.
+
+    The list reads like the written product: factors[0] acts last.  Each
+    factor maps every configuration to the nonzero entries of its local
+    column (several for a branching local operator); a fermionic factor
+    picks up the sign of the matter occupations left of its position.  The
+    target rows are found by ``searchsorted`` on the sorted indices, and
+    targets outside the basis are dropped.
+    """
+    spec = basis.spec
+    cols = np.arange(basis.dim)
+    configs = basis.configs
+    amps = np.ones(basis.dim, dtype=complex)
+    for pos, op in reversed(factors):
+        local = op.matrix.tocsc()
+        level = configs[:, pos]
+        counts = np.diff(local.indptr)[level]
+        src = np.repeat(np.arange(len(level)), counts)
+        entry = local.indptr[level][src] + np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+        configs = configs[src]
+        configs[:, pos] = local.indices[entry]
+        amps = amps[src] * local.data[entry]
+        cols = cols[src]
+        if op.fermion_parity % 2:
+            amps = amps * (1 - 2 * (configs[:, : min(pos, spec.n_matter)].sum(axis=1) % 2))
+    keys = np.ravel_multi_index(tuple(configs.T), spec.dims)
+    rows = np.searchsorted(basis.indices, keys)
+    hit = rows < basis.dim
+    hit[hit] = basis.indices[rows[hit]] == keys[hit]
+    return sp.csr_matrix((amps[hit], (rows[hit], cols[hit])), shape=(basis.dim, basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -273,117 +315,66 @@ def assemble(spec: HilbertSpec, ops: list[tuple[int, LocalOp]]) -> sp.csr_matrix
 # ---------------------------------------------------------------------------
 
 
-def charge_diagonals(spec: HilbertSpec) -> np.ndarray:
-    """(n_sites, total_dim) dynamical charge diagonal per site."""
-    lat = spec.lattice
-    total = spec.total_dim
-    out = np.zeros((lat.n_sites, total))
+def charge_diagonals(basis: BasisMap) -> np.ndarray:
+    """(n_sites, dim) integer dynamical charge per site."""
+    spec = basis.spec
     if spec.matter == "none":
-        return out
-    parities = site_parity(lat)
+        return np.zeros((spec.lattice.n_sites, basis.dim), dtype=np.int64)
+    local = basis.configs[:, : spec.n_matter].T
     if spec.matter == "staggered_fermion":
-        n_diag = np.array([0.0, 1.0])
-        for s in range(lat.n_sites):
-            q = factor_diagonal(spec, spec.matter_pos(s), n_diag)
-            if parities[s] < 0:
-                q = q - 1.0
-            out[s] = q
-    else:
-        ops = spec.matter_ops()
-        local_q = np.real(ops["charge"].matrix.diagonal())
-        for s in range(lat.n_sites):
-            out[s] = factor_diagonal(spec, spec.matter_pos(s), local_q)
-    return out
+        return local - (site_parity(spec.lattice) < 0)[:, None]
+    table = np.rint(spec.matter_ops()["charge"].matrix.diagonal().real).astype(np.int64)
+    return table[local]
 
 
-def gauge_level_diagonals(spec: HilbertSpec) -> np.ndarray:
-    """(n_gauge, total_dim) level diagonal per gauge cell factor."""
-    lev = np.arange(-spec.cutoff, spec.cutoff + 1).astype(float)
-    return np.stack(
-        [factor_diagonal(spec, spec.gauge_pos(c), lev) for c in range(spec.n_gauge)]
-    )
+def gauge_level_diagonals(basis: BasisMap) -> np.ndarray:
+    """(n_gauge, dim) integer rotor level per gauge cell."""
+    spec = basis.spec
+    return basis.configs[:, spec.n_matter : spec.n_matter + spec.n_gauge].T - spec.cutoff
 
 
-def global_level_diagonals(spec: HilbertSpec) -> np.ndarray:
-    lev = np.arange(-spec.global_cutoff, spec.global_cutoff + 1).astype(float)
-    return np.stack(
-        [factor_diagonal(spec, spec.global_pos(i), lev) for i in range(spec.n_globals)]
-    )
+def global_level_diagonals(basis: BasisMap) -> np.ndarray:
+    """(n_globals, dim) integer rotor level per global (winding) rotor."""
+    spec = basis.spec
+    return basis.configs[:, spec.n_matter + spec.n_gauge :].T - spec.global_cutoff
 
 
-def gauss_diagonal(spec: HilbertSpec, site: int, static_charge: float = 0.0) -> np.ndarray:
-    """Diagonal of the Gauss constraint at one site: div E - Q - q."""
+def integral_static_charges(lat: Lattice, static_charges=None) -> np.ndarray | None:
+    """Static charges as integers, or None when one is non-integral.
+
+    No integer configuration balances a non-integral charge, so callers
+    select an empty sector for None.
+    """
+    q = np.zeros(lat.n_sites) if static_charges is None else np.asarray(static_charges, dtype=float)
+    return q.astype(np.int64) if np.array_equal(q, np.round(q)) else None
+
+
+def _gauss_residuals(basis: BasisMap) -> np.ndarray:
+    """(n_sites, dim) integer div E - Q, the Gauss constraint without static charges."""
+    spec = basis.spec
     if spec.gauge_kind != "links_E":
         raise ValueError("Gauss constraints act on the electric description")
-    lat = spec.lattice
-    row = divergence_matrix(lat).getrow(site)
-    levels = gauge_level_diagonals(spec)
-    g = np.zeros(spec.total_dim)
-    for link, coeff in zip(row.indices, row.data):
-        g += coeff * levels[link]
-    if spec.matter != "none":
-        g -= charge_diagonals(spec)[site]
-    return g - static_charge
+    div = divergence_matrix(spec.lattice) @ gauge_level_diagonals(basis)
+    return div - charge_diagonals(basis)
 
 
-def gauss_operator(spec: HilbertSpec, site: int, static_charge: float = 0.0) -> sp.csr_matrix:
-    return sp.diags(gauss_diagonal(spec, site, static_charge)).tocsr()
+def gauss_diagonal(basis: BasisMap, site: int, static_charge: int = 0) -> np.ndarray:
+    """Diagonal of the Gauss constraint at one site: div E - Q - q."""
+    return _gauss_residuals(basis)[site] - static_charge
 
 
-@dataclass
-class BasisMap:
-    """Selection of basis states spanning a diagonal-constraint sector."""
-
-    spec: HilbertSpec
-    indices: np.ndarray
-    isometry: sp.csr_matrix  # total_dim x n_selected
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
+def gauss_operator(basis: BasisMap, site: int, static_charge: int = 0) -> sp.csr_matrix:
+    return sp.diags(gauss_diagonal(basis, site, static_charge), format="csr", dtype=np.int64)
 
 
 def gauss_sector_basis(spec: HilbertSpec, static_charges: np.ndarray | None = None) -> BasisMap:
-    """Basis of the simultaneous kernel of every Gauss constraint.
-
-    Vectorized over sites: one pass over the level diagonals instead of one
-    full-space operator per site, which matters at the largest cutoffs.
-    """
+    """Product states satisfying every Gauss constraint exactly, in integers."""
     if spec.gauge_kind != "links_E":
         raise ValueError("Gauss constraints act on the electric description")
-    lat = spec.lattice
-    if static_charges is None:
-        static_charges = np.zeros(lat.n_sites)
-    levels = gauge_level_diagonals(spec)  # (n_links, D)
-    div_levels = divergence_matrix(lat) @ levels  # (n_sites, D)
-    if spec.matter != "none":
-        div_levels = div_levels - charge_diagonals(spec)
-    div_levels = div_levels - np.asarray(static_charges)[:, None]
-    mask = np.all(np.abs(div_levels) < 1e-9, axis=0)
-    idx = np.nonzero(mask)[0]
-    iso = sp.csr_matrix(
-        (np.ones(len(idx)), (idx, np.arange(len(idx)))),
-        shape=(spec.total_dim, len(idx)),
-    )
-    return BasisMap(spec, idx, iso)
-
-
-def sector_basis(spec: HilbertSpec, conditions: list[tuple[np.ndarray, float]]) -> BasisMap:
-    """States on which every (diagonal, value) condition holds to 1e-9."""
-    mask = np.ones(spec.total_dim, dtype=bool)
-    for diag, value in conditions:
-        mask &= np.abs(np.asarray(diag) - value) < 1e-9
-    idx = np.nonzero(mask)[0]
-    iso = sp.csr_matrix(
-        (np.ones(len(idx)), (idx, np.arange(len(idx)))),
-        shape=(spec.total_dim, len(idx)),
-    )
-    return BasisMap(spec, idx, iso)
-
-
-def project(op: sp.spmatrix, basis: BasisMap) -> sp.csr_matrix:
-    """Compress an operator to a sector: S^dag A S."""
-    return (basis.isometry.T.conjugate() @ op @ basis.isometry).tocsr()
+    q = integral_static_charges(spec.lattice, static_charges)
+    if q is None:
+        return select_states(spec, lambda block: np.zeros(block.dim, dtype=bool))
+    return select_states(spec, lambda block: np.all(_gauss_residuals(block) == q[:, None], axis=0))
 
 
 def hermiticity_defect(op: sp.spmatrix) -> float:

@@ -266,21 +266,28 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return u, a, v
 
 
-def in_integer_image(snf: tuple[list[list[int]], list[list[int]], list[list[int]]], vec) -> bool:
-    """Whether an integer vector lies in the integer column lattice A·Z^m.
+def integer_image_mask(snf: tuple[list[list[int]], ...], vecs: np.ndarray) -> np.ndarray:
+    """Which columns of an integer array lie in the integer column lattice A·Z^m.
 
-    `snf` is the (U, D, V) triple from :func:`smith_normal_form` of A.
+    `snf` is the (U, D, V) triple from :func:`smith_normal_form` of A; a
+    column v is a member iff (U·v)_i is divisible by d_i for i <= rank and
+    vanishes beyond.  Arithmetic stays in the dtype of `vecs` (int64, or
+    object for Python ints).
     """
+    if vecs.dtype.kind not in "iO":
+        raise TypeError("integer image membership needs integer entries")
     u, d, _ = snf
-    w = [sum(ui * int(x) for ui, x in zip(row, vec)) for row in u]
-    for i, wi in enumerate(w):
-        di = d[i][i] if i < len(d[0]) else 0
-        if di == 0:
-            if wi != 0:
-                return False
-        elif wi % di:
-            return False
-    return True
+    n_cols = len(d[0]) if d else 0
+    w = np.array(u, dtype=vecs.dtype) @ vecs
+    divisors = np.array([d[i][i] if i < n_cols else 0 for i in range(len(u))], dtype=vecs.dtype)
+    pivots = divisors != 0
+    return np.all(w[~pivots] == 0, axis=0) & np.all(w[pivots] % divisors[pivots, None] == 0, axis=0)
+
+
+def in_integer_image(snf: tuple[list[list[int]], list[list[int]], list[list[int]]], vec) -> bool:
+    """Whether an integer vector lies in the integer column lattice A·Z^m."""
+    column = np.array([int(x) for x in vec], dtype=object)[:, None]
+    return bool(integer_image_mask(snf, column)[0])
 
 
 def to_float(mat: RationalMatrix) -> np.ndarray:

@@ -6,14 +6,17 @@ small sorted spectrum with per-pair residuals, choosing a dense solver below
 shift-invert) above it.
 
 ``compare_formulations`` is the equivalence harness: it builds the electric
-formulation (Gauss-projected) and the flux formulation (charge-neutral,
-flux-class matched) of the same model over a cutoff schedule and reports
-per-level eigenvalue differences with convergence diagnostics.  Sector
-matching matters: the flux-variable Hilbert space splits into integer cosets
-of the flux-class lattice, only one of which (per charge configuration)
-corresponds to integer electric fields.  The harness selects that coset by
-default; ``sector="charge"`` keeps the plain charge-neutral space for
-side-by-side diagnostics of the unphysical copies.
+formulation on its Gauss sector and the flux formulation on its
+charge-neutral, flux-class matched sector, each directly on the sector's
+integer configurations, over a cutoff schedule, and reports per-level
+eigenvalue differences with convergence diagnostics.  Sector matching
+matters: the flux-variable Hilbert space splits into integer cosets of the
+flux-class lattice, only one of which (per charge configuration) corresponds
+to integer electric fields.  ``flux_sector_basis`` selects that coset with
+one exact congruence test, (U·v) mod d from the Smith form of the class
+lattice, over all product states at once; ``sector="charge"`` keeps the
+plain charge-neutral space for side-by-side diagnostics of the unphysical
+copies.
 
 Cutoff conventions: the schedule value is the per-link electric cutoff; the
 flux-side rotor cutoff is ``cutoff_ratio`` times it.  Ratio 1 is the level
@@ -142,39 +145,24 @@ def flux_sector_basis(
     With ``match_class`` the basis keeps only product states whose
     flux/winding vector sits in the coset of the flux-class lattice fixed by
     the state's charge configuration — the image of the integer electric
-    fields.  Without it, all neutral states are kept (the space then contains
-    the unphysical coset copies).
+    fields.  Membership is one integer congruence test over all states.
+    Without it, all neutral states are kept (the space then contains the
+    unphysical coset copies).
     """
     lat = spec.lattice
-    charges = hilbert.charge_diagonals(spec)
-    if static_charges is not None:
-        charges = charges + np.asarray(static_charges, dtype=float)[:, None]
-    total = charges.sum(axis=0)
-    neutral = np.abs(total) < 0.5
-    if not match_class:
-        keep = np.flatnonzero(neutral)
-    else:
-        levels = [hilbert.gauge_level_diagonals(spec)]
-        if spec.n_globals:
-            levels.append(hilbert.global_level_diagonals(spec))
-        flux = np.vstack(levels)
-        offsets = dualmap.flux_offset_map(lat).astype(float) @ charges
-        rel = np.round(flux - offsets).astype(np.int64)
-        member_cache: dict[tuple[int, ...], bool] = {}
-        keep_mask = np.zeros(spec.total_dim, dtype=bool)
-        for idx in np.flatnonzero(neutral):
-            key = tuple(rel[:, idx])
-            hit = member_cache.get(key)
-            if hit is None:
-                hit = dualmap.flux_class_contains(lat, key)
-                member_cache[key] = hit
-            keep_mask[idx] = hit
-        keep = np.flatnonzero(keep_mask)
-    iso = sp.csr_matrix(
-        (np.ones(len(keep)), (keep, np.arange(len(keep)))),
-        shape=(spec.total_dim, len(keep)),
-    )
-    return BasisMap(spec, keep, iso)
+    q = hilbert.integral_static_charges(lat, static_charges)
+
+    def keep(block: BasisMap) -> np.ndarray:
+        if q is None:
+            return np.zeros(block.dim, dtype=bool)
+        charges = hilbert.charge_diagonals(block) + q[:, None]
+        member = charges.sum(axis=0) == 0
+        if match_class:
+            flux = np.vstack([hilbert.gauge_level_diagonals(block), hilbert.global_level_diagonals(block)])
+            member &= dualmap.flux_class_members(lat, flux - dualmap.flux_offset_map(lat) @ charges)
+        return member
+
+    return hilbert.select_states(spec, keep)
 
 
 # --- the comparison harness --------------------------------------------------

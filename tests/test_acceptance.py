@@ -229,7 +229,7 @@ def test_criterion_9_block_structure():
     H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5))
     worst_gauss = 0.0
     for s in range(lat_e.n_sites):
-        G = hilbert.gauss_operator(spec_e, s)
+        G = hilbert.gauss_operator(hilbert.product_basis(spec_e), s)
         comm = (H_e @ G - G @ H_e).tocoo()
         worst_gauss = max(worst_gauss, float(np.abs(comm.data).max()) if comm.nnz else 0.0)
 
@@ -238,11 +238,12 @@ def test_criterion_9_block_structure():
     H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5))
     import scipy.sparse as sp
 
-    total_m = sp.diags(hilbert.gauge_level_diagonals(spec_m).sum(axis=0))
+    full_m = hilbert.product_basis(spec_m)
+    total_m = sp.diags(hilbert.gauge_level_diagonals(full_m).sum(axis=0), dtype=float)
     comm_m = (H_m @ total_m - total_m @ H_m).tocoo()
     flux_block = float(np.abs(comm_m.data).max()) if comm_m.nnz else 0.0
 
-    total_q = sp.diags(hilbert.charge_diagonals(spec_m).sum(axis=0))
+    total_q = sp.diags(hilbert.charge_diagonals(full_m).sum(axis=0), dtype=float)
     comm_q = (H_m @ total_q - total_q @ H_m).tocoo()
     charge_exact = float(np.abs(comm_q.data).max()) if comm_q.nnz else 0.0
 

@@ -132,6 +132,17 @@ def test_spectrum_matches_hand_values():
     assert payload["sector"] == "gauss"
 
 
+def test_electric_spectrum_on_single_plaquette_torus():
+    """The 1x1 periodic curl row is all explicit zeros: a constant loop term."""
+    proc = run_cli(
+        "spectrum", "--dim", 2, "--N", 1, "--bc", "periodic",
+        "--formulation", "electric", "--cutoff", 1,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["dimension"] == 9
+
+
 def test_compare_matched_windows_passes(tmp_path):
     out = tmp_path / "cmp.json"
     run_cli(

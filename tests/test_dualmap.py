@@ -15,6 +15,7 @@ from dualqed.dualmap import (
     dual_embedding,
     flux_and_winding_map,
     flux_class_contains,
+    flux_class_members,
     flux_offset_map,
     integer_tree_flow_matrix,
     loop_field_basis,
@@ -159,6 +160,15 @@ def test_flux_class_single_plaquette_is_multiples_of_four():
     lat = Lattice(2, 1, "open")
     for v in range(-9, 10):
         assert flux_class_contains(lat, [v]) == (v % 4 == 0)
+    column = np.arange(-9, 10).reshape(1, -1)
+    assert flux_class_members(lat, column).tolist() == [v % 4 == 0 for v in range(-9, 10)]
+
+
+def test_flux_class_rejects_non_integral_vectors():
+    lat = Lattice(2, 1, "open")
+    with pytest.raises(TypeError):
+        flux_class_contains(lat, [0.4])
+    assert flux_class_contains(lat, [4.0])
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES_2D, ids=geometry_id)
@@ -168,12 +178,15 @@ def test_flux_vectors_of_integer_fields_live_in_offset_class(lat, rng):
     fw = flux_and_winding_map(lat).toarray().astype(np.int64)
     div = divergence_matrix(lat).toarray().astype(np.int64)
     off = flux_offset_map(lat)
+    rels = []
     for _ in range(15):
         E = rng.integers(-3, 4, lat.n_links)
         v = fw @ E
         rho = div @ E
         rel = v - off @ rho
         assert flux_class_contains(lat, rel)
+        rels.append(rel)
+    assert flux_class_members(lat, np.array(rels).T).all()
 
 
 def test_winding_map_counts_axis_crossings():

@@ -134,6 +134,36 @@ def test_periodic_class_matched_sector_is_tiny():
     assert [m for _, m in cluster_levels(ev)] == [1, 4]
 
 
+FLUX_REFERENCE_CASES = [
+    (Lattice(2, 1, "open"), "staggered_fermion", 4, None),
+    (Lattice(2, 1, "open"), "none", 6, (1.0, 0.0, -1.0, 0.0)),
+    (Lattice(2, 2, "periodic"), "none", 1, (1.0, -1.0, 0.0, 0.0)),
+    (Lattice(2, 1, "periodic"), "truncated_boson", 2, None),
+]
+
+
+@pytest.mark.parametrize("lat,matter,cutoff,charges", FLUX_REFERENCE_CASES, ids=lambda c: str(c)[:24])
+def test_flux_sector_matches_per_state_class_test(lat, matter, cutoff, charges):
+    """The one congruence test over all states selects exactly the states the
+    per-state loop over ``flux_class_contains`` selects."""
+    from dualqed import dualmap
+
+    spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter, n_max=2)
+    q = np.zeros(lat.n_sites, dtype=np.int64) if charges is None else np.array(charges, dtype=np.int64)
+    full = hilbert.product_basis(spec)
+    rho = hilbert.charge_diagonals(full) + q[:, None]
+    flux = np.vstack([hilbert.gauge_level_diagonals(full), hilbert.global_level_diagonals(full)])
+    offsets = dualmap.flux_offset_map(lat) @ rho
+    want = [
+        i
+        for i in range(full.dim)
+        if rho[:, i].sum() == 0 and dualmap.flux_class_contains(lat, flux[:, i] - offsets[:, i])
+    ]
+    got = flux_sector_basis(spec, None if charges is None else np.array(charges), match_class=True)
+    assert got.indices.tolist() == want
+    assert 0 < len(want) < full.dim
+
+
 # ---------------------------------------------------------------------------
 # comparison harness
 # ---------------------------------------------------------------------------
