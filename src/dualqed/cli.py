@@ -5,9 +5,10 @@ exit 0 = success with all checks passing, exit 1 = a check failed, exit 2 =
 configuration error.  Errors are emitted as one-line JSON objects on stderr.
 `--config file.json` overrides flags of the same name; unknown keys are
 rejected.  `--threads` (or the DUALQED_THREADS environment variable) caps
-BLAS/OpenMP parallelism; the cap is applied to the environment before any
-numerical module is imported, which is why all heavy imports live inside the
-subcommand handlers.
+BLAS/OpenMP parallelism.  The package import has already loaded numpy and
+scipy by the time flags are parsed, so the cap is set at runtime in the
+OpenBLAS each of them bundles, and in the environment for anything loaded
+later or run as a child process.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+# (package, setter of the thread count in the OpenBLAS the package bundles)
+_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"), ("scipy", "scipy_openblas_set_num_threads"))
 
 
 class ConfigError(Exception):
@@ -53,6 +56,24 @@ def _apply_thread_cap(threads: int | None) -> None:
         raise ConfigError("thread cap must be >= 1")
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
+    _cap_loaded_blas(threads)
+
+
+def _cap_loaded_blas(threads: int) -> None:
+    """Set the thread count of the OpenBLAS bundled by an already-loaded numpy / scipy."""
+    import ctypes
+    import glob
+
+    for package, setter in _BLAS_SETTERS:
+        module = sys.modules.get(package)
+        if module is None:  # not loaded yet: the environment takes effect
+            continue
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{package}.libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            fn = getattr(ctypes.CDLL(path), setter, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn(threads)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -389,6 +410,8 @@ def _cmd_spectrum(args) -> int:
         rep = spx.lowest_eigenvalues(H, int(args.k), seed=args.seed, sector=sector, cutoff=int(args.cutoff))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except spx.ResidualError as exc:
+        raise CheckFailure(str(exc)) from exc
     payload = {
         "formulation": args.formulation,
         "dim": lat.dim,
@@ -425,6 +448,8 @@ def _cmd_compare(args) -> int:
         rep = spx.compare_formulations(cfg, k=int(args.k), schedule=tuple(schedule), seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except spx.ResidualError as exc:
+        raise CheckFailure(str(exc)) from exc
     _emit_json(args.out, rep)
     if not rep["passed"]:
         raise CheckFailure(

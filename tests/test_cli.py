@@ -1,5 +1,6 @@
 """End-to-end command-line checks through real subprocesses: exit codes,
-JSON bodies, exact-fraction output, config-file handling, atomic writes."""
+JSON bodies, exact-fraction output, config-file handling, atomic writes.
+The thread cap is checked in-process, where the loaded BLAS can be read."""
 
 import json
 import os
@@ -238,6 +239,52 @@ def test_bad_thread_env_is_a_config_error():
 
 def test_thread_flag_accepted():
     run_cli("dof", "--dim", 2, "--N", 2, "--bc", "open", "--threads", 1, check=True)
+
+
+def _bundled_openblas():
+    """{package: (get, set)} thread-count functions of the OpenBLAS numpy / scipy bundle."""
+    import ctypes
+    import glob
+
+    import scipy
+
+    found = {}
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{module.__name__}.libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            get.restype = ctypes.c_int
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            setter.argtypes = [ctypes.c_int]
+            found[module.__name__] = (get, setter)
+    return found
+
+
+def test_thread_cap_reaches_the_loaded_openblas(tmp_path, monkeypatch):
+    """numpy and scipy are loaded before flags are parsed, so the cap must
+    reach their OpenBLAS at runtime, from the flag and from the variable."""
+    import dualqed.cli as cli
+
+    blas = _bundled_openblas()
+    if sorted(blas) != ["numpy", "scipy"]:
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    for var in (*cli._THREAD_VARS, cli.ENV_THREADS):
+        monkeypatch.delenv(var, raising=False)
+    before = {name: get() for name, (get, _) in blas.items()}
+    argv = ["dof", "--dim", "2", "--N", "2", "--bc", "open", "--out", str(tmp_path / "dof.json")]
+    try:
+        assert cli.main(argv + ["--threads", "1"]) == 0
+        assert {name: get() for name, (get, _) in blas.items()} == {"numpy": 1, "scipy": 1}
+        for _, setter in blas.values():
+            setter(2)
+        monkeypatch.setenv(cli.ENV_THREADS, "1")
+        assert cli.main(argv) == 0
+        assert {name: get() for name, (get, _) in blas.items()} == {"numpy": 1, "scipy": 1}
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # for child processes
+    finally:
+        for name, (_, setter) in blas.items():
+            setter(before[name])
 
 
 def test_writes_are_atomic_no_temp_litter(tmp_path):

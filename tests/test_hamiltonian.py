@@ -125,6 +125,30 @@ def test_builders_produce_hermitian_operators(lat, kind, matter, cutoff, charges
     assert H.shape == (spec.total_dim, spec.total_dim)
 
 
+@pytest.mark.parametrize(
+    "matter,dtype",
+    [
+        ("none", np.float64),
+        ("staggered_fermion", np.float64),
+        ("hardcore_boson", np.complex128),
+        ("truncated_boson", np.complex128),
+    ],
+)
+def test_only_boson_matter_builds_complex_hamiltonians(matter, dtype):
+    """Rotor ladders and fermion operators are real; the boson field carries
+    i b^dag, so only boson matter needs complex arithmetic."""
+    params = ModelParams(g2=0.9, t=0.6, m=0.25)
+    electric = HilbertSpec(ONE_PLAQ_OPEN, "links_E", cutoff=1, matter=matter, n_max=2)
+    flux = HilbertSpec(ONE_PLAQ_OPEN, "plaqs_M", cutoff=2, matter=matter, n_max=2)
+    for H in (
+        h_original(electric, params, hilbert.gauss_sector_basis(electric)),
+        h_dual_thetam(flux, params, spectrum.flux_sector_basis(flux)),
+    ):
+        assert H.dtype == dtype
+        if dtype == np.complex128:
+            assert np.abs(H.data.imag).max() > 0.1
+
+
 def test_electric_hamiltonian_commutes_with_every_constraint():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")

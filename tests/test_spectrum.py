@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from dualqed import hilbert, spectrum
@@ -69,7 +70,7 @@ def test_gauss_sector_pentadiagonal_hand_oracle():
 
 def test_iterative_solver_matches_dense_on_a_large_sparse_matrix():
     rng = np.random.default_rng(7)
-    n = 5000
+    n = 2 * spectrum.DENSE_EIG_LIMIT
     off = sp.random(n, n, density=0.001, random_state=np.random.RandomState(3))
     M = sp.csr_matrix(np.diag(rng.standard_normal(n))) + off + off.T
     rep = lowest_eigenvalues(M, 4, seed=1)
@@ -81,13 +82,75 @@ def test_iterative_solver_matches_dense_on_a_large_sparse_matrix():
 
 def test_reports_are_deterministic():
     rng = np.random.default_rng(11)
-    n = 4500
+    n = 2 * spectrum.DENSE_EIG_LIMIT
     off = sp.random(n, n, density=0.001, random_state=np.random.RandomState(5))
     M = sp.csr_matrix(np.diag(rng.standard_normal(n))) + off + off.T
     a = lowest_eigenvalues(M, 3, seed=2)
     b = lowest_eigenvalues(M, 3, seed=2)
     assert a.eigenvalues == b.eigenvalues  # bit-identical, not merely close
     assert a.residuals == b.residuals
+
+
+def test_iterative_solver_resolves_degenerate_levels_on_the_torus():
+    """The 2x2 periodic pure-gauge Gauss sector at cutoff 2 (1,333 states) is
+    above the crossover.  Its first excited level is four-fold degenerate, so
+    the k=3 window ends on a degenerate pair and the k=5 window holds the
+    whole cluster; Lanczos must find every copy."""
+    spec = HilbertSpec(Lattice(2, 2, "periodic"), "links_E", cutoff=2)
+    H = h_original(spec, ModelParams(g2=1.3), hilbert.gauss_sector_basis(spec))
+    assert H.dtype == np.float64 and H.shape[0] == 1333 >= spectrum.DENSE_EIG_LIMIT
+    oracle = scipy.linalg.eigh(H.toarray(), eigvals_only=True)
+    for k, multiplicities in ((3, [1, 2]), (5, [1, 4])):
+        rep = lowest_eigenvalues(H, k, seed=0)
+        assert rep.method == "iterative"
+        assert np.abs(np.array(rep.eigenvalues) - oracle[:k]).max() <= 1e-10
+        assert [m for _, m in cluster_levels(rep.eigenvalues)] == multiplicities
+        assert [m for _, m in cluster_levels(oracle[:k])] == multiplicities
+
+
+def _perturb_solver(monkeypatch):
+    """Make the solver return eigenvectors with a 1e-3 random error."""
+    solve = spectrum._eigenpairs
+
+    def perturbed(H, k, seed):
+        vals, vecs, method = solve(H, k, seed)
+        return vals, vecs + 1e-3 * np.random.default_rng(0).standard_normal(vecs.shape), method
+
+    monkeypatch.setattr(spectrum, "_eigenpairs", perturbed)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "iterative"])
+def test_residuals_are_enforced(monkeypatch, dense):
+    n = 2 * spectrum.DENSE_EIG_LIMIT
+    H = sp.diags([np.arange(n, dtype=float), np.full(n - 1, 0.5), np.full(n - 1, 0.5)], [0, 1, -1]).tocsr()
+    if dense:
+        H = H[:50, :50]
+    clean = lowest_eigenvalues(H, 3)
+    assert clean.method == ("dense" if dense else "iterative")
+    assert max(clean.residuals) <= spectrum.RESIDUAL_TOL
+    _perturb_solver(monkeypatch)
+    with pytest.raises(spectrum.ResidualError) as info:
+        lowest_eigenvalues(H, 3)
+    assert isinstance(info.value, RuntimeError) and not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--dim", "2", "--N", "1", "--bc", "open", "--cutoff", "2"],
+        ["compare", "--dim", "2", "--N", "1", "--bc", "open", "--ratio", "4", "--schedule", "1,2"],
+    ],
+    ids=["spectrum", "compare"],
+)
+def test_residual_failure_exits_one(monkeypatch, capsys, argv):
+    from dualqed import cli
+
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _perturb_solver(monkeypatch)
+    assert cli.main(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "check_failure" and "residual" in error["message"]
 
 
 def test_ground_energy_is_monotone_in_cutoff():
