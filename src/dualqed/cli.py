@@ -252,83 +252,22 @@ def _cmd_dof(args) -> int:
     return 0
 
 
-def _check(name: str, residual: float, tol: float) -> dict:
-    return {"name": name, "residual": float(residual), "tolerance": tol, "passed": bool(residual <= tol)}
+def _cmd_checks(args) -> int:
+    from . import checks
 
-
-def _map_checks(lat, seed: int) -> list[dict]:
-    import numpy as np
-
-    from . import dualmap, helmholtz
-    from .lattice import (
-        curl_link_to_plaq_matrix,
-        curl_plaq_to_link_matrix,
-        cube_flux_matrix,
-        divergence_matrix,
-        gradient_matrix,
-    )
-
-    rng = np.random.default_rng(seed)
-    checks = []
-    grad = gradient_matrix(lat)
-    div = divergence_matrix(lat)
-    C = curl_link_to_plaq_matrix(lat)
-    W = curl_plaq_to_link_matrix(lat)
-    checks.append(_check("divergence_is_minus_gradient_transpose", abs(div + grad.T).max(), 0))
-    checks.append(_check("backward_curl_is_forward_transpose", abs(W - C.T).max(), 0))
-    checks.append(_check("curl_of_gradient_vanishes", abs(C @ grad).max(), 0))
-    if lat.dim == 3:
-        K = cube_flux_matrix(lat)
-        checks.append(_check("cube_flux_of_curl_vanishes", abs(K @ C).max(), 0))
-    from .lattice import FieldVector
-
-    dec = helmholtz.helmholtz_decompose(lat, FieldVector(lat, "link", rng.standard_normal(lat.n_links)))
-    recon = dec.longitudinal.values + dec.transverse.values - dec.field.values
-    checks.append(_check("helmholtz_round_trip", np.abs(recon).max(), 1e-12))
-    checks.append(
-        _check("transverse_is_divergence_free", np.abs(div @ dec.transverse.values).max(), 1e-12)
-    )
-    curl_long = C @ dec.longitudinal.values
-    checks.append(_check("longitudinal_is_curl_free", np.abs(curl_long).max(), 1e-10))
-    D = dualmap.d_matrix(lat).toarray()
-    checks.append(_check("interaction_matrix_symmetric", np.abs(D - D.T).max(), 0))
-    if lat.dim == 2:
-        A0 = dualmap.transverse_energy_form(lat).toarray()
-        Gt = dualmap.modified_greens(lat)
-        z = rng.standard_normal(D.shape[0])
-        lhs = z @ A0 @ z
-        Mv = D @ z
-        rhs = Mv @ Gt @ Mv
-        checks.append(_check("quadratic_form_equivalence", abs(lhs - rhs), 1e-10 * max(1.0, abs(lhs))))
-        P = dualmap.canonical_pairing_matrix(lat)
-        n_p = lat.n_plaqs
-        block = P[:n_p, :n_p]
-        if lat.periodic:
-            resid = np.abs(block - (np.eye(n_p) - np.ones((n_p, n_p)) / n_p)).max()
-            name = "canonical_pairing_identity_on_constraint_quotient"
-        else:
-            resid = np.abs(block - np.eye(n_p)).max()
-            name = "canonical_pairing_identity"
-        checks.append(_check(name, resid, 1e-10))
-    rep = dualmap.dof_report(lat)
-    checks.append(_check("degree_of_freedom_match", 0.0 if rep["match"] else 1.0, 0))
-    return checks
-
-
-def _cmd_check_maps(args) -> int:
     lat = _lattice(args)
-    checks = _map_checks(lat, args.seed)
+    results = checks.run(lat, args.seed, maps_only=args.maps_only)
     payload = {
         "dim": lat.dim,
         "N": lat.N,
         "bc": lat.bc,
         "seed": args.seed,
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
+        "checks": results,
+        "all_passed": all(c["passed"] for c in results),
     }
     _emit_json(args.out, payload)
     if not payload["all_passed"]:
-        raise CheckFailure("linear-map identity checks failed")
+        raise CheckFailure("linear-map identity checks failed" if args.maps_only else "invariant suite failed")
     return 0
 
 
@@ -459,53 +398,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_verify_all(args) -> int:
-    import numpy as np
-
-    from . import dualmap, greens, helmholtz
-    from .lattice import FieldVector, laplacian_matrix
-
-    lat = _lattice(args)
-    rng = np.random.default_rng(args.seed)
-    checks = _map_checks(lat, args.seed)
-
-    lap_site = laplacian_matrix(lat, "site").toarray()
-    G = greens.greens_table(lat, "site").values
-    n = lat.n_sites
-    residual = -lap_site @ G - (np.eye(n) - np.ones((n, n)) / n)
-    checks.append(_check("greens_site_inverts_laplacian_on_zero_sum", np.abs(residual).max(), 1e-10))
-
-    worst = 0.0
-    for _ in range(5):
-        F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-        dec = helmholtz.helmholtz_decompose(lat, F)
-        rec = helmholtz.reconstruct_transverse(dec.potential).values
-        worst = max(worst, float(np.abs(rec - dec.transverse.values).max()))
-    checks.append(_check("transverse_reconstruction_from_potential", worst, 1e-10))
-    tables = helmholtz.all_shift_tables(lat)
-    resid = max(helmholtz.shift_reconstruction_residual(t) for t in tables)
-    checks.append(_check("shift_pairing_reproduces_transverse_part", resid, 1e-10))
-
-    kerD = dualmap.d_kernel(lat)
-    cons = dualmap.constraint_set(lat)
-    checks.append(
-        _check("dual_kernel_matches_constraint_count", abs(len(kerD) - cons.n_independent), 0)
-    )
-
-    payload = {
-        "dim": lat.dim,
-        "N": lat.N,
-        "bc": lat.bc,
-        "seed": args.seed,
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
-    }
-    _emit_json(args.out, payload)
-    if not payload["all_passed"]:
-        raise CheckFailure("invariant suite failed")
-    return 0
-
-
 def _cmd_dump_op(args) -> int:
     from . import lattice as lx
 
@@ -593,7 +485,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-maps", help="linear-map identity suite")
     _add_lattice_flags(p)
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_check_maps, keys=_LATTICE_KEYS | {"out", "seed"})
+    p.set_defaults(handler=_cmd_checks, maps_only=True, keys=_LATTICE_KEYS | {"out", "seed"})
 
     p = sub.add_parser("build", help="build a Hamiltonian, report dimensions")
     _add_lattice_flags(p)
@@ -627,7 +519,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-all", help="full invariant suite for a geometry")
     _add_lattice_flags(p)
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_verify_all, keys=_LATTICE_KEYS | {"out", "seed"})
+    p.set_defaults(handler=_cmd_checks, maps_only=False, keys=_LATTICE_KEYS | {"out", "seed"})
 
     p = sub.add_parser("dump-op", help="write one linear operator as COO CSV")
     _add_lattice_flags(p)

@@ -17,9 +17,9 @@ residual constraint content of the dual description.
 The quadratic electric energy in dual variables is governed by two forms:
 ``A0 = emb^T emb`` acting on potentials, and the condensed kernel
 ``Gtilde = D+ A0 D+`` acting on the conjugate (flux + winding) variables.
-The two give identical energies on consistent data, which the tests and the
-acceptance suite check against each other; neither carries the coupling
-constant, which the Hamiltonian layer applies.
+The two give identical energies on consistent data (the `checks` entry
+``quadratic_form_equivalence``); neither carries the coupling constant,
+which the Hamiltonian layer applies.
 
 Degree-of-freedom audits count independent constraints on both sides of the
 duality in exact integer arithmetic.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +38,7 @@ from .helmholtz import dual_coordinate_map
 from .lattice import (
     Lattice,
     axis_indicator_matrix,
+    cached,
     cube_flux_matrix,
     curl_link_to_plaq_matrix,
     curl_plaq_to_link_matrix,
@@ -71,7 +71,7 @@ class ConstraintSet:
     n_independent: int
 
 
-@lru_cache(maxsize=None)
+@cached
 def dual_embedding(lat: Lattice) -> DualEmbedding:
     """[backward curl | axis-line columns], integer sparse."""
     W = curl_plaq_to_link_matrix(lat)
@@ -82,13 +82,13 @@ def dual_embedding(lat: Lattice) -> DualEmbedding:
     return DualEmbedding(lat, mat, lat.n_plaqs, lat.n_global_loops)
 
 
-@lru_cache(maxsize=None)
+@cached
 def winding_map(lat: Lattice) -> sp.csr_matrix:
     """Axis-line winding sums per direction: n_globals x n_links."""
     return axis_indicator_matrix(lat).T.tocsr()
 
 
-@lru_cache(maxsize=None)
+@cached
 def flux_and_winding_map(lat: Lattice) -> sp.csr_matrix:
     """Circulation rows stacked over winding rows: the dual conjugate extractor."""
     C = curl_link_to_plaq_matrix(lat)
@@ -97,7 +97,7 @@ def flux_and_winding_map(lat: Lattice) -> sp.csr_matrix:
     return C.tocsr()
 
 
-@lru_cache(maxsize=None)
+@cached
 def d_matrix(lat: Lattice) -> sp.csr_matrix:
     """Symmetric integer form: (flux + winding) of the embedding of each coordinate.
 
@@ -108,14 +108,14 @@ def d_matrix(lat: Lattice) -> sp.csr_matrix:
     return (flux_and_winding_map(lat) @ dual_embedding(lat).matrix).tocsr()
 
 
-@lru_cache(maxsize=None)
+@cached
 def transverse_energy_form(lat: Lattice) -> sp.csr_matrix:
     """A0 = emb^T emb: electric energy form on dual potentials (no coupling)."""
     emb = dual_embedding(lat).matrix
     return (emb.T @ emb).tocsr()
 
 
-@lru_cache(maxsize=None)
+@cached
 def modified_greens(lat: Lattice, exact: bool = False):
     """Condensed energy kernel Gtilde = D+ A0 D+ on (flux, winding) vectors.
 
@@ -134,7 +134,7 @@ def modified_greens(lat: Lattice, exact: bool = False):
     return Dp @ A0 @ Dp
 
 
-@lru_cache(maxsize=None)
+@cached
 def constraint_set(lat: Lattice) -> ConstraintSet:
     """Constraints on dual variables: none (2D open), total flux (2D periodic),
     cube fluxes (3D), plus zero-slice sums (3D periodic)."""
@@ -199,7 +199,7 @@ def dof_report(lat: Lattice) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+@cached
 def canonical_pairing_matrix(lat: Lattice) -> np.ndarray:
     """Pairing of conjugate fluxes with dual-coordinate extraction.
 
@@ -232,7 +232,7 @@ def d_kernel(lat: Lattice) -> list[list[Fraction]]:
 # rest are unphysical copies, so spectral comparisons must match cosets.
 
 
-@lru_cache(maxsize=None)
+@cached
 def integer_tree_flow_matrix(lat: Lattice) -> np.ndarray:
     """Integer right-inverse of the divergence on neutral charge vectors.
 
@@ -280,7 +280,7 @@ def integer_tree_flow_matrix(lat: Lattice) -> np.ndarray:
     return T
 
 
-@lru_cache(maxsize=None)
+@cached
 def loop_field_basis(lat: Lattice) -> np.ndarray:
     """Integer generators of divergence-free link fields.
 
@@ -294,7 +294,7 @@ def loop_field_basis(lat: Lattice) -> np.ndarray:
     return np.hstack(cols)
 
 
-@lru_cache(maxsize=None)
+@cached
 def flux_offset_map(lat: Lattice) -> np.ndarray:
     """Integer map from a neutral charge vector to its flux-class offset.
 
@@ -305,7 +305,7 @@ def flux_offset_map(lat: Lattice) -> np.ndarray:
     return fw @ integer_tree_flow_matrix(lat)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _flux_class_snf(lat: Lattice):
     fw = flux_and_winding_map(lat).toarray().astype(np.int64)
     span = fw @ loop_field_basis(lat)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -30,6 +29,7 @@ from . import rational
 from .lattice import (
     FieldVector,
     Lattice,
+    cached,
     laplacian_matrix,
     sites,
 )
@@ -93,7 +93,7 @@ def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=None)
+@cached
 def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
     """Green's table for the site Laplacian (kind site_pbc / site_obc)."""
     n = lat.n_sites
@@ -119,7 +119,7 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
     return GreensTable(lat, kind, G, "zero_row_sum")
 
 
-@lru_cache(maxsize=None)
+@cached
 def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
     """True inverse of the modified open-boundary plaquette Laplacian."""
     if lat.periodic:
@@ -136,7 +136,7 @@ def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
     return GreensTable(lat, "plaq_obc", G, "true_inverse")
 
 
-@lru_cache(maxsize=None)
+@cached
 def greens_plaquette_grid(lat: Lattice, exact: bool = False) -> GreensTable:
     """Zero-row-sum Green's table on the periodic plaquette grid.
 

@@ -27,24 +27,23 @@ exactly the integer stencil content of the linear maps, so the two layers
 cannot drift apart.
 
 The continuous dual description has no independent operator content at the
-quadratic level; `bl_classical_report` instead verifies its defining
-identities (energy-form equivalence, shift-table hopping pairing, pairing
-canonicality, positivity) and reports the residuals.
+quadratic level; its defining identities (energy-form equivalence,
+shift-table hopping pairing, pairing canonicality, positivity, kernel
+dimension) are entries of the `checks` registry that `dualqed verify-all`
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import dualmap, helmholtz, hilbert, rational
+from . import dualmap, hilbert
 from .greens import greens_sites
 from .lattice import (
-    FieldVector,
     Lattice,
-    LinearMap,
     curl_link_to_plaq_matrix,
     links,
     shift_site,
@@ -215,92 +214,3 @@ def h_dual_thetam(
         diag = diag + 0.5 * g2 * _quadratic_diagonal(greens_sites(lat).values, rho)
     emb = dualmap.dual_embedding(lat).matrix
     return _sector_hamiltonian(params, basis, diag, dualmap.d_matrix(lat)[: lat.n_plaqs], emb)
-
-
-# ---------------------------------------------------------------------------
-# Continuous dual description: classical identity report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BLClassicalReport:
-    """Verification bundle for the continuous dual description."""
-
-    lattice: Lattice
-    energy_form: LinearMap  # (g2/2) * A0 on dual potentials
-    shift_tables: list = field(repr=False, default_factory=list)
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(v["ok"] for v in self.checks.values())
-
-
-def bl_classical_report(
-    lat: Lattice, params: ModelParams, n_samples: int = 40, seed: int = 0
-) -> BLClassicalReport:
-    """Verify the defining identities of the continuous dual description.
-
-    Residuals reported: energy-form equivalence through the condensed
-    kernel, hopping reconstruction through shift tables, canonical pairing
-    structure, positive semidefiniteness, and kernel dimension against the
-    constraint count.
-    """
-    params = params.validated(lat)
-    rng = np.random.default_rng(seed)
-    A0 = dualmap.transverse_energy_form(lat).toarray().astype(float)
-    D = dualmap.d_matrix(lat).toarray().astype(float)
-    Gt = dualmap.modified_greens(lat)
-    width = A0.shape[0]
-
-    form = LinearMap(
-        "dual_electric_energy_form",
-        lat,
-        "plaquette+global",
-        "plaquette+global",
-        sp.csr_matrix(0.5 * params.g2 * A0),
-    )
-    tables = helmholtz.all_shift_tables(lat)
-
-    checks: dict[str, dict] = {}
-
-    err = 0.0
-    for _ in range(n_samples):
-        z = rng.standard_normal(width)
-        Mv = D @ z
-        err = max(err, abs(Mv @ Gt @ Mv - z @ A0 @ z) / max(1.0, abs(z @ A0 @ z)))
-    checks["energy_form_equivalence"] = {"residual": err, "ok": err < 1e-10}
-
-    P = helmholtz.transverse_projector(lat).matrix.toarray()
-    err = 0.0
-    for _ in range(n_samples):
-        F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-        via = helmholtz.transverse_component_via_shifts(lat, F, tables)
-        err = max(err, float(np.abs(via - P @ F.values).max()))
-    checks["hopping_shift_identity"] = {"residual": err, "ok": err < 1e-10}
-
-    pairing = dualmap.canonical_pairing_matrix(lat)
-    n = lat.n_plaqs
-    if lat.periodic:
-        ideal = np.eye(n) - np.ones((n, n)) / n
-        resid = float(np.abs(pairing[:n, :n] - ideal).max())
-        resid = max(resid, float(np.abs(pairing[:n, n:]).max()))
-        resid = max(resid, float(np.abs(pairing[n:, n:] - np.eye(width - n)).max()))
-        row_spread = np.abs(pairing[n:, :n] - pairing[n:, :1]).max() if width > n else 0.0
-        resid = max(resid, float(row_spread))
-    else:
-        resid = float(np.abs(pairing - np.eye(n)).max())
-    checks["canonical_pairing"] = {"residual": resid, "ok": resid < 1e-10}
-
-    eigs = np.linalg.eigvalsh(0.5 * params.g2 * A0)
-    checks["positive_semidefinite"] = {"residual": float(-min(eigs.min(), 0.0)), "ok": eigs.min() > -1e-10}
-
-    kernel_dim = width - rational.rank(dualmap.transverse_energy_form(lat).toarray())
-    expected = width - dualmap.dof_report(lat)["dual_physical"]
-    checks["kernel_dimension"] = {
-        "residual": abs(kernel_dim - expected),
-        "ok": kernel_dim == expected,
-        "kernel_dim": kernel_dim,
-        "expected": expected,
-    }
-    return BLClassicalReport(lat, form, tables, checks)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +45,8 @@ from .greens import (
 from .lattice import (
     FieldVector,
     Lattice,
-    LinearMap,
     axis_indicator_matrix,
+    cached,
     curl_link_to_plaq_matrix,
     curl_plaq_to_link_matrix,
     direction_sum_matrix,
@@ -90,7 +89,7 @@ class ShiftTable:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def ramp_matrix(lat: Lattice) -> np.ndarray:
     """n_plaqs x dim matrix: column i is the plaquette ramp sourced by S_i.
 
@@ -155,14 +154,14 @@ def _ramp_matrix_exact(lat: Lattice) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def _curl_curl_pinv(lat: Lattice) -> np.ndarray:
     """Pseudo-inverse of C C^T for the 3D open-boundary potential solve."""
     C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
     return np.linalg.pinv(C @ C.T)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _curl_curl_pinv_exact(lat: Lattice) -> list[list[Fraction]]:
     C = curl_link_to_plaq_matrix(lat).toarray()
     return rational.pseudo_inverse_symmetric(C @ C.T)
@@ -229,8 +228,8 @@ def reconstruct_transverse(potential: FieldVector) -> FieldVector:
     return FieldVector(lat, "link", vals)
 
 
-@lru_cache(maxsize=None)
-def transverse_projector(lat: Lattice) -> LinearMap:
+@cached
+def transverse_projector(lat: Lattice) -> sp.csr_matrix:
     """Idempotent link-space projector onto divergence-free fields.
 
     P = 1 + grad G_site div; its complement projects onto gradients.
@@ -238,13 +237,10 @@ def transverse_projector(lat: Lattice) -> LinearMap:
     G = greens_sites(lat).values
     grad = gradient_matrix(lat).toarray().astype(float)
     div = divergence_matrix(lat).toarray().astype(float)
-    P = np.eye(lat.n_links) + grad @ G @ div
-    return LinearMap(
-        "transverse_projector", lat, "link", "link", sp.csr_matrix(P)
-    )
+    return sp.csr_matrix(np.eye(lat.n_links) + grad @ G @ div)
 
 
-@lru_cache(maxsize=None)
+@cached
 def dual_coordinate_map(lat: Lattice) -> np.ndarray:
     """Matrix sending a link field to its stacked potential coordinates.
 
@@ -317,8 +313,10 @@ def _check_exact_float_agreement(table: ShiftTable):
         )
 
 
-def all_shift_tables(lat: Lattice, exact: bool = False) -> list[ShiftTable]:
-    return [link_shift_table(lat, x, i, exact=exact) for (x, i) in links(lat)]
+@cached
+def all_shift_tables(lat: Lattice, exact: bool = False) -> tuple[ShiftTable, ...]:
+    """Shift tables of every link, in link order."""
+    return tuple(link_shift_table(lat, x, i, exact=exact) for (x, i) in links(lat))
 
 
 def shift_reconstruction_residual(table: ShiftTable) -> float:
@@ -332,28 +330,25 @@ def shift_reconstruction_residual(table: ShiftTable) -> float:
     recon = reconstruct_transverse(pot).values
     unit = np.zeros(lat.n_links)
     unit[table.link] = 1.0
-    target = transverse_projector(lat).matrix @ unit
+    target = transverse_projector(lat) @ unit
     return float(np.abs(recon - target).max())
 
 
-def transverse_component_via_shifts(
-    lat: Lattice, F: FieldVector, tables: list[ShiftTable] | None = None
-) -> np.ndarray:
+def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
     """Evaluate P_T F link by link through shift tables.
 
     Pairs each link's plaquette shifts with the circulation of F and its
     global shifts with the axis winding sums of F — the contraction pattern
     by which transverse field content enters dual hopping terms.  Agrees
-    with the projector applied directly; the tests hold this to tolerance.
+    with the projector applied directly (`checks`:
+    ``shift_pairing_reproduces_transverse_part``).
     """
-    if tables is None:
-        tables = all_shift_tables(lat)
     circulation = curl_link_to_plaq_matrix(lat) @ F.values
     winds = None
     if lat.periodic:
         winds = axis_indicator_matrix(lat).T @ F.values
     out = np.zeros(lat.n_links)
-    for t in tables:
+    for t in all_shift_tables(lat):
         val = float(t.shifts @ circulation)
         if winds is not None and t.global_shifts is not None:
             val += float(t.global_shifts @ winds)

@@ -18,15 +18,18 @@ Geometry conventions used across the package:
 
 Forward difference (gradient) maps sites to links, backward difference
 (divergence) maps links to sites, and the two curls map links to plaquettes
-and back.  All operator matrices are integer CSR and cached per lattice;
-treat them as read-only.
+and back.  All operator matrices are integer CSR and cached per lattice.
+Every cached result is read-only: `cached` freezes it once, when it is
+computed, so a write into a shared matrix raises instead of corrupting
+every later caller.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +37,37 @@ import scipy.sparse as sp
 CellKind = str  # 'site' | 'link' | 'plaquette' | 'cube'
 
 _BOUNDARY_KINDS = ("periodic", "open")
+
+
+def _freeze(obj):
+    """Mark the arrays of a result read-only: ndarrays, the arrays of sparse
+    matrices (sorted first, so scipy never sorts them in place later), and
+    the same inside dataclass fields and tuple items."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif sp.issparse(obj):
+        obj.sum_duplicates()
+        for name in ("data", "indices", "indptr"):
+            _freeze(getattr(obj, name, None))
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _freeze(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _freeze(item)
+    return obj
+
+
+def cached(fn):
+    """`functools.lru_cache` whose results are frozen once, when computed: they
+    are shared by every caller, the threads of `compare_formulations` included."""
+
+    @functools.lru_cache(maxsize=None)
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return _freeze(fn(*args, **kwargs))
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -104,13 +138,13 @@ def _cyclic(i: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def sites(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     s = lat.sites_per_side
     return tuple(itertools.product(range(s), repeat=lat.dim))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _site_index(lat: Lattice) -> dict[tuple[int, ...], int]:
     return {x: i for i, x in enumerate(sites(lat))}
 
@@ -121,7 +155,7 @@ def site_index(lat: Lattice, x: tuple[int, ...]) -> int:
     return _site_index(lat)[x]
 
 
-@lru_cache(maxsize=None)
+@cached
 def links(lat: Lattice) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All links (base site, direction), ordered by (direction, site)."""
     out = []
@@ -132,7 +166,7 @@ def links(lat: Lattice) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _link_index(lat: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
     return {lk: n for n, lk in enumerate(links(lat))}
 
@@ -149,7 +183,7 @@ def link_exists(lat: Lattice, x: tuple[int, ...], i: int) -> bool:
     return all(0 <= c <= lat.N for c in x) and x[i] < lat.N
 
 
-@lru_cache(maxsize=None)
+@cached
 def plaquettes(lat: Lattice) -> tuple[tuple, ...]:
     """2D: corner tuples.  3D: (corner, normal) pairs ordered by (normal, corner)."""
     if lat.dim == 2:
@@ -168,7 +202,7 @@ def plaquettes(lat: Lattice) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _plaq_index(lat: Lattice) -> dict:
     return {p: n for n, p in enumerate(plaquettes(lat))}
 
@@ -198,7 +232,7 @@ def plaquette_exists(lat: Lattice, x: tuple[int, ...], normal: int | None = None
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     if lat.dim == 2:
         return ()
@@ -206,7 +240,7 @@ def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(side), repeat=3))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _cube_index(lat: Lattice) -> dict[tuple[int, ...], int]:
     return {c: n for n, c in enumerate(cubes(lat))}
 
@@ -248,7 +282,7 @@ def site_parity(lat: Lattice) -> np.ndarray:
     return np.array([(-1) ** (sum(x) % 2) for x in sites(lat)], dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@cached
 def axis_indicator_matrix(lat: Lattice) -> sp.csr_matrix:
     """n_links x dim matrix whose column i marks the direction-i axis line."""
     rows, cols = [], []
@@ -260,7 +294,7 @@ def axis_indicator_matrix(lat: Lattice) -> sp.csr_matrix:
     return _csr(rows, cols, vals, (lat.n_links, lat.dim))
 
 
-@lru_cache(maxsize=None)
+@cached
 def direction_sum_matrix(lat: Lattice) -> sp.csr_matrix:
     """dim x n_links matrix summing link values per direction."""
     rows, cols = [], []
@@ -361,7 +395,7 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def gradient_matrix(lat: Lattice) -> sp.csr_matrix:
     """Forward difference, sites -> links: (grad f)_i(x) = f(x+e_i) - f(x)."""
     rows, cols, vals = [], [], []
@@ -373,7 +407,7 @@ def gradient_matrix(lat: Lattice) -> sp.csr_matrix:
     return _csr(rows, cols, vals, (lat.n_links, lat.n_sites))
 
 
-@lru_cache(maxsize=None)
+@cached
 def divergence_matrix(lat: Lattice) -> sp.csr_matrix:
     """Backward difference, links -> sites: (div F)(x) = sum_i F_i(x) - F_i(x-e_i).
 
@@ -407,7 +441,7 @@ def plaquette_grid_shape(lat: Lattice, normal: int | None = None) -> tuple[int, 
     return tuple(shape)
 
 
-@lru_cache(maxsize=None)
+@cached
 def laplacian_matrix(lat: Lattice, kind: CellKind = "site") -> sp.csr_matrix:
     """Lattice Laplacian.
 
@@ -455,7 +489,7 @@ def laplacian_matrix(lat: Lattice, kind: CellKind = "site") -> sp.csr_matrix:
     return mat
 
 
-@lru_cache(maxsize=None)
+@cached
 def curl_link_to_plaq_matrix(lat: Lattice) -> sp.csr_matrix:
     """Circulation around each plaquette: links -> plaquettes.
 
@@ -484,7 +518,7 @@ def curl_link_to_plaq_matrix(lat: Lattice) -> sp.csr_matrix:
     return mat
 
 
-@lru_cache(maxsize=None)
+@cached
 def curl_plaq_to_link_matrix(lat: Lattice) -> sp.csr_matrix:
     """Backward-difference curl: plaquettes -> links.
 
@@ -526,7 +560,7 @@ def curl_plaq_to_link_matrix(lat: Lattice) -> sp.csr_matrix:
     return mat
 
 
-@lru_cache(maxsize=None)
+@cached
 def cube_flux_matrix(lat: Lattice) -> sp.csr_matrix:
     """Net outward face flux per elementary cube: plaquettes -> cubes (3D).
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualqed import checks
 from dualqed.lattice import Lattice
 
 # geometries small enough for exhaustive/dense checks
@@ -18,6 +19,24 @@ def geometry_id(lat: Lattice) -> str:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def assert_entries_hold(lat: Lattice, rng, *names: str, draws: int | None = None) -> None:
+    """Every named `checks` entry that applies to ``lat`` passes its bound."""
+    for check in map(checks.get, names):
+        if check.applies(lat):
+            assert check.worst(lat, rng, draws) <= check.tol, check.name
+
+
+def entry_test(*names: str, geometries=GEOMETRIES, draws: int | None = None):
+    """A test of the named `checks` entries on each geometry: unit tests that
+    only restated an identity run its entry and keep their old test ids."""
+
+    @pytest.mark.parametrize("lat", geometries, ids=geometry_id)
+    def test(lat, rng):
+        assert_entries_hold(lat, rng, *names, draws=draws)
+
+    return test
 
 
 # --- acceptance report -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Acceptance gate: the nine headline checks, each with its stated tolerance
 and runtime budget.  One PASS/FAIL line per criterion is printed in the
-terminal summary (see conftest).  Criterion 8's final-gap bound is known to
+terminal summary (see conftest).  Criteria 3-6 take their residuals from
+the `checks` entries that `dualqed verify-all` runs.  Criterion 8's final-gap bound is known to
 be unattainable at the stated cutoff — the test asserts the stated bound
 anyway and is marked as an expected failure so the measured gap stays
 visible without masking a real regression elsewhere."""
@@ -12,15 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from dualqed import dualmap, helmholtz, hilbert, spectrum
+from dualqed import checks, dualmap, helmholtz, hilbert, spectrum
 from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
 from dualqed.hilbert import HilbertSpec
-from dualqed.lattice import (
-    FieldVector,
-    Lattice,
-    curl_link_to_plaq_matrix,
-    divergence_matrix,
-)
+from dualqed.lattice import Lattice
 
 GEOMS_2D = [Lattice(2, n, bc) for n in (1, 2, 3, 4) for bc in ("open", "periodic")]
 GEOMS_3D = [Lattice(3, n, bc) for n in (1, 2, 3, 4) for bc in ("open", "periodic")]
@@ -80,17 +76,8 @@ def test_criterion_3_helmholtz_round_trip():
     worst = 0.0
     for lat in GEOMS_2D + GEOMS_3D:
         rng = np.random.default_rng(lat.dim * 100 + lat.N * 10 + (lat.bc == "open"))
-        div = divergence_matrix(lat)
-        curl = curl_link_to_plaq_matrix(lat)
-        for _ in range(200):
-            F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-            dec = helmholtz.helmholtz_decompose(lat, F)
-            worst = max(
-                worst,
-                float(np.abs(dec.longitudinal.values + dec.transverse.values - F.values).max()),
-                float(np.abs(div @ dec.transverse.values).max()),
-                float(np.abs(curl @ dec.longitudinal.values).max()),
-            )
+        for name in ("helmholtz_round_trip", "transverse_is_divergence_free", "longitudinal_is_curl_free"):
+            worst = max(worst, checks.get(name).worst(lat, rng, 200))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 30.0
     record_acceptance(
@@ -104,20 +91,12 @@ def test_criterion_4_canonical_pairing_identity():
     """Curl against the transverse potential rows acts as the identity on
     the dual cells: strict identity for open boundaries; on periodic
     lattices the zero-sum quotient of the plaquette block (the constant
-    plaquette shift is unobservable) plus an exact identity winding block."""
+    plaquette shift is unobservable), a vanishing flux-to-winding block,
+    constant winding-to-flux rows and an exact identity winding block."""
     worst = 0.0
-    for lat in (Lattice(2, n, bc) for n in (1, 2, 3, 4) for bc in ("open", "periodic")):
-        pairing = dualmap.canonical_pairing_matrix(lat)
-        n = lat.n_plaqs
-        if lat.periodic:
-            width = n + lat.n_global_loops
-            ideal = np.eye(n) - np.ones((n, n)) / n
-            resid = np.abs(pairing[:n, :n] - ideal).max()
-            resid = max(resid, np.abs(pairing[:n, n:]).max())
-            resid = max(resid, np.abs(pairing[n:, n:] - np.eye(width - n)).max())
-        else:
-            resid = np.abs(pairing - np.eye(n)).max()
-        worst = max(worst, float(resid))
+    for lat in GEOMS_2D:
+        quotient = "_on_constraint_quotient" if lat.periodic else ""
+        worst = max(worst, checks.get("canonical_pairing_identity" + quotient).worst(lat, None))
     ok = worst <= 1e-10
     record_acceptance(
         4, ok, f"pairing identity (periodic: zero-sum quotient) worst residual {worst:.1e}"
@@ -131,15 +110,7 @@ def test_criterion_5_quadratic_form_equivalence():
     worst = 0.0
     for lat in GEOMS_2D:
         rng = np.random.default_rng(lat.N * 7 + (lat.bc == "open"))
-        A = dualmap.transverse_energy_form(lat).toarray().astype(float)
-        D = dualmap.d_matrix(lat).toarray().astype(float)
-        Gt = dualmap.modified_greens(lat)
-        for _ in range(100):
-            z = rng.standard_normal(A.shape[0])
-            lhs = z @ A @ z
-            mv = D @ z
-            rhs = mv @ Gt @ mv
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst = max(worst, checks.get("quadratic_form_equivalence").worst(lat, rng, 100))
     ok = worst <= 1e-10
     record_acceptance(5, ok, f"800 quadratic-form pairs, worst relative residual {worst:.1e}")
     assert worst <= 1e-10
@@ -151,12 +122,7 @@ def test_criterion_6_shift_reconstruction_of_transverse_fields():
     worst = 0.0
     for lat in GEOMS_2D:
         rng = np.random.default_rng(lat.N * 13 + (lat.bc == "open"))
-        tables = helmholtz.all_shift_tables(lat)
-        P = helmholtz.transverse_projector(lat).matrix.toarray()
-        for _ in range(200):
-            F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-            via = helmholtz.transverse_component_via_shifts(lat, F, tables)
-            worst = max(worst, float(np.abs(via - P @ F.values).max()))
+        worst = max(worst, checks.get("shift_pairing_reproduces_transverse_part").worst(lat, rng, 200))
     ok = worst <= 1e-10
     record_acceptance(6, ok, f"1600 reconstructions, worst residual {worst:.1e}")
     assert worst <= 1e-10

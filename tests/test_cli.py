@@ -177,6 +177,54 @@ def test_verify_all_green():
     assert len(payload["checks"]) >= 14
 
 
+MAP_CHECKS = """divergence_is_minus_gradient_transpose backward_curl_is_forward_transpose
+    curl_of_gradient_vanishes helmholtz_round_trip transverse_is_divergence_free longitudinal_is_curl_free
+    interaction_matrix_symmetric""".split()
+INVARIANT_CHECKS = """greens_site_inverts_laplacian_on_zero_sum transverse_reconstruction_from_potential
+    shift_pairing_reproduces_transverse_part dual_kernel_matches_constraint_count positive_semidefinite
+    energy_form_kernel_dimension""".split()
+PINNED_CHECK_NAMES = {
+    ("2", "2", "open"): MAP_CHECKS + ["quadratic_form_equivalence", "canonical_pairing_identity"],
+    ("2", "2", "periodic"): MAP_CHECKS
+    + ["quadratic_form_equivalence", "canonical_pairing_identity_on_constraint_quotient"],
+    ("3", "1", "periodic"): MAP_CHECKS[:3] + ["cube_flux_of_curl_vanishes"] + MAP_CHECKS[3:],
+}
+
+
+@pytest.mark.parametrize("geometry", list(PINNED_CHECK_NAMES), ids="-".join)
+def test_check_names_and_tolerances_are_pinned(geometry, tmp_path):
+    """The ordered check names are an output contract; every tolerance is the
+    registry's constant, whatever the sample."""
+    from dualqed import checks, cli
+
+    dim, n, bc = geometry
+    maps = PINNED_CHECK_NAMES[geometry] + ["degree_of_freedom_match"]
+    for command, want in (("check-maps", maps), ("verify-all", maps + INVARIANT_CHECKS)):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--dim", dim, "--N", n, "--bc", bc, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == want
+        assert all(c["tolerance"] == checks.get(c["name"]).tol for c in report["checks"])
+        assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("command", ["check-maps", "verify-all"])
+def test_failing_check_exits_one_and_is_reported(command, tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from dualqed import checks, cli
+
+    entry = checks.get("interaction_matrix_symmetric")
+    broken = dataclasses.replace(entry, fn=lambda lat, rng: entry.tol + 1.0)
+    monkeypatch.setattr(checks, "CHECKS", tuple(broken if c is entry else c for c in checks.CHECKS))
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--dim", "2", "--N", "2", "--bc", "open", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["interaction_matrix_symmetric"]
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "check_failure"
+
+
 def test_dump_op_golden_header_and_rows():
     proc = run_cli("dump-op", "--dim", 2, "--N", 1, "--bc", "open", "--name", "divergence", check=True)
     lines = proc.stdout.splitlines()
@@ -307,10 +355,11 @@ def test_reports_validate_against_bundled_schemas(tmp_path):
     jsonschema.validate(
         json.loads(proc.stdout), json.loads((schema_dir / "dof_report.schema.json").read_text())
     )
-    proc = run_cli("check-maps", "--dim", 2, "--N", 2, "--bc", "open", check=True)
-    jsonschema.validate(
-        json.loads(proc.stdout), json.loads((schema_dir / "check_report.schema.json").read_text())
-    )
+    for command in ("check-maps", "verify-all"):
+        proc = run_cli(command, "--dim", 2, "--N", 2, "--bc", "open", check=True)
+        jsonschema.validate(
+            json.loads(proc.stdout), json.loads((schema_dir / "check_report.schema.json").read_text())
+        )
     proc = run_cli(
         "shifts", "--dim", 2, "--N", 2, "--bc", "periodic",
         "--site", "0,0", "--direction", 1, check=True,

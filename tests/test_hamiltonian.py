@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualqed import dualmap, hilbert, spectrum
+from dualqed import hilbert, spectrum
 from dualqed.greens import greens_sites
 from dualqed.hamiltonian import (
     ModelParams,
-    bl_classical_report,
     h_dual_thetam,
     h_original,
 )
@@ -347,47 +346,3 @@ def test_zero_hopping_spectrum_is_additive_dual():
     sums = np.sort(np.add.outer(matter_levels, gauge_levels).ravel())
     assert full.shape == sums.shape
     assert np.abs(full - sums).max() <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Continuous dual description: classical identity report
-# ---------------------------------------------------------------------------
-
-
-def test_classical_report_open_lattice_energy_form_is_exact():
-    """On open lattices the condensed energy form is (g2/2) C C^T with no
-    rounding at all: integer entries times an exactly representable scale."""
-    lat = Lattice(2, 3, "open")
-    g2 = 2.0  # keeps 0.5 * g2 * integer exactly representable
-    report = bl_classical_report(lat, ModelParams(g2=g2), n_samples=30, seed=5)
-    assert report.passed, report.checks
-    C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
-    expected = 0.5 * g2 * (C @ C.T)
-    assert np.array_equal(report.energy_form.matrix.toarray(), expected)
-    assert report.energy_form.matrix.shape == (lat.n_plaqs, lat.n_plaqs)
-
-
-def test_classical_report_periodic_kernel_and_positivity():
-    lat = Lattice(2, 2, "periodic")
-    report = bl_classical_report(lat, ModelParams(g2=0.9), n_samples=30, seed=7)
-    assert report.passed, report.checks
-    assert report.checks["positive_semidefinite"]["ok"]
-    assert report.checks["kernel_dimension"]["kernel_dim"] == 1
-    width = lat.n_plaqs + lat.n_global_loops
-    assert report.energy_form.matrix.shape == (width, width)
-
-
-@pytest.mark.parametrize("bc", ["open", "periodic"])
-def test_classical_report_all_checks_present(bc):
-    lat = Lattice(2, 2, bc)
-    report = bl_classical_report(lat, ModelParams(g2=1.0), n_samples=10, seed=3)
-    assert set(report.checks) == {
-        "energy_form_equivalence",
-        "hopping_shift_identity",
-        "canonical_pairing",
-        "positive_semidefinite",
-        "kernel_dimension",
-    }
-    for name, chk in report.checks.items():
-        assert chk["ok"], f"{name}: {chk}"
-    assert len(report.shift_tables) == lat.n_links

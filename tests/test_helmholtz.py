@@ -15,47 +15,29 @@ from dualqed.helmholtz import (
     ramp_matrix,
     reconstruct_transverse,
     shift_reconstruction_residual,
-    transverse_component_via_shifts,
     transverse_projector,
 )
-from dualqed.lattice import (
-    FieldVector,
-    Lattice,
-    curl_link_to_plaq_matrix,
-    divergence_matrix,
-    link_index,
-    plaquette_index,
-)
+from dualqed.lattice import FieldVector, Lattice, plaquette_index
 
-from conftest import GEOMETRIES, geometry_id
+from conftest import GEOMETRIES, assert_entries_hold, entry_test, geometry_id
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_decomposition_round_trip_and_orthogonality(lat, rng):
-    div = divergence_matrix(lat)
-    C = curl_link_to_plaq_matrix(lat)
+    names = ("helmholtz_round_trip", "transverse_is_divergence_free", "longitudinal_is_curl_free")
+    assert_entries_hold(lat, rng, *names, draws=20)
     for _ in range(20):
-        F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-        dec = helmholtz_decompose(lat, F)
-        assert np.abs(dec.longitudinal.values + dec.transverse.values - F.values).max() < 1e-12
-        assert np.abs(div @ dec.transverse.values).max() < 1e-12
-        assert np.abs(C @ dec.longitudinal.values).max() < 1e-10
+        dec = helmholtz_decompose(lat, FieldVector(lat, "link", rng.standard_normal(lat.n_links)))
         # longitudinal part is a gradient: orthogonal to the transverse part
         assert abs(dec.longitudinal.values @ dec.transverse.values) < 1e-10
 
 
-@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
-def test_potential_reconstructs_transverse_part(lat, rng):
-    for _ in range(10):
-        F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-        dec = helmholtz_decompose(lat, F)
-        rec = reconstruct_transverse(dec.potential)
-        assert np.abs(rec.values - dec.transverse.values).max() < 1e-10
+test_potential_reconstructs_transverse_part = entry_test("transverse_reconstruction_from_potential", draws=10)
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_transverse_projector_is_idempotent_symmetric(lat):
-    P = transverse_projector(lat).matrix.toarray()
+    P = transverse_projector(lat).toarray()
     assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(P - P.T).max() < 1e-12
 
@@ -126,18 +108,11 @@ def test_every_link_shift_table_reconstructs(lat):
         assert shift_reconstruction_residual(table) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "lat",
-    [Lattice(2, 2, "open"), Lattice(2, 2, "periodic"), Lattice(2, 3, "open")],
-    ids=geometry_id,
+test_shift_pairing_evaluates_transverse_component = entry_test(
+    "shift_pairing_reproduces_transverse_part",
+    geometries=[Lattice(2, 2, "open"), Lattice(2, 2, "periodic"), Lattice(2, 3, "open")],
+    draws=25,
 )
-def test_shift_pairing_evaluates_transverse_component(lat, rng):
-    tables = all_shift_tables(lat)
-    P = transverse_projector(lat).matrix
-    for _ in range(25):
-        F = FieldVector(lat, "link", rng.standard_normal(lat.n_links))
-        via_shifts = transverse_component_via_shifts(lat, F, tables)
-        assert np.abs(via_shifts - P @ F.values).max() < 1e-10
 
 
 def test_dual_coordinate_map_shapes():

@@ -1,10 +1,14 @@
 """Cell enumerations, field containers, and the integer calculus operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualqed import dualmap, greens, helmholtz, lattice
 from dualqed.lattice import (
     FieldVector,
     Lattice,
@@ -32,7 +36,7 @@ from dualqed.lattice import (
     sites,
 )
 
-from conftest import GEOMETRIES, GEOMETRIES_2D, geometry_id
+from conftest import GEOMETRIES, GEOMETRIES_2D, GEOMETRIES_3D, entry_test, geometry_id
 
 
 def expected_counts(lat: Lattice) -> dict:
@@ -89,32 +93,10 @@ def test_lattice_rejects_bad_arguments():
         Lattice(2, 2, "twisted")
 
 
-@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
-def test_divergence_is_minus_gradient_transpose(lat):
-    grad = gradient_matrix(lat).toarray()
-    div = divergence_matrix(lat).toarray()
-    assert np.array_equal(div, -grad.T)
-
-
-@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
-def test_backward_curl_is_forward_curl_transpose(lat):
-    C = curl_link_to_plaq_matrix(lat).toarray()
-    W = curl_plaq_to_link_matrix(lat).toarray()
-    assert np.array_equal(W, C.T)
-
-
-@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
-def test_curl_of_gradient_vanishes(lat):
-    C = curl_link_to_plaq_matrix(lat)
-    grad = gradient_matrix(lat)
-    assert abs(C @ grad).max() == 0
-
-
-@pytest.mark.parametrize("lat", [g for g in GEOMETRIES if g.dim == 3], ids=geometry_id)
-def test_cube_flux_of_curl_vanishes(lat):
-    K = cube_flux_matrix(lat)
-    C = curl_link_to_plaq_matrix(lat)
-    assert abs(K @ C).max() == 0
+test_divergence_is_minus_gradient_transpose = entry_test("divergence_is_minus_gradient_transpose")
+test_backward_curl_is_forward_curl_transpose = entry_test("backward_curl_is_forward_transpose")
+test_curl_of_gradient_vanishes = entry_test("curl_of_gradient_vanishes")
+test_cube_flux_of_curl_vanishes = entry_test("cube_flux_of_curl_vanishes", geometries=GEOMETRIES_3D)
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
@@ -214,3 +196,38 @@ def test_operator_registry_round_trip(tmp_path):
     assert np.array_equal(rebuilt, divergence_matrix(lat).toarray())
     with pytest.raises(ValueError):
         operator_map(lat, "no_such_operator")
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif sp.issparse(obj):
+        yield from (obj.data, obj.indices, obj.indptr)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("module", [lattice, dualmap, greens, helmholtz], ids=lambda m: m.__name__)
+def test_cached_results_are_read_only(module):
+    """Every cached function returns arrays that refuse writes, so no caller
+    (nor a thread of the compare pool) can change what the next one reads."""
+    cached = [fn for fn in vars(module).values() if hasattr(fn, "cache_info")]
+    assert cached
+    written = 0
+    for fn in cached:
+        for lat in (Lattice(2, 2, "open"), Lattice(3, 1, "periodic")):
+            try:
+                result = fn(lat)
+            except ValueError:  # not defined on this geometry
+                continue
+            for arr in _arrays(result):
+                assert not arr.flags.writeable, fn.__name__
+                if arr.size:
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = arr.flat[0]
+                    written += 1
+    assert written
