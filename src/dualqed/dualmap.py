@@ -66,7 +66,7 @@ class ConstraintSet:
     """Linear constraints satisfied by physical dual-variable states."""
 
     lattice: Lattice
-    kinds: list[str]
+    kinds: tuple[str, ...]
     matrix: sp.csr_matrix  # n_constraints x (n_plaqs + n_globals)
     n_independent: int
 
@@ -166,16 +166,16 @@ def constraint_set(lat: Lattice) -> ConstraintSet:
                 kinds.append(f"slice_sum_{i}")
     if rows:
         mat = sp.csr_matrix(np.array(rows, dtype=np.int64))
-        n_indep = rational.rank(np.array(rows, dtype=np.int64))
+        n_indep = rational.rank(mat)
     else:
         mat = sp.csr_matrix((0, width), dtype=np.int64)
         n_indep = 0
-    return ConstraintSet(lat, kinds, mat, n_indep)
+    return ConstraintSet(lat, tuple(kinds), mat, n_indep)
 
 
 def dof_report(lat: Lattice) -> dict:
     """Exact-arithmetic degree-of-freedom audit for both descriptions."""
-    gauss_rank = rational.rank(divergence_matrix(lat).toarray())
+    gauss_rank = rational.rank(divergence_matrix(lat))
     original = lat.n_links - gauss_rank
     cons = constraint_set(lat)
     n_dual = lat.n_plaqs + lat.n_global_loops
@@ -215,7 +215,7 @@ def canonical_pairing_matrix(lat: Lattice) -> np.ndarray:
 
 def d_kernel(lat: Lattice) -> list[list[Fraction]]:
     """Exact rational basis of ker D (the dual gauge content of potentials)."""
-    return rational.nullspace(d_matrix(lat).toarray())
+    return rational.nullspace(d_matrix(lat))
 
 
 # --- integer flux-class structure -------------------------------------------
@@ -307,9 +307,11 @@ def flux_offset_map(lat: Lattice) -> np.ndarray:
 
 @cached
 def _flux_class_snf(lat: Lattice):
+    """Smith form (U, D, V) of the flux-class lattice, as tuples of row
+    tuples: the cached result is shared, so it must not be mutable."""
     fw = flux_and_winding_map(lat).toarray().astype(np.int64)
     span = fw @ loop_field_basis(lat)
-    return rational.smith_normal_form(span)
+    return tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(span))
 
 
 def flux_class_contains(lat: Lattice, vec) -> bool:

@@ -3,7 +3,7 @@
 Three table kinds, each a dense symmetric matrix G[x, y]:
 
 - ``site_pbc``: zero-mode-free inverse of the periodic site Laplacian,
-  computed as the explicit Fourier sum over nonzero momenta.  Rows sum to
+  the Fourier sum over nonzero momenta as one inverse FFT.  Rows sum to
   zero, and -lap G = 1 - J/V (J the all-ones matrix): applying it to a
   neutral source inverts the Laplacian exactly.
 - ``site_obc``: Moore-Penrose pseudo-inverse of the open-boundary site
@@ -76,21 +76,18 @@ def _check_exact_size(n: int):
 def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
     """g(r) = (1/N^d) sum_{k != 0} cos(2 pi k.r / N) / sum_i (2 - 2 cos(2 pi k_i / N)).
 
-    Returned on the displacement grid of shape (N,)*dim.
+    One inverse FFT of 1/denom(k) with the k = 0 term set to zero; denom is
+    even in k, so the transform is real.  Returned on the displacement grid
+    of shape (N,)*dim.
     """
-    N, d = lat.N, lat.dim
-    shape = (N,) * d
-    g = np.zeros(shape, dtype=float)
-    two_pi = 2.0 * np.pi / N
-    for k in np.ndindex(shape):
-        if all(c == 0 for c in k):
-            continue
-        denom = sum(2.0 - 2.0 * np.cos(two_pi * c) for c in k)
-        for r in np.ndindex(shape):
-            phase = two_pi * sum(kc * rc for kc, rc in zip(k, r))
-            g[r] += np.cos(phase) / denom
-    g /= N**d
-    return g
+    lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(lat.N) / lat.N)
+    denom = lam
+    for _ in range(lat.dim - 1):
+        denom = np.add.outer(denom, lam)
+    denom.flat[0] = 1.0
+    inv = 1.0 / denom
+    inv.flat[0] = 0.0
+    return np.fft.ifftn(inv).real
 
 
 @cached

@@ -30,6 +30,7 @@ stays a linear identity.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,9 +163,9 @@ def _curl_curl_pinv(lat: Lattice) -> np.ndarray:
 
 
 @cached
-def _curl_curl_pinv_exact(lat: Lattice) -> list[list[Fraction]]:
+def _curl_curl_pinv_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
     C = curl_link_to_plaq_matrix(lat).toarray()
-    return rational.pseudo_inverse_symmetric(C @ C.T)
+    return tuple(map(tuple, rational.pseudo_inverse_symmetric(C @ C.T)))  # shared: immutable
 
 
 def _potential_solver_matrix(lat: Lattice) -> np.ndarray:
@@ -176,7 +177,7 @@ def _potential_solver_matrix(lat: Lattice) -> np.ndarray:
     return _curl_curl_pinv(lat)
 
 
-def _potential_solver_exact(lat: Lattice) -> list[list[Fraction]]:
+def _potential_solver_exact(lat: Lattice) -> Sequence[Sequence[Fraction]]:
     if lat.periodic:
         return greens_plaquette_grid(lat, exact=True).exact
     if lat.dim == 2:

@@ -1,15 +1,30 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines used by the exact-arithmetic lanes: Green's function
-tables on tiny lattices, integer rank counts for degree-of-freedom audits,
-and pseudo-inverses of singular symmetric operators.  Everything here works
-on lists of rows holding :class:`fractions.Fraction` (or int) entries; sizes
-stay in the low hundreds, so clarity beats asymptotics.
+`rank` and `nullspace` run one exact sparse integer elimination
+(`_eliminate`).  Their inputs are lattice maps and the constraint and
+energy forms built from them: up to thousands of rows with a handful of
+nonzeros each (the divergence has two per column).  Rows are stored as
+``{col: int}`` dicts.  Pivots are chosen Markowitz-style, least
+(row nnz - 1)·(col nnz - 1), unit entries first, ties broken by (row, col),
+so results are deterministic.  Row updates are fraction-free and each
+updated row is divided by the gcd of its entries.  Incidence and curl
+matrices are totally unimodular, so fill and entry growth stay small.
+
+The dense routines -- `invert`, `pseudo_inverse_symmetric`, products, and
+the integer Smith normal form with its image-membership test -- serve the
+exact Green's and shift tables on desk-size lattices.  They work on lists
+of rows holding :class:`fractions.Fraction` (or int) entries.
+
+Float input raises TypeError: a silent float->Fraction conversion would
+launder rounding error into "exact" results.
 """
 
 from __future__ import annotations
 
+import heapq
+import numbers
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,25 +35,21 @@ RationalMatrix = list[list[Fraction]]
 def _as_rows(mat) -> RationalMatrix:
     """Coerce a numpy / scipy / nested-list matrix to Fraction rows.
 
-    Float inputs are rejected: this module is exact-only, and a silent
-    float->Fraction conversion would launder rounding error into "exact"
-    results.
+    Float entries raise TypeError (`_exact_entry`), in object arrays too.
     """
     if sp.issparse(mat):
         mat = mat.toarray()
     if isinstance(mat, np.ndarray):
-        if not np.issubdtype(mat.dtype, np.integer) and mat.dtype != object:
-            raise TypeError(f"exact routines need integer/Fraction entries, got dtype {mat.dtype}")
-        return [[Fraction(int(v)) if not isinstance(v, Fraction) else v for v in row] for row in mat]
-    rows = []
-    for row in mat:
-        out = []
-        for v in row:
-            if isinstance(v, float):
-                raise TypeError("exact routines need integer/Fraction entries, got float")
-            out.append(Fraction(v))
-        rows.append(out)
-    return rows
+        mat = mat.tolist()
+    return [[Fraction(_exact_entry(v)) for v in row] for row in mat]
+
+
+def _exact_entry(v) -> int | Fraction:
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, Fraction):
+        return v
+    raise TypeError(f"exact routines need integer/Fraction entries, got {type(v).__name__}")
 
 
 def identity(n: int) -> RationalMatrix:
@@ -95,79 +106,159 @@ def invert(mat) -> RationalMatrix:
     return [row[n:] for row in aug]
 
 
-def rank(mat) -> int:
-    """Exact rank of an integer matrix via fraction-free Bareiss elimination.
+def _primitive(entries: dict[int, int | Fraction]) -> dict[int, int]:
+    """Clear the denominators of one sparse row, then divide out its content."""
+    scale = lcm(*(v.denominator for v in entries.values()))
+    row = {j: int(v * scale) for j, v in entries.items()}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
-    Runs on a numpy object array of Python ints so the row updates vectorize;
-    exact integer division keeps entries bounded (no rational blow-up).
+
+def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:
+    """Sparse primitive integer rows ``{col: int}`` of an exact matrix, and its
+    column count.
+
+    Accepts scipy sparse matrices with integer dtype, integer or object
+    ndarrays and nested lists of int / Fraction.  Scaling a row by the lcm of
+    its denominators and dividing by the gcd of its entries changes neither
+    rank nor nullspace.  Float input raises TypeError, sparse included.
     """
-    a = _as_rows(mat)
-    rows = len(a)
-    if rows == 0:
-        return 0
-    cols = len(a[0])
-    m = np.empty((rows, cols), dtype=object)
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            if v.denominator != 1:
-                # Scale the whole row by the lcm of denominators; rank-invariant.
-                from math import lcm
+    if isinstance(mat, np.ndarray) and mat.dtype.kind in "iu":
+        mat = sp.csr_matrix(mat)
+    if sp.issparse(mat):
+        if mat.dtype.kind not in "iu":
+            raise TypeError(f"exact routines need integer entries, got sparse dtype {mat.dtype}")
+        csr = mat.tocsr()
+        indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+        rows = []
+        for i in range(csr.shape[0]):
+            row: dict[int, int] = {}
+            for j, v in zip(indices[indptr[i] : indptr[i + 1]], data[indptr[i] : indptr[i + 1]]):
+                row[j] = row.get(j, 0) + v  # a non-canonical CSR may repeat a column
+            rows.append(_primitive({j: v for j, v in row.items() if v}))
+        return rows, csr.shape[1]
+    n_cols = mat.shape[1] if isinstance(mat, np.ndarray) else len(mat[0]) if len(mat) else 0
+    rows = _as_rows(mat)
+    if any(len(row) != n_cols for row in rows):
+        raise ValueError("rows of unequal length")
+    return [_primitive({j: v for j, v in enumerate(row) if v}) for row in rows], n_cols
 
-                scale = 1
-                for x in row:
-                    scale = lcm(scale, x.denominator)
-                row = [x * scale for x in row]
-            m[i, j] = int(row[j])
-    prev_piv = 1
-    r = 0
-    for c in range(cols):
-        piv_row = next((i for i in range(r, rows) if m[i, c] != 0), None)
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            m[[r, piv_row]] = m[[piv_row, r]]
-        piv = m[r, c]
-        if r + 1 < rows:
-            block = m[r + 1 :, :]
-            col_vals = block[:, c].copy()
-            # Bareiss update: (piv * row - col * pivot_row) / prev_piv, exact.
-            block[:] = (block * piv - np.outer(col_vals, m[r, :])) // prev_piv
-        prev_piv = piv
-        r += 1
-        if r == rows:
-            break
-    return r
+
+def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Sparse fraction-free Gaussian elimination of integer rows (consumed).
+
+    Markowitz pivoting: the next pivot is the nonzero with the least
+    (row nnz - 1)·(col nnz - 1) over the rows and columns not yet
+    eliminated, unit entries preferred, ties broken by (row, col), so the
+    result is deterministic.  Every other row through the pivot column
+    becomes ``a·row - b·pivot_row`` (a, b the two entries over their gcd) and
+    is divided by the gcd of its entries.  Candidates sit in a heap keyed by
+    that rule; an entry whose row or column changed is pushed again with its
+    new key and outdated ones are skipped when popped.
+
+    Returns (pivot column, pivot row) in pivot order.  A pivot row holds its
+    pivot and entries in columns eliminated later or never, so back
+    substitution in reverse pivot order solves for each pivot column in turn.
+    """
+    live = {i: row for i, row in enumerate(rows) if row}
+    where: dict[int, set[int]] = {}  # column -> live rows with a nonzero in it
+    for i, row in live.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+
+    # The key (cost, non-unit, row, col) packed into one int, which the heap
+    # compares faster than a tuple.
+    n_rows, n_cols = len(rows), 1 + max(where, default=0)
+
+    def key(i: int, j: int) -> int:
+        row = live[i]
+        cost = (len(row) - 1) * (len(where[j]) - 1)
+        return ((2 * cost + (row[j] not in (1, -1))) * n_rows + i) * n_cols + j
+
+    heap = [key(i, j) for i, row in live.items() for j in row]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        entry = heapq.heappop(heap)
+        rest, j = divmod(entry, n_cols)
+        i = rest % n_rows
+        if j not in live.get(i, ()) or key(i, j) != entry:
+            continue  # outdated: the entry is gone or has a newer key in the heap
+        prow = live.pop(i)
+        for k in prow:
+            where[k].discard(i)
+        pivots.append((j, prow))
+        p = prow[j]
+        updated = sorted(where.pop(j))
+        for t in updated:
+            row = live[t]
+            g = gcd(p, row[j])
+            a, b = p // g, row.pop(j) // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in prow.items():
+                if k == j:
+                    continue
+                new = row.get(k, 0) - b * v
+                if new:
+                    if k not in row:
+                        where[k].add(t)
+                    row[k] = new
+                elif k in row:
+                    del row[k]
+                    where[k].discard(t)
+            g = gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+            if not row:
+                del live[t]
+        # Re-key what moved: every entry of an updated row (its length and
+        # values changed) and every entry in a column of the pivot row (its
+        # count changed).
+        updated = {t for t in updated if t in live}
+        for t in updated:
+            for k in live[t]:
+                heapq.heappush(heap, key(t, k))
+        for k in prow:
+            if k != j:
+                for t in where[k]:
+                    if t not in updated:
+                        heapq.heappush(heap, key(t, k))
+    return pivots
+
+
+def rank(mat) -> int:
+    """Exact rank: the number of pivots of the sparse integer elimination
+    (`_eliminate`, Markowitz pivots, fraction-free row updates)."""
+    rows, _ = _integer_rows(mat)
+    return len(_eliminate(rows))
 
 
 def nullspace(mat) -> list[list[Fraction]]:
-    """Exact rational basis for the right nullspace."""
-    a = _as_rows(mat)
-    rows, cols = len(a), (len(a[0]) if a else 0)
-    a = [row[:] for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    """Exact rational basis of the right nullspace, one vector per free column.
+
+    Runs the sparse integer elimination of `rank`; the vector of free column
+    f is 1 at f, 0 at the other free columns, and its pivot entries come
+    from back substitution in reverse pivot order.  Free columns are taken
+    in ascending order.
+    """
+    rows, n_cols = _integer_rows(mat)
+    pivots = _eliminate(rows)
+    pivot_cols = {j for j, _ in pivots}
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -a[pr][fc]
+    for f in range(n_cols):
+        if f in pivot_cols:
+            continue
+        x = {f: Fraction(1)}
+        for j, prow in reversed(pivots):
+            s = sum(v * x[k] for k, v in prow.items() if k in x)
+            if s:
+                x[j] = -s / prow[j]
+        vec = [Fraction(0)] * n_cols
+        for k, v in x.items():
+            vec[k] = v
         basis.append(vec)
     return basis
 

@@ -43,8 +43,8 @@ def test_dof_report_matches_closed_form(lat):
 
 
 def test_constraint_kinds():
-    assert constraint_set(Lattice(2, 2, "open")).kinds == []
-    assert constraint_set(Lattice(2, 2, "periodic")).kinds == ["total_flux"]
+    assert constraint_set(Lattice(2, 2, "open")).kinds == ()
+    assert constraint_set(Lattice(2, 2, "periodic")).kinds == ("total_flux",)
     kinds3 = constraint_set(Lattice(3, 2, "periodic")).kinds
     assert kinds3.count("cube_flux") == 8
     assert sum(k.startswith("slice_sum") for k in kinds3) == 3

@@ -7,6 +7,7 @@ import pytest
 
 from dualqed.greens import (
     NeutralityError,
+    _fourier_site_kernel,
     greens_plaquettes_obc,
     greens_sites,
     greens_table,
@@ -66,6 +67,34 @@ def test_periodic_table_matches_extended_precision_oracle(lat):
     got = greens_sites(lat).values
     want = longdouble_fourier_oracle(lat)
     assert np.abs(got - want).max() < 1e-13
+
+
+def momentum_loop_kernel(lat: Lattice) -> np.ndarray:
+    """The site kernel on the displacement grid as the explicit double loop
+    over momenta and displacements."""
+    N, d = lat.N, lat.dim
+    shape = (N,) * d
+    g = np.zeros(shape, dtype=float)
+    two_pi = 2.0 * np.pi / N
+    for k in np.ndindex(shape):
+        if all(c == 0 for c in k):
+            continue
+        denom = sum(2.0 - 2.0 * np.cos(two_pi * c) for c in k)
+        for r in np.ndindex(shape):
+            phase = two_pi * sum(kc * rc for kc, rc in zip(k, r))
+            g[r] += np.cos(phase) / denom
+    return g / N**d
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [Lattice(2, n, "periodic") for n in (1, 2, 3, 8, 16)] + [Lattice(3, n, "periodic") for n in (2, 3, 4)],
+    ids=lambda l: l.label(),
+)
+def test_fft_site_kernel_matches_momentum_loop(lat):
+    got = _fourier_site_kernel(lat)
+    assert got.shape == (lat.N,) * lat.dim
+    assert np.abs(got - momentum_loop_kernel(lat)).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -211,10 +211,22 @@ def _arrays(obj):
             yield from _arrays(item)
 
 
+def _lists(obj):
+    if isinstance(obj, list):
+        yield obj
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _lists(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _lists(getattr(obj, f.name))
+
+
 @pytest.mark.parametrize("module", [lattice, dualmap, greens, helmholtz], ids=lambda m: m.__name__)
 def test_cached_results_are_read_only(module):
-    """Every cached function returns arrays that refuse writes, so no caller
-    (nor a thread of the compare pool) can change what the next one reads."""
+    """Every cached function returns arrays that refuse writes and no list,
+    so no caller (nor a thread of the compare pool) can change what the next
+    one reads."""
     cached = [fn for fn in vars(module).values() if hasattr(fn, "cache_info")]
     assert cached
     written = 0
@@ -224,6 +236,7 @@ def test_cached_results_are_read_only(module):
                 result = fn(lat)
             except ValueError:  # not defined on this geometry
                 continue
+            assert not list(_lists(result)), fn.__name__
             for arr in _arrays(result):
                 assert not arr.flags.writeable, fn.__name__
                 if arr.size:

@@ -2,13 +2,18 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualqed import rational
+from dualqed import dualmap, rational
+from dualqed.lattice import cube_flux_matrix, divergence_matrix
+
+from conftest import GEOMETRIES, geometry_id
 
 
 def F(mat):
@@ -49,6 +54,136 @@ def test_rank_and_nullspace():
 def test_rank_rejects_floats():
     with pytest.raises(TypeError):
         rational.rank([[0.5, 1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [rational.rank, rational.nullspace, rational.invert, rational.pseudo_inverse_symmetric, rational.smith_normal_form],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "mat",
+    [
+        sp.csr_matrix(np.array([[0.5, 1.0], [1.0, 2.0]])),
+        sp.csr_matrix(np.eye(2)),
+        np.eye(2),
+        np.array([[1, 2.0]], dtype=object),
+        [[Fraction(1), 2.0]],
+    ],
+    ids=["sparse-float", "sparse-integral-float", "dense-float", "object-float", "list-float"],
+)
+def test_float_input_is_rejected(fn, mat):
+    with pytest.raises(TypeError):
+        fn(mat)
+
+
+# --- sparse elimination against a dense Bareiss oracle -----------------------
+
+
+def bareiss_rank(mat) -> int:
+    """Exact rank by fraction-free Bareiss elimination on a dense object array.
+
+    Each row is scaled by the lcm of its denominators before elimination,
+    which leaves the rank unchanged.
+    """
+    rows = [[Fraction(v) for v in row] for row in mat]
+    if not rows or not rows[0]:
+        return 0
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    m = np.array([[int(v * scale) for v in row] for row, scale in zip(rows, scales)], dtype=object)
+    n_rows, n_cols = m.shape
+    prev_piv, r = 1, 0
+    for c in range(n_cols):
+        piv_row = next((i for i in range(r, n_rows) if m[i, c] != 0), None)
+        if piv_row is None:
+            continue
+        m[[r, piv_row]] = m[[piv_row, r]]
+        piv = m[r, c]
+        block = m[r + 1 :, :]
+        block[:] = (block * piv - np.outer(block[:, c].copy(), m[r, :])) // prev_piv
+        prev_piv = piv
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def assert_matches_oracle(mat, dense) -> None:
+    """rank equals the Bareiss oracle; nullspace has n - rank vectors, each
+    annihilated exactly."""
+    r = rational.rank(mat)
+    assert r == bareiss_rank(dense)
+    n_cols = len(dense[0]) if dense else mat.shape[1]
+    null = rational.nullspace(mat)
+    assert len(null) == n_cols - r
+    for v in null:
+        assert len(v) == n_cols and all(isinstance(x, Fraction) for x in v)
+        for row in dense:
+            assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+
+
+def test_rank_of_fraction_rows_with_a_late_denominator():
+    # The second entry of the first row carries the denominator: the old
+    # dense kernel rescaled only the entries after it and returned 2.
+    A = [[1, Fraction(1, 2)], [2, 1]]
+    assert bareiss_rank(A) == 1
+    assert rational.rank(A) == 1
+    assert_matches_oracle(A, A)
+
+
+@st.composite
+def exact_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    sparse = st.one_of(st.just(0), st.just(0), entry)  # mostly zeros, like lattice maps
+    mat = [[draw(sparse) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        # duplicate a combination of rows so rank deficiency is common
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        k = draw(st.integers(-2, 2))
+        mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
+    return np.array(mat, dtype=object).reshape(rows, cols)
+
+
+@given(mat=exact_matrices())
+@example(mat=np.zeros((0, 0), dtype=object))
+@example(mat=np.zeros((0, 3), dtype=object))
+@example(mat=np.zeros((3, 0), dtype=object))
+@example(mat=np.zeros((2, 3), dtype=object))
+@example(mat=np.array([[0, 1, 0], [0, 0, 0], [0, 2, 0], [0, -1, 0]], dtype=object))  # zero rows and columns
+@settings(max_examples=200, deadline=None)
+def test_rank_and_nullspace_match_dense_oracle(mat):
+    dense = mat.tolist()
+    assert_matches_oracle(mat, dense)
+    if mat.shape[0]:
+        assert_matches_oracle(dense, dense)  # nested lists
+    if all(Fraction(v).denominator == 1 for v in mat.flat):
+        ints = mat.astype(np.int64)
+        assert_matches_oracle(ints, dense)
+        assert_matches_oracle(sp.csr_matrix(ints), dense)
+
+
+LATTICE_MATRICES = {
+    "divergence": divergence_matrix,
+    "d_matrix": dualmap.d_matrix,
+    "A0": dualmap.transverse_energy_form,
+    "cube_flux": cube_flux_matrix,
+    "constraints": lambda lat: dualmap.constraint_set(lat).matrix,
+}
+LATTICE_CASES = [
+    (name, lat) for lat in GEOMETRIES for name in LATTICE_MATRICES if name != "cube_flux" or lat.dim == 3
+]
+
+
+@pytest.mark.parametrize(
+    "name,lat", LATTICE_CASES, ids=[f"{name}-{geometry_id(lat)}" for name, lat in LATTICE_CASES]
+)
+def test_lattice_matrices_match_dense_oracle(name, lat):
+    mat = LATTICE_MATRICES[name](lat)
+    assert_matches_oracle(mat, mat.toarray().tolist())
 
 
 def test_pseudo_inverse_symmetric_zero_sum_kernel():
