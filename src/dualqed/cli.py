@@ -289,13 +289,14 @@ def _hilbert_spec(args, lat):
             n_max=int(args.n_max),
             global_cutoff=global_cutoff,
         )
-    except (ValueError, hilbert.MemoryGuardError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _sector_and_operator(args, lat, spec):
     import numpy as np
 
+    from . import hilbert
     from . import spectrum as spx
     from .hamiltonian import h_dual_thetam, h_original
 
@@ -304,16 +305,17 @@ def _sector_and_operator(args, lat, spec):
         q = np.asarray(params.charges(lat), dtype=float) if params.static_charges else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    match = args.sector == "physical"
+    try:
+        if spec.gauge_kind == "links_E":
+            basis = spx.electric_sector_basis(spec, q)
+        else:
+            basis = spx.flux_sector_basis(spec, q, match_class=match)
+    except hilbert.MemoryGuardError as exc:
+        raise ConfigError(str(exc)) from exc
     if spec.gauge_kind == "links_E":
-        basis = spx.electric_sector_basis(spec, q)
-        H = h_original(spec, params, basis=basis)
-        sector = "gauss"
-    else:
-        match = args.sector == "physical"
-        basis = spx.flux_sector_basis(spec, q, match_class=match)
-        H = h_dual_thetam(spec, params, basis=basis)
-        sector = "neutral+class" if match else "neutral"
-    return basis, H, sector
+        return basis, h_original(spec, params, basis=basis), "gauss"
+    return basis, h_dual_thetam(spec, params, basis=basis), "neutral+class" if match else "neutral"
 
 
 def _cmd_build(args) -> int:
@@ -366,6 +368,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import hilbert
     from . import spectrum as spx
 
     lat = _lattice(args)
@@ -385,7 +388,7 @@ def _cmd_compare(args) -> int:
             tolerance=float(args.tolerance),
         )
         rep = spx.compare_formulations(cfg, k=int(args.k), schedule=tuple(schedule), seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, hilbert.MemoryGuardError) as exc:
         raise ConfigError(str(exc)) from exc
     except spx.ResidualError as exc:
         raise CheckFailure(str(exc)) from exc

@@ -122,14 +122,15 @@ def modified_greens(lat: Lattice, exact: bool = False):
     With 2D open boundaries D is the (invertible) modified plaquette
     Laplacian and Gtilde is its true inverse; elsewhere the pseudo-inverse
     handles the constraint kernel, and energies agree with the A0 route on
-    all consistent data because ker D lies inside ker A0.
+    all consistent data because ker D lies inside ker A0.  ``exact=True``
+    gives the Fraction matrix as row tuples.
     """
     D = d_matrix(lat).toarray()
     A0 = transverse_energy_form(lat).toarray()
     if exact:
         Dp = rational.pseudo_inverse_symmetric(D)
         G = rational.matmul(rational.matmul(Dp, rational._as_rows(A0)), Dp)
-        return G
+        return tuple(map(tuple, G))  # shared: immutable
     Dp = np.linalg.pinv(D.astype(float))
     return Dp @ A0 @ Dp
 
@@ -322,6 +323,19 @@ def flux_class_contains(lat: Lattice, vec) -> bool:
     return rational.in_integer_image(_flux_class_snf(lat), ints)
 
 
-def flux_class_members(lat: Lattice, vecs: np.ndarray) -> np.ndarray:
-    """`flux_class_contains` for every column of an integer array at once."""
-    return rational.integer_image_mask(_flux_class_snf(lat), vecs)
+@cached
+def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Class membership as integer congruences: (W, d) with v in the class
+    lattice iff (W·v)_i is divisible by d_i, or vanishes where d_i = 0.
+
+    W is the unimodular U of the Smith form, rows with d_i = 1 (no condition)
+    dropped and congruence rows reduced modulo d_i.
+    """
+    u, d, _ = _flux_class_snf(lat)
+    n_cols = len(d[0]) if d else 0
+    moduli = np.array([abs(d[i][i]) if i < n_cols else 0 for i in range(len(u))], dtype=np.int64)
+    keep = moduli != 1
+    w, moduli = np.array(u, dtype=np.int64)[keep], moduli[keep]
+    congruent = moduli > 0
+    w[congruent] %= moduli[congruent, None]
+    return w, moduli

@@ -51,14 +51,15 @@ class NeutralityError(ValueError):
 class GreensTable:
     """Dense Green's table with its defining normalization.
 
-    `exact` carries the Fraction matrix when built in rational mode.
+    `exact` carries the Fraction matrix, as row tuples, when built in
+    rational mode: tables are cached and shared, so it must not be mutable.
     """
 
     lattice: Lattice
     kind: str  # 'site_pbc' | 'site_obc' | 'plaq_obc'
     values: np.ndarray
     normalization: str  # 'zero_row_sum' | 'true_inverse'
-    exact: list[list[Fraction]] | None = None
+    exact: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -100,7 +101,7 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
         A = (-laplacian_matrix(lat, "site")).toarray()
         ker = [[Fraction(1)] * n]
         G = rational.pseudo_inverse_symmetric(A, kernel=ker)
-        return GreensTable(lat, kind, rational.to_float(G), "zero_row_sum", exact=G)
+        return GreensTable(lat, kind, rational.to_float(G), "zero_row_sum", exact=tuple(map(tuple, G)))
     if lat.periodic:
         kernel = _fourier_site_kernel(lat)
         coords = np.array(sites(lat))
@@ -126,7 +127,7 @@ def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
     if exact:
         _check_exact_size(n)
         G = rational.invert(A.toarray())
-        return GreensTable(lat, "plaq_obc", rational.to_float(G), "true_inverse", exact=G)
+        return GreensTable(lat, "plaq_obc", rational.to_float(G), "true_inverse", exact=tuple(map(tuple, G)))
     if n > DENSE_LIMIT:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes")
     G = np.linalg.inv(A.toarray().astype(float))
@@ -158,13 +159,10 @@ def greens_plaquette_grid(lat: Lattice, exact: bool = False) -> GreensTable:
     if base.exact is not None:
         n = lat.n_sites
         zero = Fraction(0)
-        exact_mat = [
-            [
-                base.exact[r % n][c % n] if r // n == c // n else zero
-                for c in range(3 * n)
-            ]
+        exact_mat = tuple(
+            tuple(base.exact[r % n][c % n] if r // n == c // n else zero for c in range(3 * n))
             for r in range(3 * n)
-        ]
+        )
     return GreensTable(lat, "plaq_grid", vals, "zero_row_sum", exact=exact_mat)
 
 

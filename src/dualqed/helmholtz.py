@@ -81,8 +81,8 @@ class ShiftTable:
     link: int
     shifts: np.ndarray  # combined plaquette shifts (L_plaq + L_const)
     global_shifts: np.ndarray | None  # one per direction (periodic only)
-    exact_shifts: list[Fraction] | None = None
-    exact_global: list[Fraction] | None = None
+    exact_shifts: tuple[Fraction, ...] | None = None
+    exact_global: tuple[Fraction, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,11 @@ def link_shift_table(
             ramp = _ramp_matrix_exact(lat)
             for p in range(lat.n_plaqs):
                 L[p] += ramp[p][direction]  # S_i of a unit link field is delta_i
-            table.exact_global = [
+            table.exact_global = tuple(
                 Fraction(1, lat.N) if i == direction else Fraction(0)
                 for i in range(lat.dim)
-            ]
-        table.exact_shifts = L
+            )
+        table.exact_shifts = tuple(L)
         _check_exact_float_agreement(table)
     return table
 

@@ -7,11 +7,15 @@ for the dual one (`plaqs_M`).  The first factor varies slowest.
 
 A basis (`BasisMap`) is a sorted list of product states, each held both as
 its mixed-radix product index and as its configuration: the integer local
-level of every factor.  Charges, rotor levels and Gauss residuals are
-integer functions of the configurations, so sectors are selected by exact
-integer tests.  Every operator is built by one kernel, `apply_product`: a
-product of local operators acts on the configurations right to left, and
-each target state is looked up among the basis indices (the lookup-table
+level of every factor.  Every level of a factor carries one integer value,
+its site charge (matter) or rotor level (gauge, global), and a sector is a
+set of integer rows over those values, each held exactly or modulo an
+integer.  `sector_basis` enumerates the sector directly, factor by factor,
+dropping partial configurations as soon as a row can no longer hold, so
+its cost follows the sector rather than the product space.  Every
+operator is built by one kernel, `apply_product`: a product of local
+operators acts on the configurations right to left, and each target
+state is looked up among the basis indices (the lookup-table
 technique of H. Q. Lin, PRB 42, 6561 (1990)).  The result is the sector
 matrix directly; no operator is ever built on the whole product space
 unless the basis is the whole product space.
@@ -36,9 +40,10 @@ Every local operator is real except that boson field, whose ``i b^dag``
 makes boson models complex.  Matrices take their dtype from their factors,
 so all other models are built, and solved, in real arithmetic.
 
-A hard product-dimension guard protects against accidentally requesting an
-exponentially large space (sector selection still scans the product
-space); raise `max_dim` deliberately to go past it.
+The memory guard bounds what is allocated, not the product dimension:
+`product_basis` refuses a space of more than `max_dim` states, and
+`sector_basis` refuses before its candidates would hold more than `max_dim`
+int64 entries.  Raise `max_dim` deliberately to go past it.
 """
 
 from __future__ import annotations
@@ -55,11 +60,10 @@ MATTER_KINDS = ("none", "staggered_fermion", "hardcore_boson", "truncated_boson"
 GAUGE_KINDS = ("links_E", "plaqs_M")
 
 DEFAULT_MAX_DIM = 2**26
-SCAN_BLOCK = 2**16  # product states per block of a sector scan
 
 
 class MemoryGuardError(RuntimeError):
-    """Requested Hilbert space exceeds the configured dimension guard."""
+    """A basis build would allocate more than the configured guard."""
 
 
 @dataclass
@@ -180,14 +184,6 @@ class HilbertSpec:
             + [2 * self.cutoff + 1] * self.n_gauge
             + [2 * self.global_cutoff + 1] * self.n_globals
         )
-        total = 1
-        for d in self.dims:
-            total *= d
-            if total > self.max_dim:
-                raise MemoryGuardError(
-                    f"Hilbert dimension exceeds guard {self.max_dim}; "
-                    "raise max_dim explicitly to proceed"
-                )
 
     def _matter_dim(self) -> int:
         if self.matter == "staggered_fermion":
@@ -252,29 +248,104 @@ class BasisMap:
         return len(self.indices)
 
 
-def _product_states(spec: HilbertSpec, start: int, stop: int) -> BasisMap:
-    indices = np.arange(start, stop, dtype=np.int64)
+def product_basis(spec: HilbertSpec) -> BasisMap:
+    """Every product state of the space; refused above ``spec.max_dim`` states."""
+    if spec.total_dim > spec.max_dim:
+        raise MemoryGuardError(
+            f"product dimension {spec.total_dim} exceeds guard {spec.max_dim}; "
+            "raise max_dim explicitly to proceed"
+        )
+    indices = np.arange(spec.total_dim, dtype=np.int64)
     return BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
 
 
-def product_basis(spec: HilbertSpec) -> BasisMap:
-    """Every product state of the space."""
-    return _product_states(spec, 0, spec.total_dim)
+def empty_basis(spec: HilbertSpec) -> BasisMap:
+    """The basis of no states, for a sector no integer configuration reaches."""
+    return BasisMap(spec, np.zeros(0, dtype=np.int64), np.zeros((0, len(spec.dims)), dtype=np.int64))
 
 
-def select_states(spec: HilbertSpec, keep) -> BasisMap:
-    """Product states on which ``keep(block)`` holds, for blocks of the product basis.
+def _factor_values(spec: HilbertSpec) -> list[np.ndarray]:
+    """The integer value of every level of every factor: the site charge of
+    a matter factor, the rotor level of a gauge or global one."""
+    if spec.matter == "staggered_fermion":
+        values = [np.arange(2) - int(odd) for odd in site_parity(spec.lattice) < 0]
+    elif spec.matter != "none":
+        # level n_a * (n_max + 1) + n_b, the kron order of `boson_site_ops`
+        occupations = np.arange(math.isqrt(spec._matter_dim()))
+        values = [np.subtract.outer(occupations, occupations).ravel()] * spec.n_matter
+    else:
+        values = []
+    return (
+        values
+        + [np.arange(-spec.cutoff, spec.cutoff + 1)] * spec.n_gauge
+        + [np.arange(-spec.global_cutoff, spec.global_cutoff + 1)] * spec.n_globals
+    )
 
-    Scanning block by block bounds the scan's working memory by the block,
-    not by the product dimension.
+
+def _sweep_order(rows: np.ndarray) -> list[int]:
+    """Factor order of the sweep: each row in turn pulls in its unplaced
+    factors, so it closes early; factors in no row come last."""
+    order: list[int] = []
+    for row in rows:
+        order += [int(f) for f in np.flatnonzero(row) if f not in order]
+    return order + [f for f in range(rows.shape[1]) if f not in order]
+
+
+def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
+    """Product states whose factor values v satisfy ``rows @ v == targets``,
+    exactly where the modulus is 0 and modulo it elsewhere.
+
+    Partial configurations are extended one factor at a time (`_sweep_order`)
+    and dropped as soon as they can no longer satisfy a row: an exact row
+    whose remaining target lies outside the range the unplaced factors can
+    still reach, a congruence row that fails once its last factor is placed.
+    So the work follows the sector, not the product space.  The result is
+    sorted by product index, as a scan of the product space would give it.
+    ``MemoryGuardError`` is raised before the candidates of a step would
+    hold more than ``spec.max_dim`` int64 entries, at one level per factor
+    and one sum per row each.
     """
-    indices, configs = [], []
-    for start in range(0, spec.total_dim, SCAN_BLOCK):
-        block = _product_states(spec, start, min(start + SCAN_BLOCK, spec.total_dim))
-        mask = keep(block)
-        indices.append(block.indices[mask])
-        configs.append(block.configs[mask])
-    return BasisMap(spec, np.concatenate(indices), np.concatenate(configs))
+    if spec.total_dim >= 2**63:
+        raise MemoryGuardError(f"product dimension {spec.total_dim} overflows the int64 product index")
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(spec.dims))
+    targets = np.asarray(targets, dtype=np.int64)
+    moduli = np.asarray(moduli, dtype=np.int64)
+    exact = moduli == 0
+    order = _sweep_order(rows)
+    values = _factor_values(spec)
+    # contrib[k]: (levels, rows) contribution of the k-th factor of the sweep;
+    # reach_*[k]: least / greatest sum the factors from sweep position k on add
+    contrib = [np.outer(values[f], rows[:, f]) for f in order] + [np.zeros((1, len(rows)), dtype=np.int64)]
+    reach_lo = np.cumsum([c.min(axis=0) for c in contrib[::-1]], axis=0)[::-1]
+    reach_hi = np.cumsum([c.max(axis=0) for c in contrib[::-1]], axis=0)[::-1]
+    position = np.argsort(order)
+    closes = np.array([position[np.flatnonzero(row)].max(initial=0) for row in rows], dtype=np.int64)
+    width = len(order) + len(rows)
+    # A candidate is its row sums and its place in the previous step's list;
+    # the levels are read back through those places at the end.
+    sums = np.zeros((1, len(rows)), dtype=np.int64)
+    trail = []
+    for step, f in enumerate(order):
+        d, n = spec.dims[f], len(sums)
+        if n * d * width > spec.max_dim:
+            raise MemoryGuardError(
+                f"sector enumeration would hold {n * d} candidates of {width} entries, over the guard "
+                f"{spec.max_dim}; raise max_dim explicitly to proceed"
+            )
+        sums = (sums[:, None, :] + contrib[step][None, :, :]).reshape(n * d, len(rows))
+        rest = targets - sums
+        keep = np.all((rest[:, exact] >= reach_lo[step + 1, exact]) & (rest[:, exact] <= reach_hi[step + 1, exact]), axis=1)
+        shut = ~exact & (closes == step)
+        (kept,) = np.nonzero(keep & np.all(rest[:, shut] % moduli[shut] == 0, axis=1))
+        sums = sums[kept]
+        trail.append(kept)
+    configs = np.empty((len(sums), len(order)), dtype=np.int64)
+    at = np.arange(len(sums))
+    for step in reversed(range(len(order))):
+        at, configs[:, order[step]] = np.divmod(trail[step][at], spec.dims[order[step]])
+    indices = np.ravel_multi_index(tuple(configs.T), spec.dims)
+    sort = np.argsort(indices)
+    return BasisMap(spec, indices[sort], configs[sort])
 
 
 def apply_product(basis: BasisMap, factors: list[tuple[int, LocalOp]]) -> sp.csr_matrix:
@@ -321,11 +392,8 @@ def charge_diagonals(basis: BasisMap) -> np.ndarray:
     spec = basis.spec
     if spec.matter == "none":
         return np.zeros((spec.lattice.n_sites, basis.dim), dtype=np.int64)
-    local = basis.configs[:, : spec.n_matter].T
-    if spec.matter == "staggered_fermion":
-        return local - (site_parity(spec.lattice) < 0)[:, None]
-    table = np.rint(spec.matter_ops()["charge"].matrix.diagonal()).astype(np.int64)
-    return table[local]
+    values = _factor_values(spec)
+    return np.stack([values[s][basis.configs[:, s]] for s in range(spec.n_matter)])
 
 
 def gauge_level_diagonals(basis: BasisMap) -> np.ndarray:
@@ -364,18 +432,17 @@ def gauss_diagonal(basis: BasisMap, site: int, static_charge: int = 0) -> np.nda
     return _gauss_residuals(basis)[site] - static_charge
 
 
-def gauss_operator(basis: BasisMap, site: int, static_charge: int = 0) -> sp.csr_matrix:
-    return sp.diags(gauss_diagonal(basis, site, static_charge), format="csr", dtype=np.int64)
-
-
 def gauss_sector_basis(spec: HilbertSpec, static_charges: np.ndarray | None = None) -> BasisMap:
-    """Product states satisfying every Gauss constraint exactly, in integers."""
+    """Product states satisfying every Gauss constraint exactly, in integers:
+    one row ``[-1 at the site's matter | div]`` per site, with target q."""
     if spec.gauge_kind != "links_E":
         raise ValueError("Gauss constraints act on the electric description")
-    q = integral_static_charges(spec.lattice, static_charges)
+    lat = spec.lattice
+    q = integral_static_charges(lat, static_charges)
     if q is None:
-        return select_states(spec, lambda block: np.zeros(block.dim, dtype=bool))
-    return select_states(spec, lambda block: np.all(_gauss_residuals(block) == q[:, None], axis=0))
+        return empty_basis(spec)
+    rows = np.hstack([-np.eye(lat.n_sites, spec.n_matter, dtype=np.int64), divergence_matrix(lat).toarray()])
+    return sector_basis(spec, rows, q, np.zeros(lat.n_sites, dtype=np.int64))
 
 
 def hermiticity_defect(op: sp.spmatrix) -> float:

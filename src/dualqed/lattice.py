@@ -19,9 +19,9 @@ Geometry conventions used across the package:
 Forward difference (gradient) maps sites to links, backward difference
 (divergence) maps links to sites, and the two curls map links to plaquettes
 and back.  All operator matrices are integer CSR and cached per lattice.
-Every cached result is read-only: `cached` freezes it once, when it is
-computed, so a write into a shared matrix raises instead of corrupting
-every later caller.
+Every cached result is read-only: `cached` freezes its arrays once, when
+it is computed, and cached lookup tables are mapping proxies, so a write
+into a shared result raises instead of corrupting every later caller.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,7 +135,7 @@ def _cyclic(i: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # Cell enumerations.  Each returns a tuple (index -> label); the *_index maps
-# invert them.  Cached: Lattice is frozen and hashable.
+# invert them, as read-only mappings.  Cached: Lattice is frozen and hashable.
 # ---------------------------------------------------------------------------
 
 
@@ -145,8 +146,8 @@ def sites(lat: Lattice) -> tuple[tuple[int, ...], ...]:
 
 
 @cached
-def _site_index(lat: Lattice) -> dict[tuple[int, ...], int]:
-    return {x: i for i, x in enumerate(sites(lat))}
+def _site_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({x: i for i, x in enumerate(sites(lat))})
 
 
 def site_index(lat: Lattice, x: tuple[int, ...]) -> int:
@@ -167,20 +168,14 @@ def links(lat: Lattice) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 @cached
-def _link_index(lat: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
-    return {lk: n for n, lk in enumerate(links(lat))}
+def _link_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({lk: n for n, lk in enumerate(links(lat))})
 
 
 def link_index(lat: Lattice, x: tuple[int, ...], i: int) -> int:
     if lat.periodic:
         x = tuple(c % lat.N for c in x)
     return _link_index(lat)[(x, i)]
-
-
-def link_exists(lat: Lattice, x: tuple[int, ...], i: int) -> bool:
-    if lat.periodic:
-        return True
-    return all(0 <= c <= lat.N for c in x) and x[i] < lat.N
 
 
 @cached
@@ -203,8 +198,8 @@ def plaquettes(lat: Lattice) -> tuple[tuple, ...]:
 
 
 @cached
-def _plaq_index(lat: Lattice) -> dict:
-    return {p: n for n, p in enumerate(plaquettes(lat))}
+def _plaq_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({p: n for n, p in enumerate(plaquettes(lat))})
 
 
 def plaquette_index(lat: Lattice, x: tuple[int, ...], normal: int | None = None) -> int:
@@ -238,17 +233,6 @@ def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
         return ()
     side = lat.N
     return tuple(itertools.product(range(side), repeat=3))
-
-
-@cached
-def _cube_index(lat: Lattice) -> dict[tuple[int, ...], int]:
-    return {c: n for n, c in enumerate(cubes(lat))}
-
-
-def cube_index(lat: Lattice, x: tuple[int, ...]) -> int:
-    if lat.periodic:
-        x = tuple(c % lat.N for c in x)
-    return _cube_index(lat)[x]
 
 
 def shift_site(lat: Lattice, x: tuple[int, ...], axis: int, step: int):

@@ -18,11 +18,11 @@ integer configurations, over a cutoff schedule, and reports per-level
 eigenvalue differences with convergence diagnostics.  Sector matching
 matters: the flux-variable Hilbert space splits into integer cosets of the
 flux-class lattice, only one of which (per charge configuration) corresponds
-to integer electric fields.  ``flux_sector_basis`` selects that coset with
-one exact congruence test, (U·v) mod d from the Smith form of the class
-lattice, over all product states at once; ``sector="charge"`` keeps the
-plain charge-neutral space for side-by-side diagnostics of the unphysical
-copies.
+to integer electric fields.  ``flux_sector_basis`` enumerates that coset
+directly from the exact congruences (U·v) mod d of the Smith form of the
+class lattice, together with charge neutrality; ``sector="charge"`` keeps
+the plain charge-neutral space for side-by-side diagnostics of the
+unphysical copies.
 
 Cutoff conventions: the schedule value is the per-link electric cutoff; the
 flux-side rotor cutoff is ``cutoff_ratio`` times it.  Ratio 1 is the level
@@ -166,24 +166,26 @@ def flux_sector_basis(
     With ``match_class`` the basis keeps only product states whose
     flux/winding vector sits in the coset of the flux-class lattice fixed by
     the state's charge configuration — the image of the integer electric
-    fields.  Membership is one integer congruence test over all states.
-    Without it, all neutral states are kept (the space then contains the
-    unphysical coset copies).
+    fields.  Both conditions are integer rows over the factor values: total
+    charge zero, and the congruences ``W·(flux - F·charges)`` of
+    `dualmap.flux_class_congruences`, F the flux offset map.  Without
+    ``match_class``, all neutral states are kept (the space then contains
+    the unphysical coset copies).
     """
     lat = spec.lattice
     q = hilbert.integral_static_charges(lat, static_charges)
-
-    def keep(block: BasisMap) -> np.ndarray:
-        if q is None:
-            return np.zeros(block.dim, dtype=bool)
-        charges = hilbert.charge_diagonals(block) + q[:, None]
-        member = charges.sum(axis=0) == 0
-        if match_class:
-            flux = np.vstack([hilbert.gauge_level_diagonals(block), hilbert.global_level_diagonals(block)])
-            member &= dualmap.flux_class_members(lat, flux - dualmap.flux_offset_map(lat) @ charges)
-        return member
-
-    return hilbert.select_states(spec, keep)
+    if q is None:
+        return hilbert.empty_basis(spec)
+    n_flux = spec.n_gauge + spec.n_globals
+    rows = [np.concatenate([np.ones(spec.n_matter, dtype=np.int64), np.zeros(n_flux, dtype=np.int64)])]
+    targets, moduli = [-q.sum()], [0]
+    if match_class:
+        w, d = dualmap.flux_class_congruences(lat)
+        wf = w @ dualmap.flux_offset_map(lat)
+        rows += list(np.hstack([-wf[:, : spec.n_matter], w]))
+        targets += list(wf @ q)
+        moduli += list(d)
+    return hilbert.sector_basis(spec, rows, targets, moduli)
 
 
 # --- the comparison harness --------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import record_acceptance
 from dualqed import checks, dualmap, helmholtz, hilbert, spectrum
@@ -195,15 +196,13 @@ def test_criterion_9_block_structure():
     H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5))
     worst_gauss = 0.0
     for s in range(lat_e.n_sites):
-        G = hilbert.gauss_operator(hilbert.product_basis(spec_e), s)
+        G = sp.diags(hilbert.gauss_diagonal(hilbert.product_basis(spec_e), s), dtype=float)
         comm = (H_e @ G - G @ H_e).tocoo()
         worst_gauss = max(worst_gauss, float(np.abs(comm.data).max()) if comm.nnz else 0.0)
 
     lat_m = Lattice(2, 2, "periodic")
     spec_m = HilbertSpec(lat_m, "plaqs_M", cutoff=1, matter="staggered_fermion")
     H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5))
-    import scipy.sparse as sp
-
     full_m = hilbert.product_basis(spec_m)
     total_m = sp.diags(hilbert.gauge_level_diagonals(full_m).sum(axis=0), dtype=float)
     comm_m = (H_m @ total_m - total_m @ H_m).tocoo()

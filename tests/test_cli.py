@@ -277,6 +277,32 @@ def test_unknown_operator_name_is_a_config_error():
     assert "nonsense" in stderr_error(proc)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--formulation", "electric"],
+        ["spectrum", "--formulation", "flux"],
+        ["build", "--formulation", "electric"],
+        ["compare", "--ratio", "4", "--schedule", "1,2"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_refused_space_is_a_config_error(argv, monkeypatch, capsys):
+    """A sector the memory guard refuses is a configuration error (exit 2)
+    in every command that builds one, `compare` included."""
+    import dataclasses
+
+    from dualqed import cli, hilbert
+
+    build = hilbert.sector_basis
+    monkeypatch.setattr(hilbert, "sector_basis", lambda spec, *rest: build(dataclasses.replace(spec, max_dim=50), *rest))
+    lattice = ["--dim", "2", "--N", "1", "--bc", "open", "--matter", "staggered_fermion"]
+    assert cli.main(argv + lattice) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "guard" in err["message"]
+
+
 def test_bad_thread_env_is_a_config_error():
     proc = run_cli(
         "dof", "--dim", 2, "--N", 2, "--bc", "open",

@@ -153,7 +153,7 @@ def test_electric_hamiltonian_commutes_with_every_constraint():
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
     H = h_original(spec, ModelParams(g2=1.1, t=0.8, m=0.3))
     for s in range(lat.n_sites):
-        G = hilbert.gauss_operator(hilbert.product_basis(spec), s)
+        G = sp.diags(hilbert.gauss_diagonal(hilbert.product_basis(spec), s), dtype=float)
         comm = H @ G - G @ H
         defect = 0.0 if comm.nnz == 0 else float(np.abs(comm.data).max())
         assert defect <= 1e-10, f"constraint at site {s} not conserved"

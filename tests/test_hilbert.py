@@ -1,21 +1,25 @@
-"""Local operators, product-state bases, and the operator kernel.
+"""Local operators, product-state bases, sector enumeration, and the operator kernel.
 
 The kernel is checked entry by entry against a dense ``np.kron`` reference
-with Jordan-Wigner sign strings, which lives only here."""
+with Jordan-Wigner sign strings, and the sector builders row by row against
+a scan of the whole product space; both references live only here."""
 
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from dualqed import dualmap, rational
 from dualqed.hilbert import (
+    MATTER_KINDS,
+    BasisMap,
     HilbertSpec,
     MemoryGuardError,
     apply_product,
     boson_site_ops,
     charge_diagonals,
     fermion_site_ops,
-    gauss_operator,
+    gauss_diagonal,
     gauss_sector_basis,
     gauge_level_diagonals,
     global_level_diagonals,
@@ -25,6 +29,8 @@ from dualqed.hilbert import (
 )
 from dualqed.lattice import Lattice
 from dualqed.spectrum import flux_sector_basis
+
+from conftest import GEOMETRIES_2D, GEOMETRIES_3D
 
 
 def dense_product(spec, factors):
@@ -118,9 +124,27 @@ def test_dual_space_rejects_3d():
 
 
 def test_memory_guard_triggers():
-    lat = Lattice(2, 3, "periodic")
+    """The guard bounds what is allocated: the product basis (1,336,336
+    states here) and the candidates of the enumeration, not the product
+    dimension of a space whose sector is small."""
+    lat = Lattice(2, 1, "open")
+    small = HilbertSpec(lat, "links_E", cutoff=8, matter="staggered_fermion", max_dim=10**6)
     with pytest.raises(MemoryGuardError):
-        HilbertSpec(lat, "links_E", cutoff=8, matter="staggered_fermion", max_dim=10**6)
+        product_basis(small)
+    assert gauss_sector_basis(small).dim == 97
+    tight = HilbertSpec(lat, "links_E", cutoff=8, matter="staggered_fermion", max_dim=97 * 12)
+    with pytest.raises(MemoryGuardError):
+        gauss_sector_basis(tight)
+    assert gauss_sector_basis(HilbertSpec(lat, "links_E", cutoff=8, matter="staggered_fermion")).dim == 97
+    # no row prunes the unmatched pure-gauge flux space, so its last step
+    # holds all 729 states at 6 levels and 1 row sum each
+    torus = Lattice(2, 2, "periodic")
+    assert flux_sector_basis(HilbertSpec(torus, "plaqs_M", cutoff=1, max_dim=729 * 7), match_class=False).dim == 729
+    with pytest.raises(MemoryGuardError):
+        flux_sector_basis(HilbertSpec(torus, "plaqs_M", cutoff=1, max_dim=729 * 7 - 1), match_class=False)
+    huge = HilbertSpec(Lattice(2, 8, "periodic"), "links_E", cutoff=1, max_dim=2**200)
+    with pytest.raises(MemoryGuardError, match="overflows"):
+        gauss_sector_basis(huge)
 
 
 def test_embed_matches_kron_order():
@@ -217,8 +241,8 @@ def test_gauss_operator_annihilates_sector():
     basis = gauss_sector_basis(spec)
     assert basis.dim > 0
     for site in range(lat.n_sites):
-        assert gauss_operator(basis, site).count_nonzero() == 0
-        assert gauss_operator(product_basis(spec), site).count_nonzero() > 0
+        assert np.all(gauss_diagonal(basis, site) == 0)
+        assert not np.all(gauss_diagonal(product_basis(spec), site) == 0)
 
 
 def test_gauss_sector_static_charges_are_exact_integers():
@@ -227,7 +251,7 @@ def test_gauss_sector_static_charges_are_exact_integers():
     pair = gauss_sector_basis(spec, np.array([1.0, -1.0, 0.0, 0.0]))
     assert pair.dim > 0
     for site, q in enumerate([1, -1, 0, 0]):
-        assert gauss_operator(pair, site, q).count_nonzero() == 0
+        assert np.all(gauss_diagonal(pair, site, q) == 0)
     # no integer configuration balances a half charge
     assert gauss_sector_basis(spec, np.array([0.5, -0.5, 0.0, 0.0])).dim == 0
     assert flux_sector_basis(HilbertSpec(lat, "plaqs_M", cutoff=4), np.array([0.5, -0.5, 0.0, 0.0])).dim == 0
@@ -241,3 +265,105 @@ def test_hermiticity_defect():
     assert hermiticity_defect(op) > 0.5  # a bare ladder is not hermitian
     sym = op + op.T
     assert hermiticity_defect(sym) == 0.0
+
+
+# --- the sector builders against the product-space scan they replaced ---------
+
+
+def scan(spec, masks, block=2**16):
+    """The product states selected by each of the boolean rows that
+    ``masks(part)`` returns, found by visiting every product state, block by
+    block: the reference for the sector builders."""
+    found = []
+    for start in range(0, spec.total_dim, block):
+        idx = np.arange(start, min(start + block, spec.total_dim), dtype=np.int64)
+        part = BasisMap(spec, idx, np.stack(np.unravel_index(idx, spec.dims), axis=1))
+        found.append([(idx[mask], part.configs[mask]) for mask in masks(part)])
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*found)]
+
+
+def integral(q):
+    return np.array_equal(q, np.round(q))
+
+
+def gauss_masks(charge_cases):
+    def masks(part):
+        residuals = np.array([gauss_diagonal(part, s) for s in range(part.spec.lattice.n_sites)])
+        return [np.all(residuals == q[:, None], axis=0) & integral(q) for q in charge_cases]
+
+    return masks
+
+
+def flux_masks(cases):
+    def masks(part):
+        lat = part.spec.lattice
+        dynamical = charge_diagonals(part)
+        flux = np.vstack([gauge_level_diagonals(part), global_level_diagonals(part)])
+        out = []
+        for q, match_class in cases:
+            if not integral(q):
+                out.append(np.zeros(part.dim, dtype=bool))
+                continue
+            charges = dynamical + q.astype(np.int64)[:, None]
+            member = charges.sum(axis=0) == 0
+            if match_class:
+                offset = flux - dualmap.flux_offset_map(lat) @ charges
+                member &= rational.integer_image_mask(dualmap._flux_class_snf(lat), offset)
+            out.append(member)
+        return out
+
+    return masks
+
+
+def static_charge_cases(lat):
+    pair = np.zeros(lat.n_sites)
+    pair[0], pair[-1] = 1.0, -1.0
+    return {"none": np.zeros(lat.n_sites), "pair": pair, "half": pair / 2}
+
+
+def sector_cases(geometries, kinds, cutoffs=(1, 2, 3), limit=2**22):
+    for lat in geometries:
+        for kind in kinds:
+            if kind == "plaqs_M" and lat.dim != 2:
+                continue
+            for matter in MATTER_KINDS:
+                for c in cutoffs:
+                    spec = HilbertSpec(lat, kind, cutoff=c, matter=matter)
+                    if spec.total_dim <= limit:
+                        yield pytest.param(lat, kind, matter, c, id=f"{lat.label()}-{kind}-{matter}-c{c}")
+
+
+@pytest.mark.parametrize(
+    "lat,kind,matter,cutoff",
+    list(sector_cases(GEOMETRIES_2D, ("links_E", "plaqs_M")))
+    + list(sector_cases([g for g in GEOMETRIES_3D if g.N == 1], ("links_E",))),
+)
+def test_sector_builders_equal_the_product_space_scan(lat, kind, matter, cutoff):
+    """Row by row, indices and configurations, for every static-charge case
+    (none, an integral pair, a half pair) and both class-matching modes."""
+    spec = HilbertSpec(lat, kind, cutoff=cutoff, matter=matter)
+    charge_cases = list(static_charge_cases(lat).values())
+    if kind == "links_E":
+        built = [gauss_sector_basis(spec, q) for q in charge_cases]
+        reference = scan(spec, gauss_masks(charge_cases))
+    else:
+        cases = [(q, match) for q in charge_cases for match in (True, False)]
+        built = [flux_sector_basis(spec, q, match) for q, match in cases]
+        reference = scan(spec, flux_masks(cases))
+    for basis, (indices, configs) in zip(built, reference):
+        assert basis.indices.dtype == np.int64 and basis.configs.dtype == np.int64
+        assert np.array_equal(basis.indices, indices)
+        assert np.array_equal(basis.configs, configs)
+
+
+def test_gauss_sector_of_two_by_two_open_fermions():
+    """Beyond any product-space scan: 272,097,792 product states, 2,443 physical ones."""
+    lat = Lattice(2, 2, "open")
+    spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
+    basis = gauss_sector_basis(spec)
+    assert spec.total_dim == 272_097_792
+    assert basis.dim == 2443
+    assert np.all(np.diff(basis.indices) > 0)
+    assert np.array_equal(np.ravel_multi_index(tuple(basis.configs.T), spec.dims), basis.indices)
+    for site in range(lat.n_sites):
+        assert np.all(gauss_diagonal(basis, site) == 0)
