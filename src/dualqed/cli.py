@@ -302,6 +302,7 @@ def _sector_and_operator(args, lat, spec):
 
     params = _model_params(args)
     try:
+        params.validated(lat)
         q = np.asarray(params.charges(lat), dtype=float) if params.static_charges else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -3,9 +3,10 @@
 Both descriptions are a diagonal Coulomb kernel plus integer ladder
 stencils read off the lattice maps, and the code says so once: each builder
 supplies only its diagonal, computed from the basis configurations, and the
-integer rows its off-diagonal terms step by.  One shared builder turns
-those into the sector matrix with `hilbert.apply_product` and adds the
-hermitian conjugates.
+integer rows its off-diagonal terms step by.  A term is a coefficient, a
+stencil row, and for the hopping the pair of sites one unit of charge moves
+between; one shared builder passes each to `hilbert.apply_term` and adds
+the transpose, so every matrix is real.
 
 Electric description (``links_E`` spaces):
 
@@ -35,6 +36,7 @@ runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +69,16 @@ class ModelParams:
         q = np.asarray(self.static_charges, dtype=float)
         if q.shape != (lat.n_sites,):
             raise ValueError(f"static charges need one value per site ({lat.n_sites})")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("static charges must be finite")
         if abs(q.sum()) > 1e-12:
             raise ValueError("static charges must be neutral in total")
         return q
 
     def validated(self, lat: Lattice) -> "ModelParams":
+        for name in ("g2", "t", "m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g2 <= 0:
             raise ValueError("g2 must be positive")
         self.charges(lat)
@@ -79,53 +86,25 @@ class ModelParams:
 
 
 def _mass_diagonal(basis: hilbert.BasisMap, m: float) -> np.ndarray:
-    """Diagonal mass contribution, staggered for fermions."""
+    """Diagonal mass contribution: staggered occupation for fermions, total
+    occupation n_a + n_b for bosons."""
     spec = basis.spec
     lat = spec.lattice
     diag = np.zeros(basis.dim)
     if spec.matter == "none":
         return diag
-    if spec.matter == "staggered_fermion":
-        weights, table = m * site_parity(lat), np.array([0.0, 1.0])
-    else:
-        weights, table = np.full(lat.n_sites, m), spec.matter_ops()["n_total"].matrix.diagonal()
+    weights = m * site_parity(lat) if spec.matter == "staggered_fermion" else np.full(lat.n_sites, m)
+    table = hilbert.occupation_table(spec).astype(float)
     for s in range(lat.n_sites):
-        diag += weights[s] * table[basis.configs[:, spec.matter_pos(s)]]
+        diag += weights[s] * table[basis.configs[:, s]]
     return diag
 
 
-def _ladder_power(ops: dict[str, hilbert.LocalOp], k: int) -> hilbert.LocalOp:
-    """Integer ladder power: raise^k for k>0, lower^|k| for k<0."""
-    if k == 0:
-        raise ValueError("zero ladder power should be skipped by the caller")
-    base = ops["raise"] if k > 0 else ops["lower"]
-    mat = base.matrix
-    out = mat
-    for _ in range(abs(k) - 1):
-        out = out @ mat
-    return hilbert.LocalOp(f"{base.name}^{abs(k)}", out.tocsr())
-
-
-def _stencil(spec: hilbert.HilbertSpec, row: sp.csr_matrix) -> list[tuple[int, hilbert.LocalOp]]:
-    """Ladder factors stepping every gauge (then global) cell by its row entry.
-
-    Zero entries, which the periodic 1x1 maps store explicitly, act as the
-    identity and are skipped.
-    """
-    gauge, glob = spec.gauge_ops(), spec.global_ops()
-    return [
-        (spec.n_matter + cell, _ladder_power(gauge if cell < spec.n_gauge else glob, int(k)))
-        for cell, k in zip(row.indices, row.data)
-        if k != 0
-    ]
-
-
-def _matter_pair(spec: hilbert.HilbertSpec):
-    """(creator, annihilator) local ops for the configured matter kind."""
-    ops = spec.matter_ops()
-    if spec.matter == "staggered_fermion":
-        return ops["create"], ops["annihilate"]
-    return ops["field_dag"], ops["field"]
+def _stencil_rows(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(cells, steps) of every row of a sparse integer stencil matrix,
+    explicitly stored zeros included."""
+    rows = sp.csr_matrix(rows)
+    return [(rows.indices[a:b], rows.data[a:b]) for a, b in zip(rows.indptr[:-1], rows.indptr[1:])]
 
 
 def _sector_hamiltonian(
@@ -138,25 +117,22 @@ def _sector_hamiltonian(
     """Diagonal plus the magnetic and hopping stencil terms, each with its h.c.
 
     Row p of ``loop_rows`` is the ladder stencil of plaquette p; row n of
-    ``hop_rows`` is the stencil the hopping along link n carries between
-    its two matter factors.
+    ``hop_rows`` is the stencil the hopping along link n carries while one
+    unit of charge moves from the link's head site to its tail site.
     """
     spec = basis.spec
     lat = spec.lattice
     diag = diag + _mass_diagonal(basis, params.m)
     loop = -1.0 / (2.0 * params.g2)
-    terms = [(loop, _stencil(spec, loop_rows.getrow(p))) for p in range(loop_rows.shape[0])]
+    terms = [(loop, row, None) for row in _stencil_rows(loop_rows)]
     if spec.matter != "none" and params.t != 0.0:
-        create, annihilate = _matter_pair(spec)
-        for n, (x, i) in enumerate(links(lat)):
-            sx = spec.matter_pos(site_index(lat, x))
-            sy = spec.matter_pos(site_index(lat, shift_site(lat, x, i, +1)))
-            factors = [(sx, create)] + _stencil(spec, hop_rows.getrow(n)) + [(sy, annihilate)]
-            terms.append((params.t, factors))
+        for (x, i), row in zip(links(lat), _stencil_rows(hop_rows)):
+            hop = (site_index(lat, x), site_index(lat, shift_site(lat, x, i, +1)))
+            terms.append((params.t, row, hop))
     H = sp.diags(diag, format="csr", shape=(basis.dim, basis.dim))
-    for coeff, factors in terms:
-        A = hilbert.apply_product(basis, factors)
-        H = H + coeff * (A + A.conjugate().T)
+    for coeff, (cells, steps), hop in terms:
+        A = hilbert.apply_term(basis, cells, steps, hop)
+        H = H + coeff * (A + A.T)
     return H.tocsr()
 
 
@@ -165,16 +141,11 @@ def _sector_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def h_original(
-    spec: hilbert.HilbertSpec,
-    params: ModelParams,
-    basis: hilbert.BasisMap | None = None,
-) -> sp.csr_matrix:
-    """Electric-description Hamiltonian on a basis (default: the product space)."""
+def h_original(spec: hilbert.HilbertSpec, params: ModelParams, basis: hilbert.BasisMap) -> sp.csr_matrix:
+    """Electric-description Hamiltonian on a basis of ``spec``."""
     if spec.gauge_kind != "links_E":
         raise ValueError("h_original needs a links_E space")
     params = params.validated(spec.lattice)
-    basis = hilbert.product_basis(spec) if basis is None else basis
     lat = spec.lattice
     levels = hilbert.gauge_level_diagonals(basis)
     diag = 0.5 * params.g2 * np.sum(levels**2, axis=0)
@@ -193,16 +164,11 @@ def _quadratic_diagonal(kernel: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return np.einsum("ad,ad->d", diags, mixed)
 
 
-def h_dual_thetam(
-    spec: hilbert.HilbertSpec,
-    params: ModelParams,
-    basis: hilbert.BasisMap | None = None,
-) -> sp.csr_matrix:
-    """Compact dual Hamiltonian on flux + winding rotors (2D)."""
+def h_dual_thetam(spec: hilbert.HilbertSpec, params: ModelParams, basis: hilbert.BasisMap) -> sp.csr_matrix:
+    """Compact dual Hamiltonian on flux + winding rotors (2D), on a basis of ``spec``."""
     if spec.gauge_kind != "plaqs_M":
         raise ValueError("h_dual_thetam needs a plaqs_M space")
     params = params.validated(spec.lattice)
-    basis = hilbert.product_basis(spec) if basis is None else basis
     lat = spec.lattice
     g2 = params.g2
 

@@ -1,4 +1,4 @@
-"""Product-state bases and one operator kernel for both descriptions.
+"""Product-state bases and one term kernel for both descriptions.
 
 Factor layout: matter sites first (row-major site order, so fermion sign
 strings are a contiguous prefix), then gauge cells — links for the
@@ -13,32 +13,35 @@ set of integer rows over those values, each held exactly or modulo an
 integer.  `sector_basis` enumerates the sector directly, factor by factor,
 dropping partial configurations as soon as a row can no longer hold, so
 its cost follows the sector rather than the product space.  Every
-operator is built by one kernel, `apply_product`: a product of local
-operators acts on the configurations right to left, and each target
-state is looked up among the basis indices (the lookup-table
-technique of H. Q. Lin, PRB 42, 6561 (1990)).  The result is the sector
-matrix directly; no operator is ever built on the whole product space
-unless the basis is the whole product space.
+off-diagonal term of both Hamiltonians is built by one kernel,
+`apply_term`: it steps the rotor levels of the configurations by an
+integer stencil row, optionally moves one unit of charge between two
+matter sites, and looks each target state up among the basis indices (the
+lookup-table technique of H. Q. Lin, PRB 42, 6561 (1990)).  The result is
+the sector matrix directly; no operator is ever built on the whole product
+space unless the basis is the whole product space.
 
 Gauge cells carry truncated rotors: integer levels -cutoff..+cutoff with
-ladder operators that *annihilate* at the ends rather than wrap.  The
-raising ladder steps the level variable up by one: on interior levels
-conjugating the level operator by the ladder shifts it, and commutators
-with divergence-type constraints come out exactly as in the untruncated
-model, which is what the acceptance checks exercise.
+ladder steps that *annihilate* at the ends rather than wrap.  On interior
+levels a step shifts the level operator by exactly its size, so
+commutators with divergence-type constraints come out exactly as in the
+untruncated model, which is what the acceptance checks exercise.
 
 Matter species:
 
 - ``staggered_fermion``: one two-level factor per site; the dynamical
-  charge is the site occupation minus one on odd-parity sites.
+  charge is the site occupation minus one on odd-parity sites.  Hops carry
+  Jordan-Wigner signs over the row-major site order.
 - ``hardcore_boson`` / ``truncated_boson``: particle and antiparticle
-  number states per site (hardcore = occupation capped at one); the local
-  field mixes particle annihilation with antiparticle creation so that one
-  operator carries a full unit of charge.
+  occupations n_a, n_b = 0..n_max per site (hardcore: n_max = 1), held as
+  the level n_a * (n_max + 1) + n_b; the charge is n_a - n_b.  The site
+  field (a + b^dag)/sqrt(2) carries a full unit of charge.  This is the
+  field (a + i b^dag)/sqrt(2) in the phase convention rotated by the
+  diagonal unitary W = prod_x i^{n_b(x)}, which commutes with every charge,
+  Gauss and flux-class test, so sectors and spectra are unchanged.
 
-Every local operator is real except that boson field, whose ``i b^dag``
-makes boson models complex.  Matrices take their dtype from their factors,
-so all other models are built, and solved, in real arithmetic.
+Every amplitude is real, so every model is built, and solved, in real
+arithmetic.
 
 The memory guard bounds what is allocated, not the product dimension:
 `product_basis` refuses a space of more than `max_dim` states, and
@@ -64,79 +67,6 @@ DEFAULT_MAX_DIM = 2**26
 
 class MemoryGuardError(RuntimeError):
     """A basis build would allocate more than the configured guard."""
-
-
-@dataclass
-class LocalOp:
-    """A small operator on one tensor factor, tagged for fermion strings."""
-
-    name: str
-    matrix: sp.csr_matrix
-    fermion_parity: int = 0  # 1 for operators that flip fermion number
-
-
-# ---------------------------------------------------------------------------
-# Local operator families
-# ---------------------------------------------------------------------------
-
-
-def rotor_ops(cutoff: int) -> dict[str, LocalOp]:
-    """Truncated integer rotor: levels -cutoff..cutoff.
-
-    'level': diagonal level operator.  'raise'/'lower': unit steps that
-    annihilate at +cutoff / -cutoff respectively.
-    """
-    if cutoff < 1:
-        raise ValueError("rotor cutoff must be >= 1")
-    d = 2 * cutoff + 1
-    lev = np.diag(np.arange(-cutoff, cutoff + 1).astype(float))
-    up = np.zeros((d, d))
-    for k in range(d - 1):
-        up[k + 1, k] = 1.0
-    return {
-        "level": LocalOp("level", sp.csr_matrix(lev)),
-        "raise": LocalOp("raise", sp.csr_matrix(up)),
-        "lower": LocalOp("lower", sp.csr_matrix(up.T)),
-    }
-
-
-def fermion_site_ops() -> dict[str, LocalOp]:
-    """Single staggered-fermion site: basis |empty>, |occupied>."""
-    c = np.array([[0.0, 1.0], [0.0, 0.0]])
-    n = np.array([[0.0, 0.0], [0.0, 1.0]])
-    return {
-        "annihilate": LocalOp("annihilate", sp.csr_matrix(c), fermion_parity=1),
-        "create": LocalOp("create", sp.csr_matrix(c.T), fermion_parity=1),
-        "number": LocalOp("number", sp.csr_matrix(n)),
-    }
-
-
-def boson_site_ops(n_max: int) -> dict[str, LocalOp]:
-    """Particle/antiparticle pair per site with occupations 0..n_max each.
-
-    The site field mixes the two species, (a + i b^dag)/sqrt(2), so a single
-    application moves the site charge n_a - n_b by one unit; its commutator
-    with the charge is canonical even at finite n_max because the truncation
-    cuts both species at the same level.
-    """
-    if n_max < 1:
-        raise ValueError("boson occupation cap must be >= 1")
-    d1 = n_max + 1
-    low = np.zeros((d1, d1))
-    for k in range(1, d1):
-        low[k - 1, k] = math.sqrt(k)
-    eye = np.eye(d1)
-    a = np.kron(low, eye)
-    b = np.kron(eye, low)
-    na = np.kron(np.diag(np.arange(d1, dtype=float)), eye)
-    nb = np.kron(eye, np.diag(np.arange(d1, dtype=float)))
-    psi = (a + 1j * b.T) / math.sqrt(2.0)
-    return {
-        "field": LocalOp("field", sp.csr_matrix(psi)),
-        "field_dag": LocalOp("field_dag", sp.csr_matrix(psi.conj().T)),
-        "charge": LocalOp("charge", sp.csr_matrix(na - nb)),
-        "n_total": LocalOp("n_total", sp.csr_matrix(na + nb)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +101,10 @@ class HilbertSpec:
             raise ValueError("the compact dual description is built for 2D lattices")
         if self.global_cutoff is None:
             self.global_cutoff = self.cutoff
+        if self.cutoff < 1 or self.global_cutoff < 1:
+            raise ValueError(f"rotor cutoffs must be >= 1, got cutoff={self.cutoff} global_cutoff={self.global_cutoff}")
+        if self.matter == "truncated_boson" and self.n_max < 1:
+            raise ValueError(f"boson occupation cap n_max must be >= 1, got {self.n_max}")
         lat = self.lattice
         self.n_matter = 0 if self.matter == "none" else lat.n_sites
         if self.gauge_kind == "links_E":
@@ -195,35 +129,6 @@ class HilbertSpec:
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.dims, dtype=object)) if self.dims else 1
-
-    # factor addressing -----------------------------------------------------
-    def matter_pos(self, site: int) -> int:
-        if self.matter == "none":
-            raise ValueError("no matter factors in this space")
-        return site
-
-    def gauge_pos(self, cell: int) -> int:
-        return self.n_matter + cell
-
-    def global_pos(self, direction: int) -> int:
-        if self.n_globals == 0:
-            raise ValueError("no global rotor factors in this space")
-        return self.n_matter + self.n_gauge + direction
-
-    def matter_ops(self) -> dict[str, LocalOp]:
-        if self.matter == "staggered_fermion":
-            return fermion_site_ops()
-        if self.matter == "hardcore_boson":
-            return boson_site_ops(1)
-        if self.matter == "truncated_boson":
-            return boson_site_ops(self.n_max)
-        raise ValueError("no matter factors in this space")
-
-    def gauge_ops(self) -> dict[str, LocalOp]:
-        return rotor_ops(self.cutoff)
-
-    def global_ops(self) -> dict[str, LocalOp]:
-        return rotor_ops(self.global_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +175,7 @@ def _factor_values(spec: HilbertSpec) -> list[np.ndarray]:
     if spec.matter == "staggered_fermion":
         values = [np.arange(2) - int(odd) for odd in site_parity(spec.lattice) < 0]
     elif spec.matter != "none":
-        # level n_a * (n_max + 1) + n_b, the kron order of `boson_site_ops`
+        # level n_a * (n_max + 1) + n_b
         occupations = np.arange(math.isqrt(spec._matter_dim()))
         values = [np.subtract.outer(occupations, occupations).ravel()] * spec.n_matter
     else:
@@ -280,6 +185,15 @@ def _factor_values(spec: HilbertSpec) -> list[np.ndarray]:
         + [np.arange(-spec.cutoff, spec.cutoff + 1)] * spec.n_gauge
         + [np.arange(-spec.global_cutoff, spec.global_cutoff + 1)] * spec.n_globals
     )
+
+
+def occupation_table(spec: HilbertSpec) -> np.ndarray:
+    """Total occupation of every level of a matter factor: n for a fermion
+    site, n_a + n_b for a boson site."""
+    if spec.matter == "staggered_fermion":
+        return np.arange(2)
+    n_a, n_b = np.divmod(np.arange(spec._matter_dim()), math.isqrt(spec._matter_dim()))
+    return n_a + n_b
 
 
 def _sweep_order(rows: np.ndarray) -> list[int]:
@@ -348,38 +262,60 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     return BasisMap(spec, indices[sort], configs[sort])
 
 
-def apply_product(basis: BasisMap, factors: list[tuple[int, LocalOp]]) -> sp.csr_matrix:
-    """Matrix of an operator product on a basis: S^T A S for the selection S.
+def apply_term(basis: BasisMap, cells, steps, hop: tuple[int, int] | None = None) -> sp.csr_matrix:
+    """Matrix on a basis of one off-diagonal term; the caller adds its transpose.
 
-    The list reads like the written product: factors[0] acts last.  Each
-    factor maps every configuration to the nonzero entries of its local
-    column (several for a branching local operator); a fermionic factor
-    picks up the sign of the matter occupations left of its position.  The
-    target rows are found by ``searchsorted`` on the sorted indices, and
-    targets outside the basis are dropped.  The matrix is real unless a
-    factor is complex.
+    Gauge (then global) cell ``cells[j]`` steps its level by ``steps[j]``, all
+    in one shift under the box 0 <= level < dim: a ladder annihilates at the
+    end of its window, and a stored zero step is the identity.  With
+    ``hop = (x, y)`` one unit of charge then moves from matter site y to site
+    x, a charge step at y followed by one at x (`_charge_step`).  Each target
+    state is looked up among the basis indices by ``searchsorted``, and
+    targets outside the basis are dropped.
     """
     spec = basis.spec
-    cols = np.arange(basis.dim)
-    configs = basis.configs
-    amps = np.ones(basis.dim)
-    for pos, op in reversed(factors):
-        local = op.matrix.tocsc()
-        level = configs[:, pos]
-        counts = np.diff(local.indptr)[level]
-        src = np.repeat(np.arange(len(level)), counts)
-        entry = local.indptr[level][src] + np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-        configs = configs[src]
-        configs[:, pos] = local.indices[entry]
-        amps = amps[src] * local.data[entry]
-        cols = cols[src]
-        if op.fermion_parity % 2:
-            amps = amps * (1 - 2 * (configs[:, : min(pos, spec.n_matter)].sum(axis=1) % 2))
+    pos = spec.n_matter + np.asarray(cells, dtype=np.int64)
+    levels = basis.configs[:, pos] + np.asarray(steps, dtype=np.int64)
+    (cols,) = np.nonzero(np.all((levels >= 0) & (levels < np.asarray(spec.dims)[pos]), axis=1))
+    configs = basis.configs[cols]
+    configs[:, pos] = levels[cols]
+    amps = np.ones(len(cols))
+    if hop is not None:
+        x, y = hop
+        cols, configs, amps = _charge_step(spec, y, -1, cols, configs, amps)
+        cols, configs, amps = _charge_step(spec, x, +1, cols, configs, amps)
     keys = np.ravel_multi_index(tuple(configs.T), spec.dims)
     rows = np.searchsorted(basis.indices, keys)
     hit = rows < basis.dim
     hit[hit] = basis.indices[rows[hit]] == keys[hit]
     return sp.csr_matrix((amps[hit], (rows[hit], cols[hit])), shape=(basis.dim, basis.dim))
+
+
+def _charge_step(spec: HilbertSpec, site: int, delta: int, cols, configs, amps):
+    """Add ``delta`` = +1 (creator) or -1 (annihilator) to one site's charge.
+
+    A fermion occupation steps by delta, with the Jordan-Wigner sign of the
+    occupations left of the site.  A boson site branches in two, as the
+    field (a + b^dag)/sqrt(2) and its adjoint do: n_a steps by delta, or n_b
+    by -delta, each with amplitude sqrt(n)/sqrt(2) for the larger
+    occupation n of the step.  Branches leaving the site's levels are dropped.
+    """
+    level = configs[:, site]
+    if spec.matter == "staggered_fermion":
+        (keep,) = np.nonzero((level + delta >= 0) & (level + delta <= 1))
+        configs = configs[keep]
+        configs[:, site] += delta
+        return cols[keep], configs, amps[keep] * (1 - 2 * (configs[:, :site].sum(axis=1) % 2))
+    d1 = math.isqrt(spec.dims[site])
+    root = np.sqrt(np.arange(d1)) / math.sqrt(2.0)
+    n_a, n_b = np.divmod(level, d1)
+    branches = []
+    for n, step, stride in ((n_a, delta, d1), (n_b, -delta, 1)):
+        (keep,) = np.nonzero((n + step >= 0) & (n + step < d1))
+        branch = configs[keep]
+        branch[:, site] += step * stride
+        branches.append((cols[keep], branch, amps[keep] * root[np.maximum(n, n + step)[keep]]))
+    return tuple(np.concatenate(part) for part in zip(*branches))
 
 
 # ---------------------------------------------------------------------------
@@ -446,5 +382,6 @@ def gauss_sector_basis(spec: HilbertSpec, static_charges: np.ndarray | None = No
 
 
 def hermiticity_defect(op: sp.spmatrix) -> float:
-    d = op - op.conjugate().T
+    """Largest entry of op - op^T: the hermiticity defect of a real matrix."""
+    d = op - op.T
     return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())

@@ -2,8 +2,8 @@
 
 Two jobs live here.  ``lowest_eigenvalues`` turns a hermitian operator into a
 small sorted spectrum with per-pair residuals.  It works in the operator's
-own dtype, so every model without boson matter is solved in real
-arithmetic.  Below ``DENSE_EIG_LIMIT`` states it asks a dense solver for the
+own dtype, float64 for every model the builders make.  Below
+``DENSE_EIG_LIMIT`` states it asks a dense solver for the
 k lowest pairs only; at and above it, it runs restarted Lanczos (ARPACK,
 seeded start vector, no shift-invert).  The limit is the crossover measured
 at one BLAS thread on 2D lattice sectors: the dense subset is faster up to
@@ -102,7 +102,7 @@ def lowest_eigenvalues(
 ) -> SpectrumReport:
     """The k smallest eigenvalues of a hermitian matrix, sorted ascending.
 
-    The solve runs in the matrix's dtype (real unless the model is complex).
+    The solve runs in the matrix's dtype (float64 for every built model).
     Below ``DENSE_EIG_LIMIT`` only the k lowest pairs of the dense matrix are
     computed; otherwise restarted Lanczos runs from a seed-determined start
     vector, so identical inputs give identical reports.  Residual norms

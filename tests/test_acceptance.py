@@ -193,7 +193,7 @@ def test_criterion_9_block_structure():
     structure and exact charge conservation in the flux description."""
     lat_e = Lattice(2, 1, "open")
     spec_e = HilbertSpec(lat_e, "links_E", cutoff=1, matter="staggered_fermion")
-    H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5))
+    H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5), hilbert.product_basis(spec_e))
     worst_gauss = 0.0
     for s in range(lat_e.n_sites):
         G = sp.diags(hilbert.gauss_diagonal(hilbert.product_basis(spec_e), s), dtype=float)
@@ -202,8 +202,8 @@ def test_criterion_9_block_structure():
 
     lat_m = Lattice(2, 2, "periodic")
     spec_m = HilbertSpec(lat_m, "plaqs_M", cutoff=1, matter="staggered_fermion")
-    H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5))
     full_m = hilbert.product_basis(spec_m)
+    H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5), full_m)
     total_m = sp.diags(hilbert.gauge_level_diagonals(full_m).sum(axis=0), dtype=float)
     comm_m = (H_m @ total_m - total_m @ H_m).tocoo()
     flux_block = float(np.abs(comm_m.data).max()) if comm_m.nnz else 0.0

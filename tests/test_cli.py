@@ -303,6 +303,45 @@ def test_refused_space_is_a_config_error(argv, monkeypatch, capsys):
     assert "guard" in err["message"]
 
 
+BAD_MODEL_VALUES = [
+    ["--cutoff", "0"],
+    ["--cutoff", "-1"],
+    ["--formulation", "flux", "--global-cutoff", "0"],
+    ["--matter", "truncated_boson", "--n-max", "0"],
+    ["--g2", "0"],
+    ["--g2", "-1"],
+    ["--g2", "nan"],
+    ["--g2", "inf"],
+    ["--t", "nan"],
+    ["--m", "-inf"],
+    ["--static-charges", "nan,0,0,0"],
+    ["--static-charges", "inf,-inf,0,0"],
+]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "build"])
+@pytest.mark.parametrize("bad", BAD_MODEL_VALUES, ids=lambda bad: "".join(bad[-2:]))
+def test_bad_model_value_is_a_config_error(command, bad, capsys):
+    """Cutoffs and occupation caps below one, a non-positive coupling and
+    any non-finite coupling or static charge are configuration errors (exit
+    2) before anything is built."""
+    from dualqed import cli
+
+    assert cli.main([command, "--dim", "2", "--N", "1", "--bc", "open"] + bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize("bad", [["--g2", "nan"], ["--t", "inf"], ["--static-charges", "nan,0,0,0"]])
+def test_compare_rejects_non_finite_values(bad, capsys):
+    from dualqed import cli
+
+    argv = ["compare", "--dim", "2", "--N", "1", "--bc", "open", "--schedule", "1"]
+    assert cli.main(argv + bad) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
 def test_bad_thread_env_is_a_config_error():
     proc = run_cli(
         "dof", "--dim", 2, "--N", 2, "--bc", "open",

@@ -85,7 +85,7 @@ def test_flux_rotor_matches_hand_matrix():
     spec = HilbertSpec(lat, "plaqs_M", cutoff=4)
     assert spec.total_dim == 9
 
-    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0)).toarray().real
+    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0), hilbert.product_basis(spec)).toarray().real
     Ms = np.arange(-4, 5)
     expected = np.diag(0.5 * g2 * 0.25 * Ms.astype(float) ** 2)
     x = -1.0 / (2.0 * g2)
@@ -119,23 +119,15 @@ def test_builders_produce_hermitian_operators(lat, kind, matter, cutoff, charges
     q = None if charges is None else np.array(charges)
     params = ModelParams(g2=0.9, t=0.6, m=0.25, static_charges=q)
     build = h_original if kind == "links_E" else h_dual_thetam
-    H = build(spec, params)
+    H = build(spec, params, hilbert.product_basis(spec))
     assert hilbert.hermiticity_defect(H) <= 1e-12
     assert H.shape == (spec.total_dim, spec.total_dim)
 
 
-@pytest.mark.parametrize(
-    "matter,dtype",
-    [
-        ("none", np.float64),
-        ("staggered_fermion", np.float64),
-        ("hardcore_boson", np.complex128),
-        ("truncated_boson", np.complex128),
-    ],
-)
-def test_only_boson_matter_builds_complex_hamiltonians(matter, dtype):
-    """Rotor ladders and fermion operators are real; the boson field carries
-    i b^dag, so only boson matter needs complex arithmetic."""
+@pytest.mark.parametrize("matter", hilbert.MATTER_KINDS)
+def test_every_matter_kind_builds_real_hamiltonians(matter):
+    """Rotor ladders, fermion hops and the rotated boson field (a + b^dag)/sqrt(2)
+    are all real, so every model is built in float64."""
     params = ModelParams(g2=0.9, t=0.6, m=0.25)
     electric = HilbertSpec(ONE_PLAQ_OPEN, "links_E", cutoff=1, matter=matter, n_max=2)
     flux = HilbertSpec(ONE_PLAQ_OPEN, "plaqs_M", cutoff=2, matter=matter, n_max=2)
@@ -143,15 +135,13 @@ def test_only_boson_matter_builds_complex_hamiltonians(matter, dtype):
         h_original(electric, params, hilbert.gauss_sector_basis(electric)),
         h_dual_thetam(flux, params, spectrum.flux_sector_basis(flux)),
     ):
-        assert H.dtype == dtype
-        if dtype == np.complex128:
-            assert np.abs(H.data.imag).max() > 0.1
+        assert H.dtype == np.float64
 
 
 def test_electric_hamiltonian_commutes_with_every_constraint():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
-    H = h_original(spec, ModelParams(g2=1.1, t=0.8, m=0.3))
+    H = h_original(spec, ModelParams(g2=1.1, t=0.8, m=0.3), hilbert.product_basis(spec))
     for s in range(lat.n_sites):
         G = sp.diags(hilbert.gauss_diagonal(hilbert.product_basis(spec), s), dtype=float)
         comm = H @ G - G @ H
@@ -165,7 +155,7 @@ def test_projected_build_equals_projection_of_full_build():
     basis = hilbert.gauss_sector_basis(spec)
     params = ModelParams(g2=1.1, t=0.8, m=0.3)
     in_sector = h_original(spec, params, basis)
-    restricted = h_original(spec, params)[np.ix_(basis.indices, basis.indices)]
+    restricted = h_original(spec, params, hilbert.product_basis(spec))[np.ix_(basis.indices, basis.indices)]
     diff = (in_sector - restricted).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
 
@@ -173,7 +163,7 @@ def test_projected_build_equals_projection_of_full_build():
 def test_dual_hamiltonian_conserves_total_charge():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "plaqs_M", cutoff=2, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2))
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
     total_q = sp.diags(hilbert.charge_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_q - total_q @ H).tocoo()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) <= 1e-12
@@ -185,7 +175,7 @@ def test_dual_hamiltonian_conserves_total_flux_on_periodic_lattices():
     the summed flux is a good quantum number on periodic lattices."""
     lat = Lattice(2, 2, "periodic")
     spec = HilbertSpec(lat, "plaqs_M", cutoff=1, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2))
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
     total_m = sp.diags(hilbert.gauge_level_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) <= 1e-12
@@ -196,7 +186,7 @@ def test_open_boundary_hopping_changes_total_flux():
     across them moves the summed flux: no conservation is expected."""
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "plaqs_M", cutoff=2, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2))
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
     total_m = sp.diags(hilbert.gauge_level_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert comm.nnz and np.abs(comm.data).max() > 0.1
@@ -211,6 +201,12 @@ def test_model_params_validation():
         ModelParams(static_charges=np.array([1.0, -1.0])).charges(ONE_PLAQ_OPEN)
     with pytest.raises(ValueError):
         ModelParams(static_charges=np.array([1.0, 0.0, 0.0, 0.0])).charges(ONE_PLAQ_OPEN)
+    for bad in ({"g2": np.nan}, {"g2": np.inf}, {"t": np.nan}, {"m": -np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**bad).validated(ONE_PLAQ_OPEN)
+    for q in ([np.nan, 0.0, 0.0, 0.0], [np.inf, -np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(static_charges=np.array(q)).validated(ONE_PLAQ_OPEN)
     q = ModelParams(static_charges=np.array([1.0, -1.0, 0.0, 0.0])).charges(ONE_PLAQ_OPEN)
     assert q.tolist() == [1.0, -1.0, 0.0, 0.0]
 
@@ -322,11 +318,12 @@ def test_zero_hopping_spectrum_is_additive_electric():
     lat = ONE_PLAQ_OPEN
     g2, m = 1.3, 0.37
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
-    H = h_original(spec, ModelParams(g2=g2, t=0.0, m=m)).toarray()
+    H = h_original(spec, ModelParams(g2=g2, t=0.0, m=m), hilbert.product_basis(spec)).toarray()
     full = np.sort(np.linalg.eigvalsh(H))
 
     gauge = HilbertSpec(lat, "links_E", cutoff=1)
-    gauge_levels = np.linalg.eigvalsh(h_original(gauge, ModelParams(g2=g2, t=0.0)).toarray())
+    H_gauge = h_original(gauge, ModelParams(g2=g2, t=0.0), hilbert.product_basis(gauge))
+    gauge_levels = np.linalg.eigvalsh(H_gauge.toarray())
     matter_levels = _staggered_matter_levels(lat, m)
     sums = np.sort(np.add.outer(matter_levels, gauge_levels).ravel())
     assert full.shape == sums.shape
@@ -337,11 +334,12 @@ def test_zero_hopping_spectrum_is_additive_dual():
     lat = ONE_PLAQ_OPEN
     g2, m = 1.3, 0.37
     spec = HilbertSpec(lat, "plaqs_M", cutoff=4, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0, m=m)).toarray()
+    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0, m=m), hilbert.product_basis(spec)).toarray()
     full = np.sort(np.linalg.eigvalsh(H))
 
     gauge = HilbertSpec(lat, "plaqs_M", cutoff=4)
-    gauge_levels = np.linalg.eigvalsh(h_dual_thetam(gauge, ModelParams(g2=g2, t=0.0)).toarray())
+    H_gauge = h_dual_thetam(gauge, ModelParams(g2=g2, t=0.0), hilbert.product_basis(gauge))
+    gauge_levels = np.linalg.eigvalsh(H_gauge.toarray())
     matter_levels = _staggered_matter_levels(lat, m, g2=g2, with_coulomb=True)
     sums = np.sort(np.add.outer(matter_levels, gauge_levels).ravel())
     assert full.shape == sums.shape

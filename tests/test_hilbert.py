@@ -1,13 +1,16 @@
-"""Local operators, product-state bases, sector enumeration, and the operator kernel.
+"""Product-state bases, sector enumeration, and the term kernel.
 
 The kernel is checked entry by entry against a dense ``np.kron`` reference
-with Jordan-Wigner sign strings, and the sector builders row by row against
-a scan of the whole product space; both references live only here."""
+with its own local matrices (rotor ladder, fermion annihilator with
+Jordan-Wigner strings, rotated boson field), and the sector builders row by
+row against a scan of the whole product space; both references live only
+here."""
 
 from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualqed import dualmap, rational
 from dualqed.hilbert import (
@@ -15,94 +18,118 @@ from dualqed.hilbert import (
     BasisMap,
     HilbertSpec,
     MemoryGuardError,
-    apply_product,
-    boson_site_ops,
+    apply_term,
     charge_diagonals,
-    fermion_site_ops,
     gauss_diagonal,
     gauss_sector_basis,
     gauge_level_diagonals,
     global_level_diagonals,
     hermiticity_defect,
     product_basis,
-    rotor_ops,
 )
-from dualqed.lattice import Lattice
+from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, links, shift_site, site_index
 from dualqed.spectrum import flux_sector_basis
 
 from conftest import GEOMETRIES_2D, GEOMETRIES_3D
+
+# --- the dense reference: local matrices and their kron embedding -------------
+
+
+def ladder(d):
+    """Raising ladder on d rotor levels: one level up, annihilating the top."""
+    return np.eye(d, k=-1)
+
+
+FERMION_C = np.array([[0.0, 1.0], [0.0, 0.0]])  # |empty>, |occupied>
+
+
+def boson_field(n_max):
+    """The rotated site field (a + b^dag)/sqrt(2) on levels n_a * (n_max + 1) + n_b."""
+    low = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
+    eye = np.eye(n_max + 1)
+    return (np.kron(low, eye) + np.kron(eye, low.T)) / np.sqrt(2.0)
+
+
+def boson_charge(n_max):
+    occupations = np.diag(np.arange(n_max + 1, dtype=float))
+    eye = np.eye(n_max + 1)
+    return np.kron(occupations, eye) - np.kron(eye, occupations)
 
 
 def dense_product(spec, factors):
     """Reference matrix of factors[0] @ ... @ factors[-1] on the full product space.
 
-    Each factor is a kron of identities with its local matrix; a fermionic
-    factor carries Z = diag(1, -1) on every matter factor left of it.
+    A factor is ``(position, local matrix, fermionic)``, embedded as a kron
+    of identities with its local matrix; a fermionic factor carries
+    Z = diag(1, -1) on every matter factor left of it.
     """
-    out = np.eye(spec.total_dim, dtype=complex)
-    for pos, op in reversed(factors):
+    out = np.eye(spec.total_dim)
+    for pos, local, fermionic in reversed(factors):
         mats = [np.eye(d) for d in spec.dims]
-        mats[pos] = op.matrix.toarray()
-        if op.fermion_parity % 2:
+        mats[pos] = local
+        if fermionic:
             for k in range(min(pos, spec.n_matter)):
                 mats[k] = np.diag([1.0, -1.0])
         out = reduce(np.kron, mats) @ out
     return out
 
 
-def local_ops(spec, pos):
-    if pos < spec.n_matter:
-        return spec.matter_ops()
-    return spec.gauge_ops() if pos < spec.n_matter + spec.n_gauge else spec.global_ops()
+def dense_term(spec, cells, steps, hop=None):
+    """Reference matrix of one kernel term: the ladder power of every stencil
+    cell, between creator(x) and annihilator(y) for a hop (x, y)."""
+    factors = []
+    for cell, k in zip(cells, steps):
+        pos = spec.n_matter + int(cell)
+        step = ladder(spec.dims[pos]) if k > 0 else ladder(spec.dims[pos]).T
+        factors.append((pos, np.linalg.matrix_power(step, abs(int(k))), False))
+    if hop is not None:
+        x, y = hop
+        if spec.matter == "staggered_fermion":
+            field, fermionic = FERMION_C, True
+        else:
+            field, fermionic = boson_field(int(np.sqrt(spec.dims[0])) - 1), False
+        factors = [(x, field.T, fermionic)] + factors + [(y, field, fermionic)]
+    return dense_product(spec, factors)
 
 
-def random_products(spec, rng, count=6, length=4):
-    for _ in range(count):
-        factors = []
-        for pos in rng.integers(0, len(spec.dims), length):
-            ops = local_ops(spec, int(pos))
-            factors.append((int(pos), ops[sorted(ops)[rng.integers(len(ops))]]))
-        yield factors
-
-
-def test_rotor_ops_ladder_structure():
-    ops = rotor_ops(2)
-    lev = ops["level"].matrix.toarray()
-    up = ops["raise"].matrix.toarray()
-    dn = ops["lower"].matrix.toarray()
-    assert np.array_equal(np.diag(lev), np.arange(-2, 3).astype(float))
+def test_rotor_ladder_structure():
+    lev = np.diag(np.arange(-2, 3).astype(float))
+    up = ladder(5)
+    dn = up.T
     # raise increments the level; annihilates the top state
     comm = lev @ up - up @ lev
     assert np.array_equal(comm, up)  # [L, a+] = a+
-    assert np.array_equal(dn, up.T)
+    assert np.array_equal(lev @ dn - dn @ lev, -dn)  # [L, a] = -a
     top = np.zeros(5)
     top[-1] = 1.0
     assert np.abs(up @ top).max() == 0
-    with pytest.raises(ValueError):
-        rotor_ops(0)
+    lat = Lattice(2, 1, "open")
+    for bad in ({"cutoff": 0}, {"cutoff": -1}, {"cutoff": 1, "global_cutoff": 0}):
+        with pytest.raises(ValueError, match="cutoff"):
+            HilbertSpec(lat, "plaqs_M", **bad)
 
 
 def test_fermion_ops_algebra():
-    ops = fermion_site_ops()
-    c = ops["annihilate"].matrix.toarray()
-    cd = ops["create"].matrix.toarray()
-    n = ops["number"].matrix.toarray()
+    c = FERMION_C
+    cd = c.T
+    n = np.diag([0.0, 1.0])
     assert np.array_equal(c @ cd + cd @ c, np.eye(2))  # {c, c+} = 1
     assert np.abs(c @ c).max() == 0
     assert np.array_equal(cd @ c, n)
-    assert ops["annihilate"].fermion_parity == 1
 
 
 def test_boson_ops_charge_algebra():
-    ops = boson_site_ops(2)
-    psi = ops["field"].matrix.toarray()
-    q = ops["charge"].matrix.toarray()
+    psi = boson_field(2)
+    q = boson_charge(2)
     # the site field lowers the charge by exactly one unit: [Q, psi] = -psi
     comm = q @ psi - psi @ q
     assert np.abs(comm + psi).max() < 1e-12
     assert np.abs(q - q.T).max() == 0
-    with pytest.raises(ValueError):
-        boson_site_ops(0)
+    assert psi.dtype == np.float64
+    lat = Lattice(2, 1, "open")
+    with pytest.raises(ValueError, match="n_max"):
+        HilbertSpec(lat, "links_E", cutoff=1, matter="truncated_boson", n_max=0)
+    assert HilbertSpec(lat, "links_E", cutoff=1, matter="hardcore_boson", n_max=0).dims[0] == 4
 
 
 def test_spec_dimensions_and_positions():
@@ -150,52 +177,73 @@ def test_memory_guard_triggers():
 def test_embed_matches_kron_order():
     lat = Lattice(2, 1, "open")
     spec = HilbertSpec(lat, "links_E", cutoff=1)
-    ops = rotor_ops(1)
-    pos = spec.gauge_pos(2)
-    L2 = apply_product(product_basis(spec), [(pos, ops["level"])]).toarray()
-    # manual kron: identity x identity x level x identity
+    step = apply_term(product_basis(spec), [2], [1]).toarray()
+    # manual kron: identity x identity x ladder x identity
     eye3 = np.eye(3)
-    lev = ops["level"].matrix.toarray()
-    want = np.kron(np.kron(np.kron(eye3, eye3), lev), eye3)
-    assert np.abs(L2 - want).max() == 0
+    want = np.kron(np.kron(np.kron(eye3, eye3), ladder(3)), eye3)
+    assert np.abs(step - want).max() == 0
 
 
 def test_fermion_embedding_anticommutes_across_sites():
     lat = Lattice(2, 1, "open")
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
+    c0 = dense_product(spec, [(0, FERMION_C, True)])
+    c1 = dense_product(spec, [(1, FERMION_C, True)])
+    assert np.abs(c0 @ c1 + c1 @ c0).max() == 0  # string signs make different sites anticommute
+    c1d = dense_product(spec, [(1, FERMION_C.T, True)])
+    assert np.abs(c0 @ c1d + c1d @ c0).max() == 0
+    # the kernel's hops obey the canonical algebra [c+_a c_b, c+_b c_d] = c+_a c_d,
+    # which the string signs decide: hardcore bosons would give c+_a c_d (1 - 2 n_b)
     full = product_basis(spec)
-    ops = fermion_site_ops()
-    c0 = apply_product(full, [(spec.matter_pos(0), ops["annihilate"])])
-    c1 = apply_product(full, [(spec.matter_pos(1), ops["annihilate"])])
-    anti = (c0 @ c1 + c1 @ c0).toarray()
-    assert np.abs(anti).max() == 0  # string signs make different sites anticommute
-    c1d = apply_product(full, [(spec.matter_pos(1), ops["create"])])
-    anti_mixed = (c0 @ c1d + c1d @ c0).toarray()
-    assert np.abs(anti_mixed).max() == 0
+    hop = {pair: apply_term(full, [], [], pair) for pair in ((0, 1), (1, 3), (0, 3))}
+    comm = hop[0, 1] @ hop[1, 3] - hop[1, 3] @ hop[0, 1]
+    assert np.abs((comm - hop[0, 3]).toarray()).max() == 0
+    assert hop[0, 3].nnz > 0
 
 
 KERNEL_CASES = [
-    (Lattice(2, 1, "open"), "links_E", "none", 1),
+    (Lattice(2, 1, "open"), "links_E", "staggered_fermion", 1),
+    (Lattice(2, 1, "periodic"), "links_E", "staggered_fermion", 1),  # self-hop x = y
     (Lattice(2, 1, "open"), "plaqs_M", "staggered_fermion", 1),
     (Lattice(2, 1, "open"), "plaqs_M", "hardcore_boson", 1),
-    (Lattice(2, 1, "periodic"), "plaqs_M", "truncated_boson", 2),
+    (Lattice(2, 1, "periodic"), "plaqs_M", "truncated_boson", 2),  # self-hop, winding rotors
     (Lattice(2, 2, "periodic"), "plaqs_M", "none", 1),  # winding rotors
 ]
 
 
-@pytest.mark.parametrize("lat,kind,matter,n_max", KERNEL_CASES, ids=lambda c: str(c)[:24])
+def kernel_terms(spec):
+    """(cells, steps, hop) of every loop row and every hop row of the space's
+    description, zero steps stored by the lattice maps included."""
+    lat = spec.lattice
+    if spec.gauge_kind == "links_E":
+        loops, hops = curl_link_to_plaq_matrix(lat), np.eye(lat.n_links, dtype=np.int64)
+    else:
+        loops, hops = dualmap.d_matrix(lat)[: lat.n_plaqs], dualmap.dual_embedding(lat).matrix
+    loops, hops = sp.csr_matrix(loops), sp.csr_matrix(hops)
+    for p in range(loops.shape[0]):
+        yield loops.getrow(p).indices, loops.getrow(p).data, None
+    if spec.matter != "none":
+        for n, (x, i) in enumerate(links(lat)):
+            row = hops.getrow(n)
+            yield row.indices, row.data, (site_index(lat, x), site_index(lat, shift_site(lat, x, i, +1)))
+
+
+@pytest.mark.parametrize("lat,kind,matter,n_max", KERNEL_CASES, ids=lambda c: c.label() if isinstance(c, Lattice) else str(c))
 def test_kernel_matches_dense_reference(lat, kind, matter, n_max):
-    """Random operator products, entry by entry, on the full basis and on a sector."""
+    """Every loop and hop term, entry by entry, on the full basis and on a sector."""
     spec = HilbertSpec(lat, kind, cutoff=1, matter=matter, n_max=n_max)
     full = product_basis(spec)
     sector = gauss_sector_basis(spec) if kind == "links_E" else flux_sector_basis(spec)
     assert 0 < sector.dim < full.dim
-    rng = np.random.default_rng(sum(spec.dims))
-    for factors in random_products(spec, rng):
-        ref = dense_product(spec, factors)
-        assert np.array_equal(apply_product(full, factors).toarray(), ref)
+    terms = list(kernel_terms(spec))
+    assert len(terms) == lat.n_plaqs + (lat.n_links if matter != "none" else 0)
+    for cells, steps, hop in terms:
+        ref = dense_term(spec, cells, steps, hop)
+        built = apply_term(full, cells, steps, hop)
+        assert built.dtype == np.float64
+        assert np.array_equal(built.toarray(), ref)
         restricted = ref[np.ix_(sector.indices, sector.indices)]
-        assert np.array_equal(apply_product(sector, factors).toarray(), restricted)
+        assert np.array_equal(apply_term(sector, cells, steps, hop).toarray(), restricted)
 
 
 def test_configs_are_the_digits_of_the_indices():
@@ -260,8 +308,7 @@ def test_gauss_sector_static_charges_are_exact_integers():
 def test_hermiticity_defect():
     lat = Lattice(2, 1, "open")
     spec = HilbertSpec(lat, "links_E", cutoff=1)
-    ops = rotor_ops(1)
-    op = apply_product(product_basis(spec), [(spec.gauge_pos(0), ops["raise"])])
+    op = apply_term(product_basis(spec), [0], [1])
     assert hermiticity_defect(op) > 0.5  # a bare ladder is not hermitian
     sym = op + op.T
     assert hermiticity_defect(sym) == 0.0
