@@ -142,8 +142,19 @@ def _shift_pairing(lat, rng):
     return np.abs(via_shifts - helmholtz.transverse_projector(lat) @ F.values).max()
 
 
+def _constraints_are_kernel(mat, lat):
+    """Zero iff the constraint rows lie in ker ``mat`` and span it: the
+    largest entry of mat·C^T, else the gap between dim ker ``mat`` (certified
+    by `rational.kernel_dimension`) and the independent constraint count."""
+    cons = dualmap.constraint_set(lat)
+    off_kernel = np.abs((mat @ cons.matrix.T).toarray()).max(initial=0)
+    if off_kernel:
+        return off_kernel
+    return abs(rational.kernel_dimension(mat, cons.matrix) - cons.n_independent)
+
+
 def _dual_kernel_count(lat, rng):
-    return abs(len(dualmap.d_kernel(lat)) - dualmap.constraint_set(lat).n_independent)
+    return _constraints_are_kernel(dualmap.d_matrix(lat), lat)
 
 
 def _positive_semidefinite(lat, rng):
@@ -151,9 +162,7 @@ def _positive_semidefinite(lat, rng):
 
 
 def _energy_form_kernel_dimension(lat, rng):
-    """dim ker A0 (exact rank) against the independent constraint count."""
-    A0 = dualmap.transverse_energy_form(lat)
-    return abs(A0.shape[0] - rational.rank(A0) - dualmap.constraint_set(lat).n_independent)
+    return _constraints_are_kernel(dualmap.transverse_energy_form(lat), lat)
 
 
 def _always(lat):

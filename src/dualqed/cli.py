@@ -128,15 +128,15 @@ def _lattice(args):
 def _model_params(args):
     from .hamiltonian import ModelParams
 
-    q = None
-    if getattr(args, "static_charges", None):
-        raw = args.static_charges
-        if isinstance(raw, str):
-            raw = [float(x) for x in raw.split(",")]
-        q = tuple(float(x) for x in raw)
     try:
+        q = None
+        if getattr(args, "static_charges", None):
+            raw = args.static_charges
+            if isinstance(raw, str):
+                raw = raw.split(",")
+            q = tuple(float(x) for x in raw)
         return ModelParams(g2=float(args.g2), t=float(args.t), m=float(args.m), static_charges=q)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -278,18 +278,16 @@ def _hilbert_spec(args, lat):
     if formulation not in ("electric", "flux"):
         raise ConfigError("formulation must be 'electric' or 'flux'")
     gauge_kind = "links_E" if formulation == "electric" else "plaqs_M"
-    cutoff = int(args.cutoff)
-    global_cutoff = int(args.global_cutoff) if args.global_cutoff is not None else None
     try:
         return hilbert.HilbertSpec(
             lat,
             gauge_kind,
-            cutoff=cutoff,
+            cutoff=int(args.cutoff),
             matter=args.matter,
             n_max=int(args.n_max),
-            global_cutoff=global_cutoff,
+            global_cutoff=int(args.global_cutoff) if args.global_cutoff is not None else None,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -374,9 +372,11 @@ def _cmd_compare(args) -> int:
 
     lat = _lattice(args)
     params = _model_params(args)
-    schedule = args.schedule
-    if isinstance(schedule, str):
-        schedule = [int(x) for x in schedule.split(",")]
+    schedule = args.schedule.split(",") if isinstance(args.schedule, str) else args.schedule
+    try:
+        schedule = tuple(int(x) for x in schedule)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"schedule needs integer cutoffs: {exc}") from exc
     try:
         cfg = spx.CompareConfig(
             lattice=lat,
@@ -388,7 +388,7 @@ def _cmd_compare(args) -> int:
             static_charges=params.static_charges,
             tolerance=float(args.tolerance),
         )
-        rep = spx.compare_formulations(cfg, k=int(args.k), schedule=tuple(schedule), seed=args.seed)
+        rep = spx.compare_formulations(cfg, k=int(args.k), schedule=schedule, seed=args.seed)
     except (ValueError, hilbert.MemoryGuardError) as exc:
         raise ConfigError(str(exc)) from exc
     except spx.ResidualError as exc:

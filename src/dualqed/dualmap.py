@@ -28,7 +28,6 @@ duality in exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,11 +211,6 @@ def canonical_pairing_matrix(lat: Lattice) -> np.ndarray:
     """
     T = dual_coordinate_map(lat)
     return (flux_and_winding_map(lat) @ T.T).astype(float)
-
-
-def d_kernel(lat: Lattice) -> list[list[Fraction]]:
-    """Exact rational basis of ker D (the dual gauge content of potentials)."""
-    return rational.nullspace(d_matrix(lat))
 
 
 # --- integer flux-class structure -------------------------------------------

@@ -35,6 +35,7 @@ precision at every cutoff.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +213,8 @@ class CompareConfig:
             raise ValueError(f"unknown sector mode {self.sector!r}")
         if self.cutoff_ratio < 1:
             raise ValueError("cutoff_ratio must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
     def echo(self) -> dict:
         return {

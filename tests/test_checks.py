@@ -4,11 +4,15 @@ The registry is the one place each identity is written; `dualqed
 check-maps` / `verify-all` run it, and this file runs it on the shared
 test geometries with the CLI's sample counts."""
 
+import dataclasses
+
 import pytest
+import scipy.sparse as sp
 
-from dualqed import checks
+from dualqed import checks, dualmap, rational
+from dualqed.lattice import Lattice
 
-from conftest import GEOMETRIES
+from conftest import GEOMETRIES, entry_test, geometry_id
 
 CASES = [(check, lat) for check in checks.CHECKS for lat in GEOMETRIES if check.applies(lat)]
 
@@ -22,3 +26,44 @@ def test_every_entry_applies_somewhere_and_names_are_unique():
     names = [check.name for check in checks.CHECKS]
     assert len(set(names)) == len(names)
     assert {check.name for check, _ in CASES} == set(names)
+
+
+KERNEL_CHECKS = ("dual_kernel_matches_constraint_count", "energy_form_kernel_dimension")
+
+# Sizes the old exact nullspace took seconds to tens of seconds on.
+test_kernel_checks_at_scale = entry_test(
+    *KERNEL_CHECKS, geometries=[Lattice(2, 16, "periodic"), Lattice(3, 4, "open"), Lattice(3, 4, "periodic")]
+)
+
+
+def _mutated_constraints(monkeypatch, mutate):
+    """Serve `dualmap.constraint_set` with its matrix passed through ``mutate``."""
+    build = dualmap.constraint_set
+
+    def constraint_set(lat):
+        cons = build(lat)
+        mat = mutate(cons.matrix.toarray())
+        return dataclasses.replace(cons, matrix=sp.csr_matrix(mat), n_independent=rational.rank(mat))
+
+    monkeypatch.setattr(dualmap, "constraint_set", constraint_set)
+
+
+def _perturb_first_row(mat):
+    mat = mat.copy()
+    mat[0, -1] += 1  # a winding column on periodic lattices
+    return mat
+
+
+@pytest.mark.parametrize("lat", [g for g in GEOMETRIES if g.periodic or g.dim == 3], ids=geometry_id)
+def test_constraint_row_off_the_kernel_fails_both_kernel_checks(lat, rng, monkeypatch):
+    _mutated_constraints(monkeypatch, _perturb_first_row)
+    for name in KERNEL_CHECKS:
+        assert checks.get(name).worst(lat, rng) > 0, name
+
+
+def test_constraints_short_of_the_kernel_fail_both_kernel_checks(rng, monkeypatch):
+    """Dropping the total-flux row leaves rows that lie in the kernel but do
+    not span it."""
+    _mutated_constraints(monkeypatch, lambda mat: mat[1:])
+    for name in KERNEL_CHECKS:
+        assert checks.get(name).worst(Lattice(2, 2, "periodic"), rng) > 0, name

@@ -333,13 +333,49 @@ def test_bad_model_value_is_a_config_error(command, bad, capsys):
     assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "config"
 
 
-@pytest.mark.parametrize("bad", [["--g2", "nan"], ["--t", "inf"], ["--static-charges", "nan,0,0,0"]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--g2", "nan"],
+        ["--t", "inf"],
+        ["--static-charges", "nan,0,0,0"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+        ["--tolerance", "0"],
+    ],
+)
 def test_compare_rejects_non_finite_values(bad, capsys):
     from dualqed import cli
 
-    argv = ["compare", "--dim", "2", "--N", "1", "--bc", "open", "--schedule", "1"]
+    # ratio 4 makes the base run valid (at ratio 1 the flux cell has fewer
+    # than k states, itself a config error that would hide the one tested)
+    argv = ["compare", "--dim", "2", "--N", "1", "--bc", "open", "--ratio", "4", "--schedule", "1"]
     assert cli.main(argv + bad) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["compare", "--schedule", "1,x"], None),
+        (["compare", "--static-charges", "1,x"], None),
+        (["spectrum", "--formulation", "electric"], {"cutoff": "two"}),
+    ],
+    ids=["schedule", "static-charges", "config-cutoff"],
+)
+def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys):
+    """A number that does not parse exits 2 like any bad setting, not 1
+    with a bare ValueError."""
+    from dualqed import cli
+
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv + ["--dim", "2", "--N", "1", "--bc", "open"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "config"
 
 
 def test_bad_thread_env_is_a_config_error():
