@@ -141,10 +141,10 @@ def _model_params(args):
 
 
 def _parse_site(text, dim: int) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        parts = [int(v) for v in text]
-    else:
-        parts = [int(p) for p in str(text).split(",")]
+    try:
+        parts = [int(v) for v in (text if isinstance(text, (list, tuple)) else str(text).split(","))]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"site needs integer coordinates: {exc}") from exc
     if len(parts) != dim:
         raise ConfigError(f"site needs {dim} coordinates, got {len(parts)}")
     return tuple(parts)
@@ -196,7 +196,10 @@ def _cmd_shifts(args) -> int:
 
     lat = _lattice(args)
     site = _parse_site(args.site, lat.dim)
-    direction = int(args.direction)
+    try:
+        direction = int(args.direction)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"direction must be an integer: {exc}") from exc
     if not 0 <= direction < lat.dim:
         raise ConfigError(f"direction must be in [0, {lat.dim})")
     try:

@@ -21,11 +21,17 @@ The plaquette potential has three layers:
 - ``global_loops`` (periodic only): one value per direction, the mean field
   S_i / N placed on the axis line through the origin.
 
-The *shift table* of a link is the decomposition of that link's unit
-indicator field: the response pattern through which transverse fluctuations
-enter dual-variable hopping terms.  Shift tables exist in float and exact
-rational arithmetic; entries are stored unwrapped so that reconstruction
-stays a linear identity.
+The potential and the global loop values are one linear map of F, the
+dual-coordinate map T (`dual_coordinate_map`): solver·circulation +
+ramp·direction sums on plaquettes, direction sums / N on the axis lines.
+That formula is written once in float (`_dual_coordinates`) and once in
+Fractions (`_dual_coordinates_exact`); the ramp is defined once, exactly.
+
+The *shift table* of a link is T's column for that link, the formula
+applied to its unit indicator field: the response pattern through which
+transverse fluctuations enter dual-variable hopping terms.  Shift tables
+exist in float and exact rational arithmetic; entries are stored unwrapped
+so that reconstruction stays a linear identity.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import rational
 from .greens import (
@@ -54,7 +59,6 @@ from .lattice import (
     divergence_matrix,
     gradient_matrix,
     link_index,
-    links,
     plaquettes,
 )
 
@@ -91,39 +95,14 @@ class ShiftTable:
 
 
 @cached
-def ramp_matrix(lat: Lattice) -> np.ndarray:
-    """n_plaqs x dim matrix: column i is the plaquette ramp sourced by S_i.
+def _ramp_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
+    """n_plaqs x dim Fractions: column i is the plaquette ramp sourced by S_i.
 
-    Multiplying by the vector of direction sums S yields L_const.  Entries
-    are exact integer multiples of 1/N^2 and 1/N^3, stored as floats; the
-    exact lane rebuilds them as Fractions.
+    Entries are integer multiples of 1/N^2 and 1/N^3; open lattices have no
+    ramp and get zeros.
     """
-    N = lat.N
-    out = np.zeros((lat.n_plaqs, lat.dim))
     if not lat.periodic:
-        return out
-    for p, plaq in enumerate(plaquettes(lat)):
-        if lat.dim == 2:
-            y = plaq
-            out[p, 0] = y[1] / N**2
-            out[p, 1] = -y[0] / N**2
-        else:
-            y, normal = plaq
-            if normal == 2:
-                if y[2] == 0:
-                    out[p, 0] = y[1] / N**2
-                    out[p, 1] = -y[0] / N**2
-            elif normal == 1:
-                out[p, 0] = -y[2] / N**3
-                if y[1] == 0:
-                    out[p, 2] = y[0] / N**2
-            else:  # normal == 0
-                out[p, 1] = y[2] / N**3
-                out[p, 2] = -y[1] / N**3
-    return out
-
-
-def _ramp_matrix_exact(lat: Lattice) -> list[list[Fraction]]:
+        return ((Fraction(0),) * lat.dim,) * lat.n_plaqs
     N = lat.N
     sq, cu = Fraction(1, N**2), Fraction(1, N**3)
     rows = []
@@ -143,11 +122,23 @@ def _ramp_matrix_exact(lat: Lattice) -> list[list[Fraction]]:
                 row[0] = -y[2] * cu
                 if y[1] == 0:
                     row[2] = y[0] * sq
-            else:
+            else:  # normal == 0
                 row[1] = y[2] * cu
                 row[2] = -y[1] * cu
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@cached
+def ramp_matrix(lat: Lattice) -> np.ndarray:
+    """Float `_ramp_exact`: multiplying by the direction sums S yields L_const.
+
+    ``float`` of a Fraction is correctly rounded, as is the float quotient
+    y / N^k of two exactly representable integers, so each entry equals
+    that quotient bit for bit.
+    """
+    rows = [[float(v) for v in row] for row in _ramp_exact(lat)]
+    return np.array(rows).reshape(lat.n_plaqs, lat.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +177,48 @@ def _potential_solver_exact(lat: Lattice) -> Sequence[Sequence[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
+# The dual-coordinate formula
+# ---------------------------------------------------------------------------
+
+
+def _dual_coordinates(lat: Lattice, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Plaquette and (periodic only) global coordinates of the link field(s) X.
+
+    solver·circulation + ramp·S on plaquettes and S / N on the axis lines,
+    with S the direction sums.  X is one field or a matrix of field columns.
+    """
+    L = _potential_solver_matrix(lat) @ (curl_link_to_plaq_matrix(lat) @ X)
+    if not lat.periodic:
+        return L, None
+    S = direction_sum_matrix(lat) @ X
+    return L + ramp_matrix(lat) @ S, S / lat.N
+
+
+def _dual_coordinates_exact(lat: Lattice, F: np.ndarray) -> tuple[list[Fraction], list[Fraction] | None]:
+    """`_dual_coordinates` of one integer link field in Fractions."""
+    circulation = [Fraction(int(v)) for v in curl_link_to_plaq_matrix(lat) @ F]
+    L = rational.matvec(_potential_solver_exact(lat), circulation)
+    if not lat.periodic:
+        return L, None
+    S = [int(v) for v in direction_sum_matrix(lat) @ F]
+    L = [v + sum(r * s for r, s in zip(row, S)) for v, row in zip(L, _ramp_exact(lat))]
+    return L, [Fraction(s, lat.N) for s in S]
+
+
+@cached
+def dual_coordinate_map(lat: Lattice) -> np.ndarray:
+    """The matrix T of `_dual_coordinates`: the formula applied to the links' unit fields.
+
+    Rows: plaquette coordinates (L_plaq + L_const), then — periodic only —
+    the global loop coordinates.  Column n is the shift table of link n.
+    This is the linear map whose pairing with the circulation + winding
+    functionals is canonical.
+    """
+    L, loops = _dual_coordinates(lat, np.eye(lat.n_links))
+    return L if loops is None else np.vstack([L, loops])
+
+
+# ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
 
@@ -198,23 +231,14 @@ def helmholtz_decompose(lat: Lattice, F: FieldVector) -> Decomposition:
     phi = greens_sites(lat).values @ div
     longitudinal = -(gradient_matrix(lat) @ phi)
     transverse = F.values - longitudinal
-
-    circulation = curl_link_to_plaq_matrix(lat) @ F.values
-    L_plaq = _potential_solver_matrix(lat) @ circulation
-    if lat.periodic:
-        S = direction_sum_matrix(lat) @ F.values
-        L_const = ramp_matrix(lat) @ S
-        global_loops = S / lat.N
-        potential = FieldVector(lat, "plaquette", L_plaq + L_const, global_loops)
-    else:
-        potential = FieldVector(lat, "plaquette", L_plaq)
+    L, loops = _dual_coordinates(lat, F.values)
     return Decomposition(
         lattice=lat,
         field=F.copy(),
         phi=FieldVector(lat, "site", phi),
         longitudinal=FieldVector(lat, "link", longitudinal),
         transverse=FieldVector(lat, "link", transverse),
-        potential=potential,
+        potential=FieldVector(lat, "plaquette", L, loops),
     )
 
 
@@ -230,33 +254,14 @@ def reconstruct_transverse(potential: FieldVector) -> FieldVector:
 
 
 @cached
-def transverse_projector(lat: Lattice) -> sp.csr_matrix:
-    """Idempotent link-space projector onto divergence-free fields.
+def transverse_projector(lat: Lattice) -> np.ndarray:
+    """Idempotent link-space projector onto divergence-free fields (dense).
 
     P = 1 + grad G_site div; its complement projects onto gradients.
     """
-    G = greens_sites(lat).values
-    grad = gradient_matrix(lat).toarray().astype(float)
-    div = divergence_matrix(lat).toarray().astype(float)
-    return sp.csr_matrix(np.eye(lat.n_links) + grad @ G @ div)
-
-
-@cached
-def dual_coordinate_map(lat: Lattice) -> np.ndarray:
-    """Matrix sending a link field to its stacked potential coordinates.
-
-    Rows: plaquette coordinates (L_plaq + L_const), then — periodic only —
-    the global loop coordinates.  This is the linear map whose pairing with
-    the circulation + winding functionals is canonical.
-    """
-    C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
-    T_plaq = _potential_solver_matrix(lat) @ C
-    if not lat.periodic:
-        return T_plaq
-    dirsum = direction_sum_matrix(lat).toarray().astype(float)
-    T_plaq = T_plaq + ramp_matrix(lat) @ dirsum
-    T_glob = dirsum / lat.N
-    return np.vstack([T_plaq, T_glob])
+    P = gradient_matrix(lat) @ greens_sites(lat).values @ divergence_matrix(lat)
+    P[np.diag_indices(lat.n_links)] += 1.0
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -269,39 +274,19 @@ def link_shift_table(
 ) -> ShiftTable:
     """Shift table of the link at `site` pointing along `direction`.
 
-    Float path: decompose the unit indicator field.  Exact path: the same
-    pipeline in Fraction arithmetic via the rational Green's tables.
+    The dual-coordinate formula applied to the link's unit field: column
+    ``link`` of `dual_coordinate_map`.  With ``exact`` the same formula also
+    runs in Fractions on the rational Green's tables.
     """
     n = link_index(lat, site, direction)
     unit = np.zeros(lat.n_links)
     unit[n] = 1.0
-    dec = helmholtz_decompose(lat, FieldVector(lat, "link", unit))
-    table = ShiftTable(
-        lattice=lat,
-        site=tuple(site),
-        direction=direction,
-        link=n,
-        shifts=dec.potential.values.copy(),
-        global_shifts=(
-            None
-            if dec.potential.global_values is None
-            else dec.potential.global_values.copy()
-        ),
-    )
+    shifts, loops = _dual_coordinates(lat, unit)
+    table = ShiftTable(lat, tuple(site), direction, n, shifts, loops)
     if exact:
-        solver = _potential_solver_exact(lat)
-        C = curl_link_to_plaq_matrix(lat)
-        circ = [Fraction(int(v)) for v in C.toarray()[:, n]]
-        L = rational.matvec(solver, circ)
-        if lat.periodic:
-            ramp = _ramp_matrix_exact(lat)
-            for p in range(lat.n_plaqs):
-                L[p] += ramp[p][direction]  # S_i of a unit link field is delta_i
-            table.exact_global = tuple(
-                Fraction(1, lat.N) if i == direction else Fraction(0)
-                for i in range(lat.dim)
-            )
-        table.exact_shifts = tuple(L)
+        shifts, loops = _dual_coordinates_exact(lat, unit.astype(np.int64))
+        table.exact_shifts = tuple(shifts)
+        table.exact_global = None if loops is None else tuple(loops)
         _check_exact_float_agreement(table)
     return table
 
@@ -314,12 +299,6 @@ def _check_exact_float_agreement(table: ShiftTable):
         )
 
 
-@cached
-def all_shift_tables(lat: Lattice, exact: bool = False) -> tuple[ShiftTable, ...]:
-    """Shift tables of every link, in link order."""
-    return tuple(link_shift_table(lat, x, i, exact=exact) for (x, i) in links(lat))
-
-
 def shift_reconstruction_residual(table: ShiftTable) -> float:
     """Max deviation of the shift-table reconstruction from P_T (unit link).
 
@@ -329,14 +308,11 @@ def shift_reconstruction_residual(table: ShiftTable) -> float:
     lat = table.lattice
     pot = FieldVector(lat, "plaquette", table.shifts, table.global_shifts)
     recon = reconstruct_transverse(pot).values
-    unit = np.zeros(lat.n_links)
-    unit[table.link] = 1.0
-    target = transverse_projector(lat) @ unit
-    return float(np.abs(recon - target).max())
+    return float(np.abs(recon - transverse_projector(lat)[:, table.link]).max())
 
 
 def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
-    """Evaluate P_T F link by link through shift tables.
+    """Evaluate P_T F through the shift tables: T^T [circulation; winding](F).
 
     Pairs each link's plaquette shifts with the circulation of F and its
     global shifts with the axis winding sums of F — the contraction pattern
@@ -344,14 +320,7 @@ def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
     with the projector applied directly (`checks`:
     ``shift_pairing_reproduces_transverse_part``).
     """
-    circulation = curl_link_to_plaq_matrix(lat) @ F.values
-    winds = None
+    fluxes = curl_link_to_plaq_matrix(lat) @ F.values
     if lat.periodic:
-        winds = axis_indicator_matrix(lat).T @ F.values
-    out = np.zeros(lat.n_links)
-    for t in all_shift_tables(lat):
-        val = float(t.shifts @ circulation)
-        if winds is not None and t.global_shifts is not None:
-            val += float(t.global_shifts @ winds)
-        out[t.link] = val
-    return out
+        fluxes = np.concatenate([fluxes, axis_indicator_matrix(lat).T @ F.values])
+    return dual_coordinate_map(lat).T @ fluxes

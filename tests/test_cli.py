@@ -360,8 +360,14 @@ def test_compare_rejects_non_finite_values(bad, capsys):
         (["compare", "--schedule", "1,x"], None),
         (["compare", "--static-charges", "1,x"], None),
         (["spectrum", "--formulation", "electric"], {"cutoff": "two"}),
+        (["shifts", "--site", "1,x", "--direction", "0"], None),
+        (["shifts", "--site", "0,0", "--direction", "0"], {"direction": "x"}),
+        (["shifts", "--site", "0,0", "--direction", "0"], {"site": [0, "x"]}),
     ],
-    ids=["schedule", "static-charges", "config-cutoff"],
+    ids=[
+        "schedule", "static-charges", "config-cutoff",
+        "shifts-site", "shifts-config-direction", "shifts-config-site",
+    ],
 )
 def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys):
     """A number that does not parse exits 2 like any bad setting, not 1
@@ -465,9 +471,15 @@ def test_reports_validate_against_bundled_schemas(tmp_path):
         "shifts", "--dim", 2, "--N", 2, "--bc", "periodic",
         "--site", "0,0", "--direction", 1, check=True,
     )
-    jsonschema.validate(
-        json.loads(proc.stdout), json.loads((schema_dir / "shift_table.schema.json").read_text())
+    shift_schema = json.loads((schema_dir / "shift_table.schema.json").read_text())
+    jsonschema.validate(json.loads(proc.stdout), shift_schema)
+    proc = run_cli(
+        "shifts", "--dim", 3, "--N", 2, "--bc", "open",
+        "--site", "0,1,1", "--direction", 2, "--exact", check=True,
     )
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, shift_schema)
+    assert all("normal" in e and "exact" in e for e in payload["shifts"])
 
 
 def test_exact_spectrum_seeds_are_reproducible():

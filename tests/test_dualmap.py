@@ -106,7 +106,7 @@ def test_dual_embedding_reconstructs_transverse_images(lat, rng):
 
     emb = dual_embedding(lat).matrix.toarray()
     T = dual_coordinate_map(lat)
-    P = transverse_projector(lat).toarray()
+    P = transverse_projector(lat)
     assert np.abs(emb @ T - P).max() < 1e-10
 
 

@@ -8,16 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualqed.helmholtz import (
-    all_shift_tables,
     dual_coordinate_map,
     helmholtz_decompose,
     link_shift_table,
     ramp_matrix,
     reconstruct_transverse,
     shift_reconstruction_residual,
+    transverse_component_via_shifts,
     transverse_projector,
 )
-from dualqed.lattice import FieldVector, Lattice, plaquette_index
+from dualqed import rational
+from dualqed.greens import greens_plaquette_grid, greens_plaquettes_obc, greens_sites
+from dualqed.lattice import (
+    FieldVector,
+    Lattice,
+    axis_indicator_matrix,
+    curl_link_to_plaq_matrix,
+    curl_plaq_to_link_matrix,
+    direction_sum_matrix,
+    divergence_matrix,
+    gradient_matrix,
+    links,
+    plaquette_index,
+    plaquettes,
+)
 
 from conftest import GEOMETRIES, assert_entries_hold, entry_test, geometry_id
 
@@ -37,7 +51,7 @@ test_potential_reconstructs_transverse_part = entry_test("transverse_reconstruct
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_transverse_projector_is_idempotent_symmetric(lat):
-    P = transverse_projector(lat).toarray()
+    P = transverse_projector(lat)
     assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(P - P.T).max() < 1e-12
 
@@ -48,8 +62,6 @@ def test_ramp_matrix_produces_unit_winding():
     lat = Lattice(2, 2, "periodic")
     for direction in range(2):
         unit = np.zeros(lat.n_links)
-        from dualqed.lattice import links
-
         for idx, (x, i) in enumerate(links(lat)):
             if i == direction:
                 unit[idx] = 1.0
@@ -104,8 +116,8 @@ def test_shift_multiset_and_runtime_3x3():
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_every_link_shift_table_reconstructs(lat):
-    for table in all_shift_tables(lat):
-        assert shift_reconstruction_residual(table) < 1e-10
+    for x, i in links(lat):
+        assert shift_reconstruction_residual(link_shift_table(lat, x, i)) < 1e-10
 
 
 test_shift_pairing_evaluates_transverse_component = entry_test(
@@ -142,3 +154,124 @@ def test_decomposition_linearity(seed):
     d12 = helmholtz_decompose(lat, FieldVector(lat, "link", a * F1 + b * F2))
     assert np.abs(d12.transverse.values - a * d1.transverse.values - b * d2.transverse.values).max() < 1e-9
     assert np.abs(d12.phi.values - a * d1.phi.values - b * d2.phi.values).max() < 1e-9
+
+
+# --- the dual-coordinate map against the per-link decomposition --------------
+# The oracle is the per-link formula that shift tables and the shift pairing
+# were once built from, one decomposition of a unit link field at a time, with
+# its own float copy of the ramp pattern.  Shift tables must equal it bitwise;
+# T's columns too, except on 3D open lattices, where the dense pseudo-inverse
+# solver meets four curl entries per link and the matrix product sums them in
+# another order.
+
+DIFFERENTIAL_GEOMETRIES = GEOMETRIES + [
+    Lattice(d, n, bc) for d, n in ((2, 8), (3, 3)) for bc in ("open", "periodic")
+]
+
+
+def _oracle_ramp(lat):
+    N = lat.N
+    out = np.zeros((lat.n_plaqs, lat.dim))
+    if not lat.periodic:
+        return out
+    for p, plaq in enumerate(plaquettes(lat)):
+        if lat.dim == 2:
+            y = plaq
+            out[p, 0] = y[1] / N**2
+            out[p, 1] = -y[0] / N**2
+        else:
+            y, normal = plaq
+            if normal == 2:
+                if y[2] == 0:
+                    out[p, 0] = y[1] / N**2
+                    out[p, 1] = -y[0] / N**2
+            elif normal == 1:
+                out[p, 0] = -y[2] / N**3
+                if y[1] == 0:
+                    out[p, 2] = y[0] / N**2
+            else:
+                out[p, 1] = y[2] / N**3
+                out[p, 2] = -y[1] / N**3
+    return out
+
+
+def _oracle_solver(lat):
+    if lat.periodic:
+        return greens_plaquette_grid(lat).values
+    if lat.dim == 2:
+        return greens_plaquettes_obc(lat).values
+    C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
+    return np.linalg.pinv(C @ C.T)
+
+
+def _oracle_shift_tables(lat):
+    """(plaquette shifts, global shifts or None) of every link, in link order."""
+    solver, ramp = _oracle_solver(lat), _oracle_ramp(lat)
+    C, dirsum = curl_link_to_plaq_matrix(lat), direction_sum_matrix(lat)
+    tables = []
+    for n in range(lat.n_links):
+        unit = np.zeros(lat.n_links)
+        unit[n] = 1.0
+        L = solver @ (C @ unit)
+        if lat.periodic:
+            S = dirsum @ unit
+            tables.append((L + ramp @ S, S / lat.N))
+        else:
+            tables.append((L, None))
+    return tables
+
+
+@pytest.mark.parametrize("lat", DIFFERENTIAL_GEOMETRIES, ids=geometry_id)
+def test_shift_tables_and_dual_map_match_per_link_decomposition(lat):
+    tables = _oracle_shift_tables(lat)
+    T = dual_coordinate_map(lat)
+    reordered = lat.dim == 3 and not lat.periodic
+    for n, (x, i) in enumerate(links(lat)):
+        L, glob = tables[n]
+        table = link_shift_table(lat, x, i)
+        assert table.shifts.tobytes() == L.tobytes()
+        want = L if glob is None else np.concatenate([L, glob])
+        if glob is not None:
+            assert table.global_shifts.tobytes() == glob.tobytes()
+        else:
+            assert table.global_shifts is None
+        if reordered:
+            assert np.abs(T[:, n] - want).max() <= 1e-16
+        else:
+            assert T[:, n].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lat", DIFFERENTIAL_GEOMETRIES, ids=geometry_id)
+def test_transverse_component_via_shifts_matches_per_link_loop(lat, rng):
+    tables = _oracle_shift_tables(lat)
+    C = curl_link_to_plaq_matrix(lat)
+    for _ in range(3):
+        F = rng.standard_normal(lat.n_links)
+        circulation = C @ F
+        winds = axis_indicator_matrix(lat).T @ F if lat.periodic else None
+        want = np.array(
+            [L @ circulation + (0.0 if glob is None else glob @ winds) for L, glob in tables]
+        )
+        got = transverse_component_via_shifts(lat, FieldVector(lat, "link", F))
+        # one matrix-vector product against one dot product per link: rounding
+        # only, bounded relative to the largest component (measured <= 7.3e-16)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_every_exact_shift_table_reconstructs_the_exact_projection(lat):
+    """curl(exact shifts) + axis·(exact globals) == (1 + grad G div) e_n in Fractions."""
+    G = greens_sites(lat, exact=True).exact
+    grad = gradient_matrix(lat).toarray().tolist()
+    div = divergence_matrix(lat).toarray()
+    curl_back = curl_plaq_to_link_matrix(lat).toarray().tolist()
+    axis = axis_indicator_matrix(lat).toarray().tolist()
+    for n, (x, i) in enumerate(links(lat)):
+        table = link_shift_table(lat, x, i, exact=True)
+        recon = rational.matvec(curl_back, list(table.exact_shifts))
+        if lat.periodic:
+            recon = [r + g for r, g in zip(recon, rational.matvec(axis, list(table.exact_global)))]
+        phi = rational.matvec(G, div[:, n].tolist())
+        target = rational.matvec(grad, phi)
+        target[n] += 1
+        assert recon == target, (x, i)
