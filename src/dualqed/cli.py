@@ -48,10 +48,7 @@ def _apply_thread_cap(threads: int | None) -> None:
         env = os.environ.get(ENV_THREADS)
         if env is None:
             return
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_THREADS} must be an integer, got {env!r}") from exc
+        threads = _integer(env, ENV_THREADS)
     if threads < 1:
         raise ConfigError("thread cap must be >= 1")
     for var in _THREAD_VARS:
@@ -98,8 +95,27 @@ def _emit_json(path: str | None, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: ints, integral floats (as JSON Schema's ``integer``
+    allows) and decimal strings (as ``int()`` reads them); bools, other floats
+    and anything else are configuration errors."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _load_config(args: argparse.Namespace, allowed: set[str]) -> None:
-    """Merge --config JSON over parsed flags; config wins; unknown keys fail."""
+    """Merge --config JSON over parsed flags; config wins; unknown keys fail.
+
+    Integer keys go through `_integer`; the flags of the same name are
+    already ints."""
     if not getattr(args, "config", None):
         return
     try:
@@ -113,6 +129,8 @@ def _load_config(args: argparse.Namespace, allowed: set[str]) -> None:
         attr = key.replace("-", "_")
         if attr not in allowed:
             raise ConfigError(f"unknown config key {key!r}")
+        if attr in _INTEGER_KEYS and not (value is None and attr in _OPTIONAL_KEYS):
+            value = _integer(value, key)
         setattr(args, attr, value)
 
 
@@ -120,7 +138,7 @@ def _lattice(args):
     from .lattice import Lattice
 
     try:
-        return Lattice(int(args.dim), int(args.N), args.bc)
+        return Lattice(args.dim, args.N, args.bc)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -140,14 +158,20 @@ def _model_params(args):
         raise ConfigError(str(exc)) from exc
 
 
+def _integers(value, name: str) -> tuple[int, ...]:
+    """A list, or a comma-separated string, of `_integer` entries."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list or a comma-separated string, got {value!r}")
+    return tuple(_integer(v, f"{name} entry") for v in value)
+
+
 def _parse_site(text, dim: int) -> tuple[int, ...]:
-    try:
-        parts = [int(v) for v in (text if isinstance(text, (list, tuple)) else str(text).split(","))]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"site needs integer coordinates: {exc}") from exc
+    parts = _integers(text, "site")
     if len(parts) != dim:
         raise ConfigError(f"site needs {dim} coordinates, got {len(parts)}")
-    return tuple(parts)
+    return parts
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -192,20 +216,21 @@ def _cmd_greens(args) -> int:
 
 def _cmd_shifts(args) -> int:
     from . import helmholtz
-    from .lattice import plaquettes
+    from .lattice import link_index, plaquettes
 
     lat = _lattice(args)
     site = _parse_site(args.site, lat.dim)
-    try:
-        direction = int(args.direction)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"direction must be an integer: {exc}") from exc
+    direction = args.direction
     if not 0 <= direction < lat.dim:
         raise ConfigError(f"direction must be in [0, {lat.dim})")
     try:
-        table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
-    except (KeyError, ValueError) as exc:
+        link_index(lat, site, direction)
+    except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
+    try:
+        table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     plaqs = plaquettes(lat)
     entries = []
     for idx, value in enumerate(table.shifts):
@@ -285,10 +310,10 @@ def _hilbert_spec(args, lat):
         return hilbert.HilbertSpec(
             lat,
             gauge_kind,
-            cutoff=int(args.cutoff),
+            cutoff=args.cutoff,
             matter=args.matter,
-            n_max=int(args.n_max),
-            global_cutoff=int(args.global_cutoff) if args.global_cutoff is not None else None,
+            n_max=args.n_max,
+            global_cutoff=args.global_cutoff,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -332,7 +357,7 @@ def _cmd_build(args) -> int:
         "N": lat.N,
         "bc": lat.bc,
         "matter": args.matter,
-        "cutoff": int(args.cutoff),
+        "cutoff": args.cutoff,
         "sector": sector,
         "total_dim": spec.total_dim,
         "sector_dim": basis.dim,
@@ -350,7 +375,7 @@ def _cmd_spectrum(args) -> int:
     spec = _hilbert_spec(args, lat)
     _, H, sector = _sector_and_operator(args, lat, spec)
     try:
-        rep = spx.lowest_eigenvalues(H, int(args.k), seed=args.seed, sector=sector, cutoff=int(args.cutoff))
+        rep = spx.lowest_eigenvalues(H, args.k, seed=args.seed, sector=sector, cutoff=args.cutoff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except spx.ResidualError as exc:
@@ -361,7 +386,7 @@ def _cmd_spectrum(args) -> int:
         "N": lat.N,
         "bc": lat.bc,
         "matter": args.matter,
-        "cutoff": int(args.cutoff),
+        "cutoff": args.cutoff,
         "seed": args.seed,
         **rep.as_dict(),
     }
@@ -375,23 +400,19 @@ def _cmd_compare(args) -> int:
 
     lat = _lattice(args)
     params = _model_params(args)
-    schedule = args.schedule.split(",") if isinstance(args.schedule, str) else args.schedule
-    try:
-        schedule = tuple(int(x) for x in schedule)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"schedule needs integer cutoffs: {exc}") from exc
+    schedule = _integers(args.schedule, "schedule")
     try:
         cfg = spx.CompareConfig(
             lattice=lat,
             params=params,
             matter=args.matter,
-            n_max=int(args.n_max),
+            n_max=args.n_max,
             sector=args.sector,
-            cutoff_ratio=int(args.ratio),
+            cutoff_ratio=args.ratio,
             static_charges=params.static_charges,
             tolerance=float(args.tolerance),
         )
-        rep = spx.compare_formulations(cfg, k=int(args.k), schedule=schedule, seed=args.seed)
+        rep = spx.compare_formulations(cfg, k=args.k, schedule=schedule, seed=args.seed)
     except (ValueError, hilbert.MemoryGuardError) as exc:
         raise ConfigError(str(exc)) from exc
     except spx.ResidualError as exc:
@@ -412,29 +433,15 @@ def _cmd_dump_op(args) -> int:
     names = lx.operator_names()
     if args.name not in names:
         raise ConfigError(f"unknown operator {args.name!r}; choose from {sorted(names)}")
-    op = lx.operator_map(lat, args.name)
-    target = os.path.abspath(args.out) if args.out not in (None, "-") else None
-    directory = os.path.dirname(target) if target else tempfile.gettempdir()
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dualqed-", suffix=".tmp")
-    os.close(fd)
-    try:
-        op.to_coo_csv(tmp)
-        if target is None:
-            with open(tmp) as fh:
-                sys.stdout.write(fh.read())
-            os.unlink(tmp)
-        else:
-            os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_text(args.out, lx.operator_map(lat, args.name).coo_csv())
     return 0
 
 
 # --- argument wiring ---------------------------------------------------------
 
 _LATTICE_KEYS = {"dim", "N", "bc"}
+_INTEGER_KEYS = {"dim", "N", "direction", "cutoff", "global_cutoff", "n_max", "k", "ratio", "seed", "threads"}
+_OPTIONAL_KEYS = {"global_cutoff", "threads"}  # null stands for the default
 _MODEL_KEYS = {"matter", "cutoff", "global_cutoff", "n_max", "g2", "t", "m", "static_charges", "formulation"}
 
 

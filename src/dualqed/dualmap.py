@@ -5,21 +5,19 @@ plaquette plus (periodic lattices) one winding variable per direction.  The
 embedding that reconstructs a link field from dual coordinates is the
 backward curl extended by axis-line columns:
 
-    E = curl(L) + axis(L_global).
+    E = emb(L) = curl(L) + axis(L_global).
 
-Composing the circulation + winding functionals with that embedding yields
-the symmetric integer interaction matrix D: plaquette rows carry the
-negative plaquette-grid Laplacian corrected by boundary-seam terms, global
-rows mix the winding variables with the seam plaquettes, and (on periodic
-lattices) the all-ones plaquette vector spans part of its kernel — the
-residual constraint content of the dual description.
-
-The quadratic electric energy in dual variables is governed by two forms:
-``A0 = emb^T emb`` acting on potentials, and the condensed kernel
-``Gtilde = D+ A0 D+`` acting on the conjugate (flux + winding) variables.
-The two give identical energies on consistent data (the `checks` entry
-``quadratic_form_equivalence``); neither carries the coupling constant,
-which the Hamiltonian layer applies.
+Its transpose reads the conjugate variables of a link field, the plaquette
+circulations and the axis winding sums.  One symmetric integer form follows,
+D = emb^T emb, and every quadratic object of the dual description reads it:
+the electric energy of a potential is L^T D L, the conjugate fluxes of a
+potential are D L, the Coulomb kernel on fluxes is its pseudo-inverse D+
+(`modified_greens`), and the flux classes are the cosets of D Z^n.  On
+plaquette rows D is the negative plaquette-grid Laplacian corrected by
+boundary-seam terms, global rows mix the winding variables with the seam
+plaquettes, and its kernel is spanned by the constraints of `constraint_set`
+— the residual constraint content of the dual description.  No form carries
+the coupling constant, which the Hamiltonian layer applies.
 
 Degree-of-freedom audits count independent constraints on both sides of the
 duality in exact integer arithmetic.
@@ -33,13 +31,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import rational
-from .helmholtz import dual_coordinate_map
+from .greens import greens_plaquettes_obc
 from .lattice import (
     Lattice,
     axis_indicator_matrix,
     cached,
     cube_flux_matrix,
-    curl_link_to_plaq_matrix,
     curl_plaq_to_link_matrix,
     divergence_matrix,
     link_index,
@@ -89,49 +86,40 @@ def winding_map(lat: Lattice) -> sp.csr_matrix:
 
 @cached
 def flux_and_winding_map(lat: Lattice) -> sp.csr_matrix:
-    """Circulation rows stacked over winding rows: the dual conjugate extractor."""
-    C = curl_link_to_plaq_matrix(lat)
-    if lat.periodic:
-        return sp.vstack([C, winding_map(lat)]).tocsr()
-    return C.tocsr()
+    """emb^T: circulation rows stacked over winding rows, the dual conjugate extractor."""
+    return dual_embedding(lat).matrix.T.tocsr()
 
 
 @cached
 def d_matrix(lat: Lattice) -> sp.csr_matrix:
-    """Symmetric integer form: (flux + winding) of the embedding of each coordinate.
+    """The dual form D = emb^T emb, symmetric and integer.
 
     Acting on a dual potential it returns the conjugate fluxes of the
-    embedded link field; its rows double as integer exponent stencils for
-    the compact dual Hamiltonian.
+    embedded link field, as a quadratic form it is the electric energy of
+    that field, and its rows double as integer exponent stencils for the
+    compact dual Hamiltonian.
     """
-    return (flux_and_winding_map(lat) @ dual_embedding(lat).matrix).tocsr()
-
-
-@cached
-def transverse_energy_form(lat: Lattice) -> sp.csr_matrix:
-    """A0 = emb^T emb: electric energy form on dual potentials (no coupling)."""
     emb = dual_embedding(lat).matrix
     return (emb.T @ emb).tocsr()
 
 
 @cached
 def modified_greens(lat: Lattice, exact: bool = False):
-    """Condensed energy kernel Gtilde = D+ A0 D+ on (flux, winding) vectors.
+    """Coulomb kernel D+ on (flux, winding) vectors, the pseudo-inverse of D.
 
-    With 2D open boundaries D is the (invertible) modified plaquette
-    Laplacian and Gtilde is its true inverse; elsewhere the pseudo-inverse
-    handles the constraint kernel, and energies agree with the A0 route on
-    all consistent data because ker D lies inside ker A0.  ``exact=True``
-    gives the Fraction matrix as row tuples.
+    With 2D open boundaries D is minus the modified plaquette Laplacian,
+    which is invertible, and D+ is its Green's table (`greens_plaquettes_obc`);
+    elsewhere the pseudo-inverse annuls the constraint kernel of D.  The
+    open-boundary potential solve of `helmholtz` reads the same matrix.
+    ``exact=True`` gives the Fraction matrix as row tuples.
     """
+    if lat.dim == 2 and not lat.periodic:
+        table = greens_plaquettes_obc(lat, exact=exact)
+        return table.exact if exact else table.values
     D = d_matrix(lat).toarray()
-    A0 = transverse_energy_form(lat).toarray()
     if exact:
-        Dp = rational.pseudo_inverse_symmetric(D)
-        G = rational.matmul(rational.matmul(Dp, rational._as_rows(A0)), Dp)
-        return tuple(map(tuple, G))  # shared: immutable
-    Dp = np.linalg.pinv(D.astype(float))
-    return Dp @ A0 @ Dp
+        return tuple(map(tuple, rational.pseudo_inverse_symmetric(D)))  # shared: immutable
+    return np.linalg.pinv(D.astype(float))
 
 
 @cached
@@ -199,32 +187,18 @@ def dof_report(lat: Lattice) -> dict:
     }
 
 
-@cached
-def canonical_pairing_matrix(lat: Lattice) -> np.ndarray:
-    """Pairing of conjugate fluxes with dual-coordinate extraction.
-
-    Rows: flux/winding functionals; columns: dual-coordinate responses.
-    Open 2D boundaries give the exact identity.  Periodic lattices give the
-    identity on the zero-sum flux sector: the plaquette block is
-    1 - J/n_plaqs, cross blocks vanish or are constant along rows, and the
-    winding block is exactly 1.
-    """
-    T = dual_coordinate_map(lat)
-    return (flux_and_winding_map(lat) @ T.T).astype(float)
-
-
 # --- integer flux-class structure -------------------------------------------
 #
 # A link field with integer values and divergence rho maps to the flux/winding
-# vector  v = [circulation; winding] E.  Over all integer solutions at fixed
-# rho, v ranges over one coset of the integer lattice generated by the
-# flux/winding images of the elementary divergence-free fields (plaquette
-# loops, plus axis lines on periodic lattices).  The coset label is a
-# conserved quantity of the flux-variable Hamiltonian: plaquette-loop ladders
-# shift v by lattice vectors, and a hop along link l shifts v by
-# [circulation; winding] delta_l while moving the charge consistently.  Only
-# one coset per charge configuration corresponds to integer link fields; the
-# rest are unphysical copies, so spectral comparisons must match cosets.
+# vector  v = emb^T E.  Over all integer solutions at fixed rho, v ranges over
+# one coset of the integer lattice generated by the flux/winding images of the
+# elementary divergence-free fields.  Those fields (plaquette loops, plus axis
+# lines on periodic lattices) are the columns of emb, so the lattice is
+# D·Z^n.  The coset label is a conserved quantity of the flux-variable
+# Hamiltonian: plaquette-loop ladders shift v by lattice vectors, and a hop
+# along link l shifts v by emb^T delta_l while moving the charge consistently.
+# Only one coset per charge configuration corresponds to integer link fields;
+# the rest are unphysical copies, so spectral comparisons must match cosets.
 
 
 @cached
@@ -276,25 +250,11 @@ def integer_tree_flow_matrix(lat: Lattice) -> np.ndarray:
 
 
 @cached
-def loop_field_basis(lat: Lattice) -> np.ndarray:
-    """Integer generators of divergence-free link fields.
-
-    Columns: one elementary circulation loop per plaquette (rows of the
-    forward curl, read as link fields) plus, on periodic lattices, one
-    straight winding line per direction.
-    """
-    cols = [curl_link_to_plaq_matrix(lat).toarray().T.astype(np.int64)]
-    if lat.periodic:
-        cols.append(axis_indicator_matrix(lat).toarray().astype(np.int64))
-    return np.hstack(cols)
-
-
-@cached
 def flux_offset_map(lat: Lattice) -> np.ndarray:
     """Integer map from a neutral charge vector to its flux-class offset.
 
-    Offset = [circulation; winding] applied to the spanning-tree solution of
-    the Gauss equation; defined modulo the flux-class lattice.
+    Offset = emb^T applied to the spanning-tree solution of the Gauss
+    equation; defined modulo the flux-class lattice.
     """
     fw = flux_and_winding_map(lat).toarray().astype(np.int64)
     return fw @ integer_tree_flow_matrix(lat)
@@ -302,11 +262,9 @@ def flux_offset_map(lat: Lattice) -> np.ndarray:
 
 @cached
 def _flux_class_snf(lat: Lattice):
-    """Smith form (U, D, V) of the flux-class lattice, as tuples of row
+    """Smith form (U, D, V) of the flux-class lattice D·Z^n, as tuples of row
     tuples: the cached result is shared, so it must not be mutable."""
-    fw = flux_and_winding_map(lat).toarray().astype(np.int64)
-    span = fw @ loop_field_basis(lat)
-    return tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(span))
+    return tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(d_matrix(lat).toarray()))
 
 
 def flux_class_contains(lat: Lattice, vec) -> bool:

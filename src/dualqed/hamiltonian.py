@@ -20,12 +20,12 @@ through the choice of Gauss sector.
 Compact dual description (``plaqs_M`` spaces, 2D): the gauge content is one
 flux rotor per plaquette plus, on periodic lattices, two winding rotors.
 Both Coulomb pieces are diagonal — the matter charge pairs through the site
-Green's table, the flux/winding variables through the condensed energy
-kernel — while the magnetic term steps the rotors by a row of the
-interaction matrix ``D`` and the hopping by a row of the dual embedding.
-That reuse is deliberate: the operator content of the compact theory is
-exactly the integer stencil content of the linear maps, so the two layers
-cannot drift apart.
+Green's table, the flux/winding variables through ``D+``, the pseudo-inverse
+of the dual form ``D = emb^T emb`` — while the magnetic term steps the
+rotors by a row of ``D`` itself and the hopping by a row of the dual
+embedding.  That reuse is deliberate: the operator content of the compact
+theory is exactly the integer stencil content of the linear maps, so the
+two layers cannot drift apart.
 
 The continuous dual description has no independent operator content at the
 quadratic level; its defining identities (energy-form equivalence,

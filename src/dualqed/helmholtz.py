@@ -9,11 +9,13 @@ periodic lattices — a uniform piece living on the noncontractible loops):
 The plaquette potential has three layers:
 
 - ``L_plaq``: Green's function applied to the circulation of F.  Periodic
-  lattices use the zero-row-sum grid table; 2D open lattices use the true
-  inverse of the modified plaquette Laplacian; 3D open lattices solve the
-  (singular but consistent) curl-curl normal system with its pseudo-inverse,
-  since the componentwise modified inverse fails to reconstruct at open
-  boundaries in 3D.
+  lattices use the zero-row-sum grid table.  Open lattices use the Coulomb
+  kernel D+ of `dualmap.modified_greens`: there the embedding is the
+  backward curl, so D = C C^T is the curl-curl normal system, whose
+  pseudo-inverse solves it where it is consistent.  In 2D that is the true
+  inverse of the modified plaquette Laplacian; in 3D D is singular, and the
+  componentwise modified inverse would fail to reconstruct at open
+  boundaries.
 - ``L_const`` (periodic only): a fixed ramp pattern that spreads each
   direction's mean field through the transverse directions, lower transverse
   axis first.  Its curl reproduces the constant field away from the seam and
@@ -43,11 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational
-from .greens import (
-    greens_plaquette_grid,
-    greens_plaquettes_obc,
-    greens_sites,
-)
+from .dualmap import flux_and_winding_map, modified_greens
+from .greens import greens_plaquette_grid, greens_sites
 from .lattice import (
     FieldVector,
     Lattice,
@@ -146,34 +145,17 @@ def ramp_matrix(lat: Lattice) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@cached
-def _curl_curl_pinv(lat: Lattice) -> np.ndarray:
-    """Pseudo-inverse of C C^T for the 3D open-boundary potential solve."""
-    C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
-    return np.linalg.pinv(C @ C.T)
-
-
-@cached
-def _curl_curl_pinv_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
-    C = curl_link_to_plaq_matrix(lat).toarray()
-    return tuple(map(tuple, rational.pseudo_inverse_symmetric(C @ C.T)))  # shared: immutable
-
-
 def _potential_solver_matrix(lat: Lattice) -> np.ndarray:
     """Dense matrix mapping a plaquette circulation to L_plaq."""
     if lat.periodic:
         return greens_plaquette_grid(lat).values
-    if lat.dim == 2:
-        return greens_plaquettes_obc(lat).values
-    return _curl_curl_pinv(lat)
+    return modified_greens(lat)
 
 
 def _potential_solver_exact(lat: Lattice) -> Sequence[Sequence[Fraction]]:
     if lat.periodic:
         return greens_plaquette_grid(lat, exact=True).exact
-    if lat.dim == 2:
-        return greens_plaquettes_obc(lat, exact=True).exact
-    return _curl_curl_pinv_exact(lat)
+    return modified_greens(lat, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +194,7 @@ def dual_coordinate_map(lat: Lattice) -> np.ndarray:
     Rows: plaquette coordinates (L_plaq + L_const), then — periodic only —
     the global loop coordinates.  Column n is the shift table of link n.
     This is the linear map whose pairing with the circulation + winding
-    functionals is canonical.
+    functionals emb^T is canonical (`canonical_pairing_matrix`).
     """
     L, loops = _dual_coordinates(lat, np.eye(lat.n_links))
     return L if loops is None else np.vstack([L, loops])
@@ -312,7 +294,7 @@ def shift_reconstruction_residual(table: ShiftTable) -> float:
 
 
 def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
-    """Evaluate P_T F through the shift tables: T^T [circulation; winding](F).
+    """Evaluate P_T F through the shift tables: T^T emb^T F.
 
     Pairs each link's plaquette shifts with the circulation of F and its
     global shifts with the axis winding sums of F — the contraction pattern
@@ -320,7 +302,17 @@ def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
     with the projector applied directly (`checks`:
     ``shift_pairing_reproduces_transverse_part``).
     """
-    fluxes = curl_link_to_plaq_matrix(lat) @ F.values
-    if lat.periodic:
-        fluxes = np.concatenate([fluxes, axis_indicator_matrix(lat).T @ F.values])
-    return dual_coordinate_map(lat).T @ fluxes
+    return dual_coordinate_map(lat).T @ (flux_and_winding_map(lat) @ F.values)
+
+
+@cached
+def canonical_pairing_matrix(lat: Lattice) -> np.ndarray:
+    """Pairing of conjugate fluxes with dual-coordinate extraction: emb^T T^T.
+
+    Rows: flux/winding functionals; columns: dual-coordinate responses.
+    Open 2D boundaries give the exact identity.  Periodic lattices give the
+    identity on the zero-sum flux sector: the plaquette block is
+    1 - J/n_plaqs, cross blocks vanish or are constant along rows, and the
+    winding block is exactly 1.
+    """
+    return (flux_and_winding_map(lat) @ dual_coordinate_map(lat).T).astype(float)

@@ -358,19 +358,17 @@ class LinearMap:
     codomain: str
     matrix: sp.csr_matrix
 
-    def to_coo_csv(self, path) -> None:
-        """Write coordinate triplets with a one-line identifying header."""
+    def coo_csv(self) -> str:
+        """Coordinate triplets under a one-line identifying header."""
         coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
-            fh.write(
-                f"# operator={self.name} dim={self.lattice.dim} N={self.lattice.N} "
-                f"bc={self.lattice.bc} shape={self.matrix.shape[0]}x{self.matrix.shape[1]} "
-                f"domain={self.domain} codomain={self.codomain}\n"
-            )
-            fh.write("row,col,value\n")
-            for n in order:
-                fh.write(f"{coo.row[n]},{coo.col[n]},{coo.data[n]}\n")
+        header = (
+            f"# operator={self.name} dim={self.lattice.dim} N={self.lattice.N} "
+            f"bc={self.lattice.bc} shape={self.matrix.shape[0]}x{self.matrix.shape[1]} "
+            f"domain={self.domain} codomain={self.codomain}\n"
+            "row,col,value\n"
+        )
+        rows = (f"{coo.row[n]},{coo.col[n]},{coo.data[n]}\n" for n in np.lexsort((coo.col, coo.row)))
+        return header + "".join(rows)
 
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:

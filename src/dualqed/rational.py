@@ -10,8 +10,8 @@ so results are deterministic.  Row updates are fraction-free and each
 updated row is divided by the gcd of its entries.  Incidence and curl
 matrices are totally unimodular, so fill and entry growth stay small.
 
-`kernel_dimension` counts the nullspace of the Laplacian-like forms D and
-A0, where fraction-free entries grow past a thousand bits, without that
+`kernel_dimension` counts the nullspace of the Laplacian-like dual form D,
+where fraction-free entries grow past a thousand bits, without that
 elimination.  The caller supplies integer rows known to span the kernel
 (the dual constraints), and the count is certified by two bounds that
 meet:

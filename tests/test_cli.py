@@ -354,6 +354,25 @@ def test_compare_rejects_non_finite_values(bad, capsys):
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
 
 
+# Config values read as integers that are not integers: each one ran at a
+# truncated value (or failed with a bare TypeError) before it was refused.
+NON_INTEGRAL_CONFIG = [
+    (["dof"], {"dim": 2.5}),
+    (["dof"], {"N": 2.7}),
+    (["dof"], {"N": True}),
+    (["shifts", "--site", "0,0", "--direction", "0"], {"direction": 1.9}),
+    (["shifts", "--site", "0,0", "--direction", "0"], {"site": [0.5, 0]}),
+    (["build", "--formulation", "electric"], {"cutoff": 1.5}),
+    (["build", "--formulation", "flux"], {"global_cutoff": 1.5}),
+    (["build", "--matter", "truncated_boson"], {"n_max": 1.5}),
+    (["spectrum", "--formulation", "electric"], {"k": 2.9}),
+    (["compare", "--schedule", "1"], {"ratio": 4.5}),
+    (["compare", "--ratio", "4"], {"schedule": [2.5, 4]}),
+    (["check-maps"], {"seed": 1.5}),
+    (["dof"], {"threads": 1.5}),
+]
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -363,17 +382,22 @@ def test_compare_rejects_non_finite_values(bad, capsys):
         (["shifts", "--site", "1,x", "--direction", "0"], None),
         (["shifts", "--site", "0,0", "--direction", "0"], {"direction": "x"}),
         (["shifts", "--site", "0,0", "--direction", "0"], {"site": [0, "x"]}),
-    ],
+    ]
+    + NON_INTEGRAL_CONFIG,
     ids=[
         "schedule", "static-charges", "config-cutoff",
         "shifts-site", "shifts-config-direction", "shifts-config-site",
-    ],
+    ]
+    + [f"{argv[0]}-config-{key}={json.dumps(v, separators=(',', ':'))}" for argv, c in NON_INTEGRAL_CONFIG for key, v in c.items()],
 )
-def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys):
-    """A number that does not parse exits 2 like any bad setting, not 1
-    with a bare ValueError."""
+def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys, monkeypatch):
+    """A number that does not parse, or a config value read as an integer
+    that is not one, exits 2 like any bad setting: not 1 with a bare
+    ValueError or TypeError, and not 0 after truncating it."""
     from dualqed import cli
 
+    for var in cli._THREAD_VARS:  # restored after the test, whatever the command set
+        monkeypatch.delenv(var, raising=False)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -381,7 +405,52 @@ def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys):
     assert cli.main(argv + ["--dim", "2", "--N", "1", "--bc", "open"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "config"
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    if config is not None:
+        assert next(iter(config)) in err["message"]
+
+
+def test_integral_float_config_value_matches_the_flag(tmp_path, capsys):
+    from dualqed import cli
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"N": 2.0}))
+    assert cli.main(["dof", "--dim", "2", "--N", "1", "--bc", "open", "--config", str(path)]) == 0
+    via_config = capsys.readouterr().out
+    assert cli.main(["dof", "--dim", "2", "--N", "2", "--bc", "open"]) == 0
+    assert capsys.readouterr().out == via_config
+
+
+def test_schema_refuses_the_non_integral_config_values():
+    """The run-config schema and the parser agree on what an integer is."""
+    jsonschema = pytest.importorskip("jsonschema")
+    import pathlib
+
+    schema_dir = pathlib.Path(__file__).resolve().parents[1] / "schemas"
+    schema = json.loads((schema_dir / "run_config.schema.json").read_text())
+    for _, config in NON_INTEGRAL_CONFIG:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(config, schema)
+    jsonschema.validate({"N": 2.0}, schema)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--N", "1", "--site", "1,1"], "no such link"),
+        (["--N", "15", "--site", "0,0", "--exact"], "exact rational mode supports up to 200 cells, got 225"),
+    ],
+    ids=["missing-link", "exact-cap"],
+)
+def test_shifts_config_errors_name_their_cause(argv, message, capsys):
+    """Only a missing link reads as one; the exact-size cap passes its own message."""
+    from dualqed import cli
+
+    assert cli.main(["shifts", "--dim", "2", "--bc", "open", "--direction", "0"] + argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert message in err["message"]
 
 
 def test_bad_thread_env_is_a_config_error():

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualqed import rational
 from dualqed.dualmap import (
+    _flux_class_snf,
     constraint_set,
     d_matrix,
     dof_report,
@@ -16,12 +18,10 @@ from dualqed.dualmap import (
     flux_class_contains,
     flux_offset_map,
     integer_tree_flow_matrix,
-    loop_field_basis,
     modified_greens,
-    transverse_energy_form,
     winding_map,
 )
-from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, divergence_matrix
+from dualqed.lattice import Lattice, axis_indicator_matrix, curl_link_to_plaq_matrix, divergence_matrix
 
 from conftest import GEOMETRIES, GEOMETRIES_2D, assert_entries_hold, entry_test, geometry_id
 
@@ -78,20 +78,18 @@ test_quadratic_form_equivalence = entry_test("quadratic_form_equivalence", geome
 
 @pytest.mark.parametrize("lat", [g for g in GEOMETRIES if not g.periodic], ids=geometry_id)
 def test_open_lattice_energy_form_is_curl_curl(lat):
-    """Without windings the embedding is the backward curl, so A0 = C C^T in integers."""
+    """Without windings the embedding is the backward curl, so D = C C^T in integers."""
     C = curl_link_to_plaq_matrix(lat).toarray()
-    assert np.array_equal(transverse_energy_form(lat).toarray(), C @ C.T)
+    assert np.array_equal(d_matrix(lat).toarray(), C @ C.T)
 
 
 def test_modified_greens_exact_is_rational_inverse():
     lat = Lattice(2, 2, "open")
     G = modified_greens(lat, exact=True)
-    D = d_matrix(lat).toarray()
-    A = transverse_energy_form(lat).toarray()
-    # G~ must satisfy  D G~ D = A  exactly (both sides rational)
-    DG = rational.matmul(rational._as_rows(D), G)
-    DGD = rational.matmul(DG, rational._as_rows(D))
-    assert DGD == rational._as_rows(A)
+    D = rational._as_rows(d_matrix(lat).toarray())
+    # G is the pseudo-inverse of D: D G D = D and G D G = G exactly
+    assert rational.matmul(rational.matmul(D, G), D) == D
+    assert rational.matmul(rational.matmul(G, D), G) == rational._as_rows(G)
 
 
 test_canonical_pairing_structure = entry_test(
@@ -127,7 +125,8 @@ def test_tree_flow_solves_gauss_equation(lat):
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_loop_field_basis_is_divergence_free(lat):
-    B = loop_field_basis(lat)
+    """The columns of the embedding are plaquette loops and axis lines."""
+    B = dual_embedding(lat).matrix.toarray()
     div = divergence_matrix(lat).toarray()
     assert np.abs(div @ B).max() == 0
     n_expected = lat.n_plaqs + lat.n_global_loops
@@ -174,8 +173,8 @@ def test_flux_class_congruences_decide_membership(lat, rng):
     in the class lattice; checked on members and on unit perturbations."""
     w, d = flux_class_congruences(lat)
     assert np.all(d != 1) and np.all(d >= 0)
-    fw = flux_and_winding_map(lat).toarray().astype(np.int64)
-    cases = [fw @ loop_field_basis(lat) @ rng.integers(-3, 4, loop_field_basis(lat).shape[1]) for _ in range(10)]
+    D = d_matrix(lat).toarray()
+    cases = [D @ rng.integers(-3, 4, D.shape[1]) for _ in range(10)]
     cases += [v + np.eye(len(v), dtype=np.int64)[rng.integers(len(v))] for v in cases]
     cases += [rng.integers(-5, 6, len(cases[0])) for _ in range(20)]
     for v in cases:
@@ -198,3 +197,68 @@ def test_winding_map_counts_axis_crossings():
         got = w @ line
         assert got[i] == lat.N
         assert got[1 - i] == 0
+
+
+# --- the one dual form against the separate constructions it replaced -------
+#
+# The flux/winding extractor, the energy form, the loop-field basis and the
+# condensed kernel used to be built on their own.  These copies of the old
+# constructions pin the single form D = emb^T emb to each of them.
+
+FORM_GEOMETRIES = GEOMETRIES + [Lattice(d, n, bc) for d, n in ((2, 8), (3, 3)) for bc in ("open", "periodic")]
+
+
+def _separate_flux_and_winding(lat):
+    C = curl_link_to_plaq_matrix(lat)
+    if lat.periodic:
+        return sp.vstack([C, axis_indicator_matrix(lat).T]).tocsr()
+    return C.tocsr()
+
+
+def _separate_loop_basis(lat):
+    cols = [curl_link_to_plaq_matrix(lat).toarray().T.astype(np.int64)]
+    if lat.periodic:
+        cols.append(axis_indicator_matrix(lat).toarray().astype(np.int64))
+    return np.hstack(cols)
+
+
+def _condensed_kernel(lat, exact=False):
+    """D+ A0 D+ with D = fw·emb and A0 = emb^T·emb built separately."""
+    emb = dual_embedding(lat).matrix
+    D = (_separate_flux_and_winding(lat) @ emb).toarray()
+    A0 = (emb.T @ emb).toarray()
+    if exact:
+        Dp = rational.pseudo_inverse_symmetric(D)
+        return tuple(map(tuple, rational.matmul(rational.matmul(Dp, rational._as_rows(A0)), Dp)))
+    Dp = np.linalg.pinv(D.astype(float))
+    return Dp @ A0 @ Dp
+
+
+@pytest.mark.parametrize("lat", FORM_GEOMETRIES, ids=geometry_id)
+def test_dual_form_is_every_separate_construction(lat):
+    emb = dual_embedding(lat).matrix.toarray()
+    fw = _separate_flux_and_winding(lat).toarray()
+    D = d_matrix(lat).toarray()
+    assert D.dtype.kind == emb.dtype.kind == fw.dtype.kind == "i"
+    assert np.array_equal(fw, emb.T)
+    assert np.array_equal(flux_and_winding_map(lat).toarray(), emb.T)
+    assert np.array_equal(_separate_loop_basis(lat), emb)
+    assert np.array_equal(fw @ emb, D)
+    assert np.array_equal(emb.T @ emb, D)
+
+
+@pytest.mark.parametrize("lat", FORM_GEOMETRIES, ids=geometry_id)
+def test_modified_greens_matches_condensed_kernel(lat):
+    old = _condensed_kernel(lat)
+    assert np.abs(modified_greens(lat) - old).max() <= 1e-14 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_exact_modified_greens_matches_condensed_kernel(lat):
+    assert modified_greens(lat, exact=True) == _condensed_kernel(lat, exact=True)
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES_2D, ids=geometry_id)
+def test_flux_class_smith_form_matches_loop_basis_span(lat):
+    span = _separate_flux_and_winding(lat).toarray().astype(np.int64) @ _separate_loop_basis(lat)
+    assert _flux_class_snf(lat) == tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(span))

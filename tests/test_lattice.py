@@ -185,7 +185,7 @@ def test_operator_registry_round_trip(tmp_path):
     op = operator_map(lat, "divergence")
     assert np.array_equal(op.matrix.toarray(), divergence_matrix(lat).toarray())
     out = tmp_path / "div.csv"
-    op.to_coo_csv(out)
+    out.write_text(op.coo_csv())
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# operator=divergence dim=2 N=2 bc=open")
     assert lines[1] == "row,col,value"
