@@ -205,7 +205,6 @@ CHECKS: tuple[Check, ...] = (
     Check("shift_pairing_reproduces_transverse_part", _always, _shift_pairing, 1e-10, draws=5),
     Check("dual_kernel_matches_constraint_count", _always, _dual_kernel_count, 0),
     Check("positive_semidefinite", _always, _positive_semidefinite, 1e-10),
-    Check("energy_form_kernel_dimension", _always, _dual_kernel_count, 0),
 )
 
 

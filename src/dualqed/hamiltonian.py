@@ -5,8 +5,9 @@ stencils read off the lattice maps, and the code says so once: each builder
 supplies only its diagonal, computed from the basis configurations, and the
 integer rows its off-diagonal terms step by.  A term is a coefficient, a
 stencil row, and for the hopping the pair of sites one unit of charge moves
-between; one shared builder passes each to `hilbert.apply_term` and adds
-the transpose, so every matrix is real.
+between; one shared builder gathers every term's triplets from
+`hilbert.apply_term`, with their mirrors, into one sparse assembly, so every
+matrix is real and symmetric.
 
 Electric description (``links_E`` spaces):
 
@@ -129,11 +130,24 @@ def _sector_hamiltonian(
         for (x, i), row in zip(links(lat), _stencil_rows(hop_rows)):
             hop = (site_index(lat, x), site_index(lat, shift_site(lat, x, i, +1)))
             terms.append((params.t, row, hop))
-    H = sp.diags(diag, format="csr", shape=(basis.dim, basis.dim))
+    rows, cols, vals = _mirrored_triplets(basis, diag, terms)
+    H = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    H.eliminate_zeros()
+    return H
+
+
+def _mirrored_triplets(basis: hilbert.BasisMap, diag: np.ndarray, terms):
+    """One COO's rows, cols and values: the diagonal, every term's triplets
+    scaled by its coefficient, then their mirrors.  The per-term pieces are
+    freed on return, before the caller converts to CSR."""
+    at = [np.arange(basis.dim, dtype=np.int32)]
+    rows, cols, vals = [], [], []
     for coeff, (cells, steps), hop in terms:
-        A = hilbert.apply_term(basis, cells, steps, hop)
-        H = H + coeff * (A + A.T)
-    return H.tocsr()
+        r, c, a = hilbert.apply_term(basis, cells, steps, hop)
+        rows.append(r.astype(np.int32))
+        cols.append(c.astype(np.int32))
+        vals.append(coeff * a)
+    return np.concatenate(at + rows + cols), np.concatenate(at + cols + rows), np.concatenate([diag] + vals + vals)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +161,8 @@ def h_original(spec: hilbert.HilbertSpec, params: ModelParams, basis: hilbert.Ba
         raise ValueError("h_original needs a links_E space")
     params = params.validated(spec.lattice)
     lat = spec.lattice
-    levels = hilbert.gauge_level_diagonals(basis)
-    diag = 0.5 * params.g2 * np.sum(levels**2, axis=0)
+    # no name holds the (n_links, dim) levels, so they are freed before the assembly
+    diag = 0.5 * params.g2 * np.sum(hilbert.gauge_level_diagonals(basis) ** 2, axis=0)
     units = sp.identity(lat.n_links, dtype=np.int64, format="csr")
     return _sector_hamiltonian(params, basis, diag, curl_link_to_plaq_matrix(lat), units)
 

@@ -45,15 +45,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational
-from .dualmap import flux_and_winding_map, modified_greens
+from .dualmap import dual_embedding, flux_and_winding_map, modified_greens
 from .greens import greens_plaquette_grid, greens_sites
 from .lattice import (
     FieldVector,
     Lattice,
-    axis_indicator_matrix,
     cached,
     curl_link_to_plaq_matrix,
-    curl_plaq_to_link_matrix,
     direction_sum_matrix,
     divergence_matrix,
     gradient_matrix,
@@ -225,14 +223,13 @@ def helmholtz_decompose(lat: Lattice, F: FieldVector) -> Decomposition:
 
 
 def reconstruct_transverse(potential: FieldVector) -> FieldVector:
-    """curl(L) plus the axis embedding of the global loop values."""
+    """The dual embedding applied to [L; global loop values]: curl(L) plus
+    the axis lines of the global values (taken as 0 when absent)."""
     if potential.kind != "plaquette":
         raise ValueError("reconstruction needs a plaquette potential")
     lat = potential.lattice
-    vals = curl_plaq_to_link_matrix(lat) @ potential.values
-    if potential.global_values is not None:
-        vals = vals + axis_indicator_matrix(lat) @ potential.global_values
-    return FieldVector(lat, "link", vals)
+    loops = np.zeros(lat.n_global_loops) if potential.global_values is None else potential.global_values
+    return FieldVector(lat, "link", dual_embedding(lat).matrix @ np.concatenate([potential.values, loops]))
 
 
 @cached

@@ -14,12 +14,13 @@ integer.  `sector_basis` enumerates the sector directly, factor by factor,
 dropping partial configurations as soon as a row can no longer hold, so
 its cost follows the sector rather than the product space.  Every
 off-diagonal term of both Hamiltonians is built by one kernel,
-`apply_term`: it steps the rotor levels of the configurations by an
-integer stencil row, optionally moves one unit of charge between two
-matter sites, and looks each target state up among the basis indices (the
-lookup-table technique of H. Q. Lin, PRB 42, 6561 (1990)).  The result is
-the sector matrix directly; no operator is ever built on the whole product
-space unless the basis is the whole product space.
+`apply_term`: it steps the rotor levels by an integer stencil row,
+optionally moves one unit of charge between two matter sites, and finds
+each target by index arithmetic (a level step moves the product index by
+a multiple of the factor's stride), then looks it up among the basis
+indices (the lookup-table technique of H. Q. Lin, PRB 42, 6561 (1990)).
+It returns the (row, col, amplitude) triplets of the matrix on the basis
+and copies no configuration; nothing is built on a larger space.
 
 Gauge cells carry truncated rotors: integer levels -cutoff..+cutoff with
 ladder steps that *annihilate* at the ends rather than wrap.  On interior
@@ -262,59 +263,58 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     return BasisMap(spec, indices[sort], configs[sort])
 
 
-def apply_term(basis: BasisMap, cells, steps, hop: tuple[int, int] | None = None) -> sp.csr_matrix:
-    """Matrix on a basis of one off-diagonal term; the caller adds its transpose.
+def apply_term(basis: BasisMap, cells, steps, hop: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, amps)`` of one off-diagonal term on a basis; the caller
+    adds the mirrored triplets, the transpose.
 
     Gauge (then global) cell ``cells[j]`` steps its level by ``steps[j]``, all
     in one shift under the box 0 <= level < dim: a ladder annihilates at the
     end of its window, and a stored zero step is the identity.  With
     ``hop = (x, y)`` one unit of charge then moves from matter site y to site
-    x, a charge step at y followed by one at x (`_charge_step`).  Each target
-    state is looked up among the basis indices by ``searchsorted``, and
-    targets outside the basis are dropped.
+    x, a charge step at y followed by one at x (`_charge_step`).  A step moves
+    the product index by step * stride (the C-order radix weights of the
+    dims); targets are looked up among the basis indices, those outside dropped.
     """
     spec = basis.spec
+    strides = np.cumprod([1] + spec.dims[:0:-1])[::-1]
     pos = spec.n_matter + np.asarray(cells, dtype=np.int64)
-    levels = basis.configs[:, pos] + np.asarray(steps, dtype=np.int64)
-    (cols,) = np.nonzero(np.all((levels >= 0) & (levels < np.asarray(spec.dims)[pos]), axis=1))
-    configs = basis.configs[cols]
-    configs[:, pos] = levels[cols]
+    steps = np.asarray(steps, dtype=np.int64)
+    levels = basis.configs[:, pos]
+    (cols,) = np.nonzero(np.all((levels >= -steps) & (levels < np.asarray(spec.dims)[pos] - steps), axis=1))
+    keys = basis.indices[cols] + steps @ strides[pos]
     amps = np.ones(len(cols))
     if hop is not None:
         x, y = hop
-        cols, configs, amps = _charge_step(spec, y, -1, cols, configs, amps)
-        cols, configs, amps = _charge_step(spec, x, +1, cols, configs, amps)
-    keys = np.ravel_multi_index(tuple(configs.T), spec.dims)
-    rows = np.searchsorted(basis.indices, keys)
-    hit = rows < basis.dim
-    hit[hit] = basis.indices[rows[hit]] == keys[hit]
-    return sp.csr_matrix((amps[hit], (rows[hit], cols[hit])), shape=(basis.dim, basis.dim))
+        cols, keys, amps = _charge_step(spec, strides, y, -1, cols, keys, amps)
+        cols, keys, amps = _charge_step(spec, strides, x, +1, cols, keys, amps)
+    rows = np.minimum(np.searchsorted(basis.indices, keys), basis.dim - 1)
+    hit = basis.indices[rows] == keys
+    return rows[hit], cols[hit], amps[hit]
 
 
-def _charge_step(spec: HilbertSpec, site: int, delta: int, cols, configs, amps):
+def _charge_step(spec: HilbertSpec, strides, site: int, delta: int, cols, keys, amps):
     """Add ``delta`` = +1 (creator) or -1 (annihilator) to one site's charge.
 
-    A fermion occupation steps by delta, with the Jordan-Wigner sign of the
-    occupations left of the site.  A boson site branches in two, as the
-    field (a + b^dag)/sqrt(2) and its adjoint do: n_a steps by delta, or n_b
-    by -delta, each with amplitude sqrt(n)/sqrt(2) for the larger
-    occupation n of the step.  Branches leaving the site's levels are dropped.
+    Levels are read from the product indices ``keys``, so a second step at a
+    site sees the first.  A fermion occupation steps by delta, with the
+    Jordan-Wigner sign of the occupations left of the site: the index bits
+    above its digit.  A boson site branches in two, as the field
+    (a + b^dag)/sqrt(2) and its adjoint do: n_a steps by delta, or n_b by
+    -delta, each with amplitude sqrt(n)/sqrt(2) for the larger occupation n
+    of the step.  Branches leaving the site's levels are dropped.
     """
-    level = configs[:, site]
+    level = keys // strides[site] % spec.dims[site]
     if spec.matter == "staggered_fermion":
-        (keep,) = np.nonzero((level + delta >= 0) & (level + delta <= 1))
-        configs = configs[keep]
-        configs[:, site] += delta
-        return cols[keep], configs, amps[keep] * (1 - 2 * (configs[:, :site].sum(axis=1) % 2))
+        (keep,) = np.nonzero(level == (delta < 0))
+        keys = keys[keep] + delta * strides[site]
+        return cols[keep], keys, amps[keep] * (1.0 - 2.0 * (np.bitwise_count(keys // (2 * strides[site])) & 1))
     d1 = math.isqrt(spec.dims[site])
     root = np.sqrt(np.arange(d1)) / math.sqrt(2.0)
     n_a, n_b = np.divmod(level, d1)
     branches = []
-    for n, step, stride in ((n_a, delta, d1), (n_b, -delta, 1)):
+    for n, step, stride in ((n_a, delta, d1 * strides[site]), (n_b, -delta, strides[site])):
         (keep,) = np.nonzero((n + step >= 0) & (n + step < d1))
-        branch = configs[keep]
-        branch[:, site] += step * stride
-        branches.append((cols[keep], branch, amps[keep] * root[np.maximum(n, n + step)[keep]]))
+        branches.append((cols[keep], keys[keep] + step * stride, amps[keep] * root[np.maximum(n, n + step)[keep]]))
     return tuple(np.concatenate(part) for part in zip(*branches))
 
 

@@ -323,12 +323,6 @@ class FieldVector:
             if self.global_values.shape != (self.lattice.dim,):
                 raise ValueError("need one global value per direction")
 
-    def full_values(self) -> np.ndarray:
-        """Cell values with global-loop values appended (if any)."""
-        if self.global_values is None:
-            return self.values
-        return np.concatenate([self.values, self.global_values])
-
     def copy(self) -> "FieldVector":
         return FieldVector(
             self.lattice,

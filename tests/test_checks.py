@@ -28,7 +28,7 @@ def test_every_entry_applies_somewhere_and_names_are_unique():
     assert {check.name for check, _ in CASES} == set(names)
 
 
-KERNEL_CHECKS = ("dual_kernel_matches_constraint_count", "energy_form_kernel_dimension")
+KERNEL_CHECKS = ("dual_kernel_matches_constraint_count",)
 
 # Sizes the old exact nullspace took seconds to tens of seconds on.
 test_kernel_checks_at_scale = entry_test(

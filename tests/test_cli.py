@@ -181,8 +181,7 @@ MAP_CHECKS = """divergence_is_minus_gradient_transpose backward_curl_is_forward_
     curl_of_gradient_vanishes helmholtz_round_trip transverse_is_divergence_free longitudinal_is_curl_free
     interaction_matrix_symmetric""".split()
 INVARIANT_CHECKS = """greens_site_inverts_laplacian_on_zero_sum transverse_reconstruction_from_potential
-    shift_pairing_reproduces_transverse_part dual_kernel_matches_constraint_count positive_semidefinite
-    energy_form_kernel_dimension""".split()
+    shift_pairing_reproduces_transverse_part dual_kernel_matches_constraint_count positive_semidefinite""".split()
 PINNED_CHECK_NAMES = {
     ("2", "2", "open"): MAP_CHECKS + ["quadratic_form_equivalence", "canonical_pairing_identity"],
     ("2", "2", "periodic"): MAP_CHECKS

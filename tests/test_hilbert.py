@@ -92,6 +92,12 @@ def dense_term(spec, cells, steps, hop=None):
     return dense_product(spec, factors)
 
 
+def term_matrix(basis, cells, steps, hop=None):
+    """The sparse matrix of one kernel term, built from its triplets."""
+    rows, cols, amps = apply_term(basis, cells, steps, hop)
+    return sp.csr_matrix((amps, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
 def test_rotor_ladder_structure():
     lev = np.diag(np.arange(-2, 3).astype(float))
     up = ladder(5)
@@ -177,7 +183,7 @@ def test_memory_guard_triggers():
 def test_embed_matches_kron_order():
     lat = Lattice(2, 1, "open")
     spec = HilbertSpec(lat, "links_E", cutoff=1)
-    step = apply_term(product_basis(spec), [2], [1]).toarray()
+    step = term_matrix(product_basis(spec), [2], [1]).toarray()
     # manual kron: identity x identity x ladder x identity
     eye3 = np.eye(3)
     want = np.kron(np.kron(np.kron(eye3, eye3), ladder(3)), eye3)
@@ -195,7 +201,7 @@ def test_fermion_embedding_anticommutes_across_sites():
     # the kernel's hops obey the canonical algebra [c+_a c_b, c+_b c_d] = c+_a c_d,
     # which the string signs decide: hardcore bosons would give c+_a c_d (1 - 2 n_b)
     full = product_basis(spec)
-    hop = {pair: apply_term(full, [], [], pair) for pair in ((0, 1), (1, 3), (0, 3))}
+    hop = {pair: term_matrix(full, [], [], pair) for pair in ((0, 1), (1, 3), (0, 3))}
     comm = hop[0, 1] @ hop[1, 3] - hop[1, 3] @ hop[0, 1]
     assert np.abs((comm - hop[0, 3]).toarray()).max() == 0
     assert hop[0, 3].nnz > 0
@@ -239,11 +245,11 @@ def test_kernel_matches_dense_reference(lat, kind, matter, n_max):
     assert len(terms) == lat.n_plaqs + (lat.n_links if matter != "none" else 0)
     for cells, steps, hop in terms:
         ref = dense_term(spec, cells, steps, hop)
-        built = apply_term(full, cells, steps, hop)
+        built = term_matrix(full, cells, steps, hop)
         assert built.dtype == np.float64
         assert np.array_equal(built.toarray(), ref)
         restricted = ref[np.ix_(sector.indices, sector.indices)]
-        assert np.array_equal(apply_term(sector, cells, steps, hop).toarray(), restricted)
+        assert np.array_equal(term_matrix(sector, cells, steps, hop).toarray(), restricted)
 
 
 def test_configs_are_the_digits_of_the_indices():
@@ -308,7 +314,7 @@ def test_gauss_sector_static_charges_are_exact_integers():
 def test_hermiticity_defect():
     lat = Lattice(2, 1, "open")
     spec = HilbertSpec(lat, "links_E", cutoff=1)
-    op = apply_term(product_basis(spec), [0], [1])
+    op = term_matrix(product_basis(spec), [0], [1])
     assert hermiticity_defect(op) > 0.5  # a bare ladder is not hermitian
     sym = op + op.T
     assert hermiticity_defect(sym) == 0.0
