@@ -60,8 +60,8 @@ def _freeze(obj):
 
 
 def cached(fn):
-    """`functools.lru_cache` whose results are frozen once, when computed: they
-    are shared by every caller, the threads of `compare_formulations` included."""
+    """`functools.lru_cache` whose results are frozen once, when computed: every
+    caller gets the same objects, so none may change what the next one reads."""
 
     @functools.lru_cache(maxsize=None)
     @functools.wraps(fn)

@@ -15,14 +15,15 @@ row sum; a larger one raises ``ResidualError`` instead of being reported.
 formulation on its Gauss sector and the flux formulation on its
 charge-neutral, flux-class matched sector, each directly on the sector's
 integer configurations, over a cutoff schedule, and reports per-level
-eigenvalue differences with convergence diagnostics.  Sector matching
-matters: the flux-variable Hilbert space splits into integer cosets of the
-flux-class lattice, only one of which (per charge configuration) corresponds
-to integer electric fields.  ``flux_sector_basis`` enumerates that coset
-directly from the exact congruences (U·v) mod d of the Smith form of the
-class lattice, together with charge neutrality; ``sector="charge"`` keeps
-the plain charge-neutral space for side-by-side diagnostics of the
-unphysical copies.
+eigenvalue differences with convergence diagnostics.  Its (formulation,
+cutoff) cells run one at a time, so a comparison needs no more memory than
+its largest cell.  Sector matching matters: the flux-variable Hilbert space
+splits into integer cosets of the flux-class lattice, only one of which (per
+charge configuration) corresponds to integer electric fields.
+``flux_sector_basis`` enumerates that coset directly from the exact
+congruences (U·v) mod d of the Smith form of the class lattice, together
+with charge neutrality; ``sector="charge"`` keeps the plain charge-neutral
+space for side-by-side diagnostics of the unphysical copies.
 
 Cutoff conventions: the schedule value is the per-link electric cutoff; the
 flux-side rotor cutoff is ``cutoff_ratio`` times it.  Ratio 1 is the level
@@ -34,7 +35,6 @@ precision at every cutoff.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -268,33 +268,24 @@ def compare_formulations(
     k: int = 3,
     schedule: tuple[int, ...] = (2, 4, 6, 8),
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> dict:
     """Spectra of both formulations over a cutoff schedule, with differences.
 
     Returns a JSON-ready report: config echo, per-cutoff eigenvalues and
     per-level |difference|, clustered level views, per-level monotonicity of
     the differences across the schedule, and log-ratio convergence slopes.
-    Independent (formulation, cutoff) cells run in a thread pool; the merge
-    order is fixed by the schedule, so reports are deterministic.
+    The (formulation, cutoff) cells run one at a time in schedule order; each
+    cell keeps only its small report, so the peak memory of a comparison is
+    that of its largest cell.
     """
     schedule = tuple(int(c) for c in schedule)
     if not schedule or any(c < 1 for c in schedule):
         raise ValueError("schedule must hold positive cutoffs")
-    cells = [(form, cutoff) for cutoff in schedule for form in ("original", "flux")]
-    results: dict[tuple[str, int], SpectrumReport] = {}
-    workers = max_workers if max_workers is not None else min(4, len(cells))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_cell_spectrum, config, form, cutoff, k, seed): (form, cutoff)
-                for form, cutoff in cells
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for form, cutoff in cells:
-            results[(form, cutoff)] = _cell_spectrum(config, form, cutoff, k, seed)
+    results = {
+        (form, cutoff): _cell_spectrum(config, form, cutoff, k, seed)
+        for cutoff in schedule
+        for form in ("original", "flux")
+    }
 
     rows = []
     for cutoff in schedule:

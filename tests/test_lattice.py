@@ -227,8 +227,8 @@ def _lists(obj):
 @pytest.mark.parametrize("module", [lattice, dualmap, greens, helmholtz], ids=lambda m: m.__name__)
 def test_cached_results_are_read_only(module):
     """Every cached function, in every mode, returns arrays that refuse
-    writes and no list or dict, so no caller (nor a thread of the compare
-    pool) can change what the next one reads."""
+    writes and no list or dict, so no caller can change what the next one
+    reads."""
     cached = [fn for fn in vars(module).values() if hasattr(fn, "cache_info")]
     assert cached
     written = 0

@@ -1,6 +1,7 @@
 """Eigenvalue extraction and the cross-formulation comparison harness."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from dualqed import hilbert, spectrum
-from dualqed.hamiltonian import ModelParams, h_original
+from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
 from dualqed.hilbert import HilbertSpec
 from dualqed.lattice import Lattice
 from dualqed.spectrum import (
@@ -275,9 +276,64 @@ def test_comparison_report_is_deterministic_and_json_ready():
     a = compare_formulations(_ratio4_config(), k=2, schedule=(1, 2))
     b = compare_formulations(_ratio4_config(), k=2, schedule=(1, 2))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    # serial and threaded execution must merge to the same report
-    c = compare_formulations(_ratio4_config(), k=2, schedule=(1, 2), max_workers=1)
-    assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
+
+
+def _direct_cells(cfg: CompareConfig, schedule) -> dict:
+    """{(formulation, cutoff): (H, sector)} built straight from the sector
+    constructors and builders, without the comparison harness."""
+    params = dict(matter=cfg.matter, n_max=cfg.n_max, max_dim=cfg.max_dim)
+    cells = {}
+    for cutoff in schedule:
+        spec = HilbertSpec(cfg.lattice, "links_E", cutoff=cutoff, **params)
+        cells["original", cutoff] = (h_original(spec, cfg.params, spectrum.electric_sector_basis(spec)), "gauss")
+        spec = HilbertSpec(cfg.lattice, "plaqs_M", cutoff=cfg.cutoff_ratio * cutoff, **params)
+        cells["flux", cutoff] = (h_dual_thetam(spec, cfg.params, flux_sector_basis(spec)), "neutral+class")
+    return cells
+
+
+@pytest.mark.parametrize("ratio", [1, 4])
+@pytest.mark.parametrize("matter", ["none", "staggered_fermion", "hardcore_boson"])
+@pytest.mark.parametrize(
+    "lat", [Lattice(2, 1, "open"), Lattice(2, 1, "periodic"), Lattice(2, 2, "periodic")], ids=Lattice.label
+)
+def test_report_rows_equal_directly_built_cells(lat, matter, ratio):
+    """Merge oracle: each row of the report holds exactly the spectra of its
+    two cells, built and solved outside the harness."""
+    # a 2^22 guard refuses the slow N=2 sectors within half a second
+    cfg = CompareConfig(lat, ModelParams(g2=1.3, t=0.9, m=0.4), matter=matter, cutoff_ratio=ratio, max_dim=2**22)
+    try:
+        cells = _direct_cells(cfg, (1, 2))
+    except hilbert.MemoryGuardError:
+        pytest.skip("sector refused by the guard")
+    k = min(3, *(H.shape[0] for H, _ in cells.values()))
+    rep = compare_formulations(cfg, k=k, schedule=(1, 2), seed=5)
+    assert [row["cutoff"] for row in rep["cutoffs"]] == [1, 2]
+    for row in rep["cutoffs"]:
+        for form in ("original", "flux"):
+            H, sector = cells[form, row["cutoff"]]
+            direct = lowest_eigenvalues(H, k, seed=5, sector=sector, cutoff=row["cutoff"])
+            assert row[form] == direct.as_dict()
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_peak_memory_is_that_of_its_largest_cell():
+    """Cells run one at a time and keep only their reports, so a comparison
+    never holds two cells' sectors and matrices at once."""
+    cfg = CompareConfig(
+        Lattice(2, 2, "periodic"), ModelParams(g2=1.3, t=0.9, m=0.4), matter="staggered_fermion", cutoff_ratio=1
+    )
+    compare_formulations(cfg, 3, (1, 2))  # fill the lattice caches first
+    cells = [(form, cutoff) for cutoff in (1, 2) for form in ("original", "flux")]
+    largest = max(_traced_peak(spectrum._cell_spectrum, cfg, form, cutoff, 3, 0) for form, cutoff in cells)
+    assert _traced_peak(compare_formulations, cfg, 3, (1, 2)) <= 1.1 * largest
 
 
 def test_comparison_report_shape_and_schema():
