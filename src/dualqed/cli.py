@@ -14,8 +14,10 @@ later or run as a child process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -471,8 +473,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dualqed", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse makes a formatter for every argument it adds, and a stock
+    # HelpFormatter reads the terminal size each time; read it once per build,
+    # as HelpFormatter would (columns - 2), and share it with every subparser
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="dualqed", description=__doc__.splitlines()[0], formatter_class=formatter)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=formatter)
+    )
 
     p = sub.add_parser("greens", help="write a Green's-function table as CSV")
     _add_lattice_flags(p)

@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -38,14 +39,22 @@ import scipy.sparse as sp
 CellKind = str  # 'site' | 'link' | 'plaquette' | 'cube'
 
 _BOUNDARY_KINDS = ("periodic", "open")
+_SCALARS = (int, float, str, Fraction)
 
 
 def _freeze(obj):
     """Mark the arrays of a result read-only: ndarrays, the arrays of sparse
     matrices (sorted first, so scipy never sorts them in place later), and
-    the same inside dataclass fields and tuple items."""
+    the same inside tuple items and dataclass fields.  Scalars hold no array
+    and return at once, and tuples are told apart before the slower sparse
+    and dataclass tests: the cell enumerations are tuples of many ints."""
+    if isinstance(obj, _SCALARS):
+        return obj
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _freeze(item)
     elif sp.issparse(obj):
         obj.sum_duplicates()
         for name in ("data", "indices", "indptr"):
@@ -53,9 +62,6 @@ def _freeze(obj):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             _freeze(getattr(obj, f.name))
-    elif isinstance(obj, tuple):
-        for item in obj:
-            _freeze(item)
     return obj
 
 

@@ -11,6 +11,16 @@ at one BLAS thread on 2D lattice sectors: the dense subset is faster up to
 stay below ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the largest absolute
 row sum; a larger one raises ``ResidualError`` instead of being reported.
 
+A matrix that splits is solved block by block.  On a torus without matter no
+term changes the winding fluxes, so a pure-gauge sector is block diagonal:
+the 2x2 periodic Gauss sector at cutoff 2 has 1,333 states in 145 blocks.
+The blocks are the matrix's connected components.  Those whose Gershgorin
+bound shows they hold none of the k lowest levels are dropped, one batched
+dense eigvalsh per block size finds the blocks that do, and only those are
+solved.  When the kept blocks' dense work sum n_b^3 reaches
+``DENSE_EIG_LIMIT``^3 the whole matrix goes to the solver above instead, as
+does every connected matrix.
+
 ``compare_formulations`` is the equivalence harness: it builds the electric
 formulation on its Gauss sector and the flux formulation on its
 charge-neutral, flux-class matched sector, each directly on the sector's
@@ -42,13 +52,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import dualmap, hilbert
 from .hamiltonian import ModelParams, h_dual_thetam, h_original
 from .hilbert import BasisMap, HilbertSpec
 from .lattice import Lattice
 
-DENSE_EIG_LIMIT = 1000  # dense below, Lanczos at and above; measured crossover
+# dense below, Lanczos at and above (measured crossover); a split matrix is
+# solved per block while its kept blocks' sum n_b^3 stays below its cube
+DENSE_EIG_LIMIT = 1000
 HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9  # relative to max(1, |H|), |H| the largest absolute row sum
 CLUSTER_WIDTH = 1e-9
@@ -94,6 +107,71 @@ def _eigenpairs(H: sp.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.nda
     return vals[order], vecs[:, order], "iterative"
 
 
+def _block_eigenpairs(
+    H: sp.csr_matrix, k: int, seed: int, row_abs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """``_eigenpairs`` of H, solved block by block when H splits.
+
+    H's connected components are its diagonal blocks.  A block whose
+    Gershgorin lower bound min(H_ii - sum_{j != i} |H_ij|) lies above tau, the
+    k-th smallest per-block min H_ii, holds none of the k lowest levels and is
+    dropped (row_abs holds the absolute row sums).  One block, or kept blocks
+    whose dense work sum n_b^3 is not below ``DENSE_EIG_LIMIT``^3, go to
+    ``_eigenpairs`` whole.  Otherwise one batched eigvalsh per block size
+    picks the k lowest levels (ties by value, block label, level), only the
+    blocks holding them are solved, and their vectors are embedded in the
+    full space.
+    """
+    n_blocks, labels = connected_components(H, directed=False)
+    if n_blocks == 1:
+        return _eigenpairs(H, k, seed)
+    diag = H.diagonal().real
+    lowest_diag = np.full(n_blocks, np.inf)
+    np.minimum.at(lowest_diag, labels, diag)
+    gershgorin = np.full(n_blocks, np.inf)
+    np.minimum.at(gershgorin, labels, diag - (row_abs - np.abs(diag)))
+    tau = np.partition(lowest_diag, k - 1)[k - 1] if k <= n_blocks else np.inf
+    sizes = np.bincount(labels)
+    kept = np.flatnonzero(gershgorin <= tau)
+    if np.sum(sizes[kept].astype(float) ** 3) >= float(DENSE_EIG_LIMIT) ** 3:
+        return _eigenpairs(H, k, seed)
+
+    # states grouped by block, in index order; local[i] is i's place in its block
+    by_block = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    local = np.empty(H.shape[0], dtype=np.int64)
+    local[by_block] = np.arange(H.shape[0]) - starts[labels[by_block]]
+    coo = H.tocoo()
+    values, owners, levels = [], [], []
+    for size in np.unique(sizes[kept]):
+        group = kept[sizes[kept] == size]
+        slot = np.full(n_blocks, -1)
+        slot[group] = np.arange(group.size)
+        entry = slot[labels[coo.row]] >= 0
+        rows, cols = coo.row[entry], coo.col[entry]
+        dense = np.zeros((group.size, size, size), dtype=H.dtype)
+        np.add.at(dense, (slot[labels[rows]], local[rows], local[cols]), coo.data[entry])
+        values.append(np.linalg.eigvalsh(dense).ravel())
+        owners.append(np.repeat(group, size))
+        levels.append(np.tile(np.arange(size), group.size))
+    values, owners, levels = map(np.concatenate, (values, owners, levels))
+    chosen = np.lexsort((levels, owners, values))[:k]
+
+    pairs = []  # (value, block label, level, vector)
+    for block in np.unique(owners[chosen]):
+        states = by_block[starts[block] : starts[block + 1]]
+        count = int(levels[chosen][owners[chosen] == block].max()) + 1
+        vals, vecs, _ = _eigenpairs(H[states][:, states], count, seed)
+        for level in range(count):
+            vec = np.zeros(H.shape[0], dtype=vecs.dtype)
+            vec[states] = vecs[:, level]
+            pairs.append((vals[level], block, level, vec))
+    pairs.sort(key=lambda pair: pair[:3])
+    vals = np.array([pair[0] for pair in pairs])
+    vecs = np.stack([pair[3] for pair in pairs], axis=1)
+    return vals, vecs, "dense"
+
+
 def lowest_eigenvalues(
     H,
     k: int,
@@ -104,12 +182,13 @@ def lowest_eigenvalues(
     """The k smallest eigenvalues of a hermitian matrix, sorted ascending.
 
     The solve runs in the matrix's dtype (float64 for every built model).
-    Below ``DENSE_EIG_LIMIT`` only the k lowest pairs of the dense matrix are
-    computed; otherwise restarted Lanczos runs from a seed-determined start
-    vector, so identical inputs give identical reports.  Residual norms
-    ``|Hv - lambda v|`` are reported per pair, and ``ResidualError`` is
-    raised when one exceeds ``RESIDUAL_TOL * max(1, |H|)`` (``|H|`` the
-    largest absolute row sum).
+    A matrix that splits into blocks is solved per block (``_block_eigenpairs``).
+    Otherwise, below ``DENSE_EIG_LIMIT`` only the k lowest pairs of the dense
+    matrix are computed, and at and above it restarted Lanczos runs from a
+    seed-determined start vector, so identical inputs give identical
+    reports.  Residual norms ``|Hv - lambda v|`` on the whole matrix are
+    reported per pair, and ``ResidualError`` is raised when one exceeds
+    ``RESIDUAL_TOL * max(1, |H|)`` (``|H|`` the largest absolute row sum).
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -122,9 +201,10 @@ def lowest_eigenvalues(
     defect = hilbert.hermiticity_defect(H)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
-    vals, vecs, method = _eigenpairs(H, k, seed)
+    row_abs = np.asarray(abs(H).sum(axis=1)).ravel()
+    vals, vecs, method = _block_eigenpairs(H, k, seed, row_abs)
     residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-    bound = RESIDUAL_TOL * max(1.0, float(abs(H).sum(axis=1).max()))
+    bound = RESIDUAL_TOL * max(1.0, float(row_abs.max()))
     if residuals.max() > bound:
         raise ResidualError(f"{method} eigenpair residual {residuals.max():.3e} exceeds {bound:.3e}")
     return SpectrumReport(

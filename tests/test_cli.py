@@ -256,6 +256,26 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "walrus" in err["message"]
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_is_byte_identical_to_the_stock_formatter(columns, monkeypatch, capsys):
+    """The parser reads the terminal width once per build.  ``dualqed --help``
+    and every subcommand's help print exactly what argparse's stock
+    HelpFormatter, which reads the width for every instance, prints."""
+    import argparse
+
+    from dualqed import cli
+
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for argv, reference in [(["--help"], parser)] + [([name, "--help"], p) for name, p in sub.choices.items()]:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        reference.formatter_class = argparse.HelpFormatter
+        assert capsys.readouterr().out == reference.format_help(), argv
+
+
 def test_bad_flag_value_is_a_config_error():
     proc = run_cli("dof", "--dim", 2, "--N", "many", "--bc", "open")
     assert proc.returncode == 2

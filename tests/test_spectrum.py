@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from dualqed import hilbert, spectrum
 from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
@@ -14,11 +15,14 @@ from dualqed.hilbert import HilbertSpec
 from dualqed.lattice import Lattice
 from dualqed.spectrum import (
     CompareConfig,
+    SpectrumReport,
     cluster_levels,
     compare_formulations,
     flux_sector_basis,
     lowest_eigenvalues,
 )
+
+from conftest import GEOMETRIES
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -94,16 +98,17 @@ def test_reports_are_deterministic():
 
 def test_iterative_solver_resolves_degenerate_levels_on_the_torus():
     """The 2x2 periodic pure-gauge Gauss sector at cutoff 2 (1,333 states) is
-    above the crossover.  Its first excited level is four-fold degenerate, so
-    the k=3 window ends on a degenerate pair and the k=5 window holds the
-    whole cluster; Lanczos must find every copy."""
+    above the crossover, but no term changes its winding fluxes, so it splits
+    into 145 blocks, each below the crossover.  Its first excited level is
+    four-fold degenerate, so the k=3 window ends on a degenerate pair and the
+    k=5 window holds the whole cluster; the block solve must find every copy."""
     spec = HilbertSpec(Lattice(2, 2, "periodic"), "links_E", cutoff=2)
     H = h_original(spec, ModelParams(g2=1.3), hilbert.gauss_sector_basis(spec))
     assert H.dtype == np.float64 and H.shape[0] == 1333 >= spectrum.DENSE_EIG_LIMIT
     oracle = scipy.linalg.eigh(H.toarray(), eigvals_only=True)
     for k, multiplicities in ((3, [1, 2]), (5, [1, 4])):
         rep = lowest_eigenvalues(H, k, seed=0)
-        assert rep.method == "iterative"
+        assert rep.method == "dense"
         assert np.abs(np.array(rep.eigenvalues) - oracle[:k]).max() <= 1e-10
         assert [m for _, m in cluster_levels(rep.eigenvalues)] == multiplicities
         assert [m for _, m in cluster_levels(oracle[:k])] == multiplicities
@@ -120,14 +125,16 @@ def _perturb_solver(monkeypatch):
     monkeypatch.setattr(spectrum, "_eigenpairs", perturbed)
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "iterative"])
-def test_residuals_are_enforced(monkeypatch, dense):
+@pytest.mark.parametrize("path", ["dense", "iterative", "blocks"])
+def test_residuals_are_enforced(monkeypatch, path):
     n = 2 * spectrum.DENSE_EIG_LIMIT
     H = sp.diags([np.arange(n, dtype=float), np.full(n - 1, 0.5), np.full(n - 1, 0.5)], [0, 1, -1]).tocsr()
-    if dense:
+    if path == "dense":
         H = H[:50, :50]
+    elif path == "blocks":  # two tridiagonal blocks: the vectors are solved per block and embedded
+        H = sp.block_diag([H[:50, :50], H[:30, :30] + sp.identity(30)], format="csr")
     clean = lowest_eigenvalues(H, 3)
-    assert clean.method == ("dense" if dense else "iterative")
+    assert clean.method == ("iterative" if path == "iterative" else "dense")
     assert max(clean.residuals) <= spectrum.RESIDUAL_TOL
     _perturb_solver(monkeypatch)
     with pytest.raises(spectrum.ResidualError) as info:
@@ -165,6 +172,117 @@ def test_ground_energy_is_monotone_in_cutoff():
         energies.append(lowest_eigenvalues(H, 1).eigenvalues[0])
     assert energies[1] <= energies[0] + 1e-12
     assert energies[2] <= energies[1] + 1e-12
+
+
+def _direct_report(H, k: int, seed: int) -> SpectrumReport:
+    """The report of one ``_eigenpairs`` call on the whole matrix."""
+    vals, vecs, method = spectrum._eigenpairs(H, k, seed)
+    residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    return SpectrumReport(tuple(map(float, vals)), method, tuple(map(float, residuals)), dimension=H.shape[0])
+
+
+def _spy_solver(monkeypatch) -> list[int]:
+    """Record the dimension of every matrix ``_eigenpairs`` is called on."""
+    solve, sizes = spectrum._eigenpairs, []
+
+    def spied(H, k, seed):
+        sizes.append(H.shape[0])
+        return solve(H, k, seed)
+
+    monkeypatch.setattr(spectrum, "_eigenpairs", spied)
+    return sizes
+
+
+def _sector_matrix(lat, formulation: str, cutoff: int, matter: str = "none", max_dim=hilbert.DEFAULT_MAX_DIM):
+    params = ModelParams(g2=1.3, t=0.9, m=0.4)
+    if formulation == "electric":
+        spec = HilbertSpec(lat, "links_E", cutoff=cutoff, matter=matter, max_dim=max_dim)
+        return h_original(spec, params, spectrum.electric_sector_basis(spec))
+    spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter, max_dim=max_dim)
+    return h_dual_thetam(spec, params, flux_sector_basis(spec))
+
+
+TORUS_SECTORS = [
+    (lat, formulation, cutoff)
+    for lat in GEOMETRIES
+    if lat.periodic
+    for formulation in (("electric", "flux") if lat.dim == 2 else ("electric",))
+    for cutoff in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "lat,formulation,cutoff", TORUS_SECTORS, ids=lambda c: c.label() if isinstance(c, Lattice) else str(c)
+)
+def test_block_path_matches_dense_oracle(monkeypatch, lat, formulation, cutoff):
+    """Pure-gauge torus sectors split into blocks that no term connects (the
+    winding fluxes are conserved).  The block solve must give the levels of a
+    dense solve of the whole matrix, with the same multiplicities."""
+    try:  # a 2^22 guard refuses the slow sectors within a tenth of a second
+        H = _sector_matrix(lat, formulation, cutoff, max_dim=2**22)
+    except hilbert.MemoryGuardError:
+        pytest.skip("sector refused by the guard")
+    n = H.shape[0]
+    if n > 2 * spectrum.DENSE_EIG_LIMIT:
+        # 2D N=3 at cutoff 1, 5,571 states: over the dense budget, so it takes
+        # the whole-matrix path (test_connected_and_costly_matrices_...); a
+        # dense oracle of it takes about 15 s
+        pytest.skip("whole-matrix path; dense oracle too slow")
+    k = min(5, n)
+    sizes = _spy_solver(monkeypatch)
+    rep = lowest_eigenvalues(H, k, seed=3)
+    oracle = scipy.linalg.eigh(H.toarray(), eigvals_only=True)[:k]
+    assert connected_components(H, directed=False)[0] > 1 and max(sizes) < n  # solved block by block
+    assert rep.method == "dense" and rep.dimension == n
+    assert np.abs(np.array(rep.eigenvalues) - oracle).max() <= 1e-10
+    assert [m for _, m in cluster_levels(rep.eigenvalues)] == [m for _, m in cluster_levels(oracle)]
+    assert max(rep.residuals) <= spectrum.RESIDUAL_TOL
+
+
+def _benchmark_matrices():
+    """The flux_sector benchmark matrix, the compare_matched cells, and the
+    3x3 periodic pure-gauge sector at cutoff 1, whose 129 blocks hold
+    sum n_b^3 = 1.17e9 >= DENSE_EIG_LIMIT^3 of dense work."""
+    yield "flux_sector", _sector_matrix(Lattice(2, 2, "periodic"), "flux", 2, "staggered_fermion")
+    for cutoff in (2, 4, 6, 8):
+        yield f"electric c={cutoff}", _sector_matrix(ONE_PLAQ_OPEN, "electric", cutoff, "staggered_fermion")
+        yield f"flux c={4 * cutoff}", _sector_matrix(ONE_PLAQ_OPEN, "flux", 4 * cutoff, "staggered_fermion")
+    yield "3x3 torus c=1", _sector_matrix(Lattice(2, 3, "periodic"), "electric", 1)
+
+
+def test_connected_and_costly_matrices_take_the_whole_matrix_path(monkeypatch):
+    """Connected matrices, and split ones whose kept blocks cost too much
+    dense work, are solved whole, so their reports are bit-identical to one
+    ``_eigenpairs`` call on the matrix."""
+    for name, H in _benchmark_matrices():
+        direct = _direct_report(H, 3, 7)
+        sizes = _spy_solver(monkeypatch)
+        rep = lowest_eigenvalues(H, 3, seed=7)
+        monkeypatch.undo()
+        assert sizes == [H.shape[0]], name
+        assert rep == direct, name
+
+
+def test_block_path_drops_blocks_by_their_gershgorin_bound(monkeypatch):
+    """Only the blocks that hold one of the k lowest levels are solved, and
+    the blocks whose Gershgorin bound lies above tau never reach a solver."""
+    low = sp.diags([[0.0, 1.0, 2.0], [0.5, 0.5], [0.5, 0.5]], [0, 1, -1])
+    H = sp.block_diag([low + 10 * sp.identity(3), sp.identity(1) * 0.25, low, low + 100 * sp.identity(3)], "csr")
+    sizes = _spy_solver(monkeypatch)
+    rep = lowest_eigenvalues(H, 2)
+    oracle = np.linalg.eigvalsh(H.toarray())[:2]
+    assert sorted(sizes) == [1, 3] and rep.method == "dense"
+    assert np.abs(np.array(rep.eigenvalues) - oracle).max() <= 1e-12
+
+
+def test_block_path_breaks_ties_by_block_label():
+    """Equal levels in different blocks are taken in block order, so the
+    reported vectors are those of the first blocks."""
+    pair = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    H = sp.block_diag([pair, pair, pair], "csr")
+    vals, vecs, method = spectrum._block_eigenpairs(H, 2, 0, np.asarray(abs(H).sum(axis=1)).ravel())
+    assert method == "dense" and np.allclose(vals, [0.5, 0.5])
+    assert np.abs(vecs[4:]).max() == 0 and np.abs(vecs[:2, 0]).max() > 0 and np.abs(vecs[2:4, 1]).max() > 0
 
 
 def test_cluster_levels_groups_near_degeneracies():
