@@ -113,11 +113,12 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _load_config(args: argparse.Namespace, allowed: set[str]) -> None:
+def _load_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> None:
     """Merge --config JSON over parsed flags; config wins; unknown keys fail.
 
-    Integer keys go through `_integer`; the flags of the same name are
-    already ints."""
+    The keys are the dests of the subcommand's flags.  Values of ``type=int``
+    flags go through `_integer`, except a null where the flag is optional
+    and defaults to None."""
     if not getattr(args, "config", None):
         return
     try:
@@ -128,12 +129,12 @@ def _load_config(args: argparse.Namespace, allowed: set[str]) -> None:
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr not in allowed:
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr in _INTEGER_KEYS and not (value is None and attr in _OPTIONAL_KEYS):
+        if flag.type is int and not (value is None and flag.default is None and not flag.required):
             value = _integer(value, key)
-        setattr(args, attr, value)
+        setattr(args, flag.dest, value)
 
 
 def _lattice(args):
@@ -321,30 +322,14 @@ def _hilbert_spec(args, lat):
         raise ConfigError(str(exc)) from exc
 
 
-def _sector_and_operator(args, lat, spec):
-    import numpy as np
-
+def _sector_and_operator(args, spec):
     from . import hilbert
     from . import spectrum as spx
-    from .hamiltonian import h_dual_thetam, h_original
 
-    params = _model_params(args)
     try:
-        params.validated(lat)
-        q = np.asarray(params.charges(lat), dtype=float) if params.static_charges else None
-    except ValueError as exc:
+        return spx.sector_hamiltonian(spec, _model_params(args), match_class=args.sector == "physical")
+    except (ValueError, hilbert.MemoryGuardError) as exc:
         raise ConfigError(str(exc)) from exc
-    match = args.sector == "physical"
-    try:
-        if spec.gauge_kind == "links_E":
-            basis = spx.electric_sector_basis(spec, q)
-        else:
-            basis = spx.flux_sector_basis(spec, q, match_class=match)
-    except hilbert.MemoryGuardError as exc:
-        raise ConfigError(str(exc)) from exc
-    if spec.gauge_kind == "links_E":
-        return basis, h_original(spec, params, basis=basis), "gauss"
-    return basis, h_dual_thetam(spec, params, basis=basis), "neutral+class" if match else "neutral"
 
 
 def _cmd_build(args) -> int:
@@ -352,7 +337,7 @@ def _cmd_build(args) -> int:
 
     lat = _lattice(args)
     spec = _hilbert_spec(args, lat)
-    basis, H, sector = _sector_and_operator(args, lat, spec)
+    basis, H, sector = _sector_and_operator(args, spec)
     payload = {
         "formulation": args.formulation,
         "dim": lat.dim,
@@ -375,7 +360,7 @@ def _cmd_spectrum(args) -> int:
 
     lat = _lattice(args)
     spec = _hilbert_spec(args, lat)
-    _, H, sector = _sector_and_operator(args, lat, spec)
+    _, H, sector = _sector_and_operator(args, spec)
     try:
         rep = spx.lowest_eigenvalues(H, args.k, seed=args.seed, sector=sector, cutoff=args.cutoff)
     except ValueError as exc:
@@ -401,17 +386,15 @@ def _cmd_compare(args) -> int:
     from . import spectrum as spx
 
     lat = _lattice(args)
-    params = _model_params(args)
     schedule = _integers(args.schedule, "schedule")
     try:
         cfg = spx.CompareConfig(
             lattice=lat,
-            params=params,
+            params=_model_params(args),
             matter=args.matter,
             n_max=args.n_max,
             sector=args.sector,
             cutoff_ratio=args.ratio,
-            static_charges=params.static_charges,
             tolerance=float(args.tolerance),
         )
         rep = spx.compare_formulations(cfg, k=args.k, schedule=schedule, seed=args.seed)
@@ -440,12 +423,6 @@ def _cmd_dump_op(args) -> int:
 
 
 # --- argument wiring ---------------------------------------------------------
-
-_LATTICE_KEYS = {"dim", "N", "bc"}
-_INTEGER_KEYS = {"dim", "N", "direction", "cutoff", "global_cutoff", "n_max", "k", "ratio", "seed", "threads"}
-_OPTIONAL_KEYS = {"global_cutoff", "threads"}  # null stands for the default
-_MODEL_KEYS = {"matter", "cutoff", "global_cutoff", "n_max", "g2", "t", "m", "static_charges", "formulation"}
-
 
 def _add_lattice_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=2, choices=(2, 3))
@@ -489,7 +466,7 @@ def build_parser() -> _Parser:
         "--kind", choices=("site", "site_pbc", "site_obc", "modified", "plaq_obc"), default="site"
     )
     p.add_argument("--exact", action="store_true", help="exact rational entries")
-    p.set_defaults(handler=_cmd_greens, keys=_LATTICE_KEYS | {"kind", "exact", "out", "seed"})
+    p.set_defaults(handler=_cmd_greens)
 
     p = sub.add_parser("shifts", help="shift table of one link (JSON)")
     _add_lattice_flags(p)
@@ -497,24 +474,24 @@ def build_parser() -> _Parser:
     p.add_argument("--site", required=True, help="comma-separated coordinates")
     p.add_argument("--direction", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.set_defaults(handler=_cmd_shifts, keys=_LATTICE_KEYS | {"site", "direction", "exact", "out", "seed"})
+    p.set_defaults(handler=_cmd_shifts)
 
     p = sub.add_parser("dof", help="degree-of-freedom audit (JSON)")
     _add_lattice_flags(p)
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_dof, keys=_LATTICE_KEYS | {"out"})
+    p.set_defaults(handler=_cmd_dof)
 
     p = sub.add_parser("check-maps", help="linear-map identity suite")
     _add_lattice_flags(p)
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_checks, maps_only=True, keys=_LATTICE_KEYS | {"out", "seed"})
+    p.set_defaults(handler=_cmd_checks, maps_only=True)
 
     p = sub.add_parser("build", help="build a Hamiltonian, report dimensions")
     _add_lattice_flags(p)
     _add_common_flags(p)
     _add_model_flags(p)
     p.add_argument("--sector", choices=("physical", "charge"), default="physical")
-    p.set_defaults(handler=_cmd_build, keys=_LATTICE_KEYS | _MODEL_KEYS | {"sector", "out"})
+    p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("spectrum", help="lowest eigenvalues of one formulation")
     _add_lattice_flags(p)
@@ -522,7 +499,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--sector", choices=("physical", "charge"), default="physical")
     p.add_argument("--k", type=int, default=3)
-    p.set_defaults(handler=_cmd_spectrum, keys=_LATTICE_KEYS | _MODEL_KEYS | {"sector", "k", "out", "seed"})
+    p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("compare", help="cross-formulation spectrum comparison")
     _add_lattice_flags(p)
@@ -533,22 +510,21 @@ def build_parser() -> _Parser:
     p.add_argument("--schedule", default="2,4,6,8", help="comma-separated cutoffs")
     p.add_argument("--ratio", type=int, default=1, help="flux cutoff per electric cutoff")
     p.add_argument("--tolerance", type=float, default=1e-4, help="pass threshold on final max difference")
-    p.set_defaults(
-        handler=_cmd_compare,
-        keys=_LATTICE_KEYS | _MODEL_KEYS | {"sector", "k", "schedule", "ratio", "tolerance", "out", "seed"},
-    )
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("verify-all", help="full invariant suite for a geometry")
     _add_lattice_flags(p)
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_checks, maps_only=False, keys=_LATTICE_KEYS | {"out", "seed"})
+    p.set_defaults(handler=_cmd_checks, maps_only=False)
 
     p = sub.add_parser("dump-op", help="write one linear operator as COO CSV")
     _add_lattice_flags(p)
     _add_common_flags(p)
     p.add_argument("--name", required=True, help="operator name from the registry")
-    p.set_defaults(handler=_cmd_dump_op, keys=_LATTICE_KEYS | {"name", "out"})
+    p.set_defaults(handler=_cmd_dump_op)
 
+    for p in sub.choices.values():  # a subcommand's config keys are its flags' dests
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.default is not argparse.SUPPRESS})
     return parser
 
 
@@ -556,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        _load_config(args, args.keys | {"threads", "config"})
+        _load_config(args, args.flags)
         _apply_thread_cap(args.threads)
         return args.handler(args)
     except ConfigError as exc:

@@ -267,14 +267,6 @@ def _flux_class_snf(lat: Lattice):
     return tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(d_matrix(lat).toarray()))
 
 
-def flux_class_contains(lat: Lattice, vec) -> bool:
-    """Whether an integer flux/winding vector lies in the zero-offset class lattice."""
-    ints = [int(x) for x in vec]
-    if any(i != x for i, x in zip(ints, vec)):
-        raise TypeError("flux class membership needs integer entries")
-    return rational.in_integer_image(_flux_class_snf(lat), ints)
-
-
 @cached
 def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Class membership as integer congruences: (W, d) with v in the class

@@ -354,20 +354,6 @@ def integral_static_charges(lat: Lattice, static_charges=None) -> np.ndarray | N
     return q.astype(np.int64) if np.array_equal(q, np.round(q)) else None
 
 
-def _gauss_residuals(basis: BasisMap) -> np.ndarray:
-    """(n_sites, dim) integer div E - Q, the Gauss constraint without static charges."""
-    spec = basis.spec
-    if spec.gauge_kind != "links_E":
-        raise ValueError("Gauss constraints act on the electric description")
-    div = divergence_matrix(spec.lattice) @ gauge_level_diagonals(basis)
-    return div - charge_diagonals(basis)
-
-
-def gauss_diagonal(basis: BasisMap, site: int, static_charge: int = 0) -> np.ndarray:
-    """Diagonal of the Gauss constraint at one site: div E - Q - q."""
-    return _gauss_residuals(basis)[site] - static_charge
-
-
 def gauss_sector_basis(spec: HilbertSpec, static_charges: np.ndarray | None = None) -> BasisMap:
     """Product states satisfying every Gauss constraint exactly, in integers:
     one row ``[-1 at the site's matter | div]`` per site, with target q."""

@@ -25,10 +25,11 @@ Dumas, Giorgi & Pernet, ACM TOMS 35(3) 19, 2008).  When the bounds miss
 tried, then `_eliminate`, which also takes over when a row is not in the
 kernel; no count is returned without the certificate or the elimination.
 
-The dense routines -- `invert`, `pseudo_inverse_symmetric`, products, and
-the integer Smith normal form with its image-membership test -- serve the
-exact Green's and shift tables on desk-size lattices.  They work on lists
-of rows holding :class:`fractions.Fraction` (or int) entries.
+The dense routines -- `invert`, `pseudo_inverse_symmetric` and products --
+serve the exact Green's and shift tables on desk-size lattices, and the
+integer Smith normal form gives the congruences of the flux-class lattice
+(`dualmap.flux_class_congruences`).  They work on lists of rows holding
+:class:`fractions.Fraction` (or int) entries.
 
 Float input raises TypeError: a silent float->Fraction conversion would
 launder rounding error into "exact" results.
@@ -444,30 +445,6 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
             continue
         t += 1
     return u, a, v
-
-
-def integer_image_mask(snf: tuple[list[list[int]], ...], vecs: np.ndarray) -> np.ndarray:
-    """Which columns of an integer array lie in the integer column lattice A·Z^m.
-
-    `snf` is the (U, D, V) triple from :func:`smith_normal_form` of A; a
-    column v is a member iff (U·v)_i is divisible by d_i for i <= rank and
-    vanishes beyond.  Arithmetic stays in the dtype of `vecs` (int64, or
-    object for Python ints).
-    """
-    if vecs.dtype.kind not in "iO":
-        raise TypeError("integer image membership needs integer entries")
-    u, d, _ = snf
-    n_cols = len(d[0]) if d else 0
-    w = np.array(u, dtype=vecs.dtype) @ vecs
-    divisors = np.array([d[i][i] if i < n_cols else 0 for i in range(len(u))], dtype=vecs.dtype)
-    pivots = divisors != 0
-    return np.all(w[~pivots] == 0, axis=0) & np.all(w[pivots] % divisors[pivots, None] == 0, axis=0)
-
-
-def in_integer_image(snf: tuple[list[list[int]], list[list[int]], list[list[int]]], vec) -> bool:
-    """Whether an integer vector lies in the integer column lattice A·Z^m."""
-    column = np.array([int(x) for x in vec], dtype=object)[:, None]
-    return bool(integer_image_mask(snf, column)[0])
 
 
 def to_float(mat: RationalMatrix) -> np.ndarray:

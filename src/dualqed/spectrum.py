@@ -21,11 +21,16 @@ solved.  When the kept blocks' dense work sum n_b^3 reaches
 ``DENSE_EIG_LIMIT``^3 the whole matrix goes to the solver above instead, as
 does every connected matrix.
 
-``compare_formulations`` is the equivalence harness: it builds the electric
-formulation on its Gauss sector and the flux formulation on its
-charge-neutral, flux-class matched sector, each directly on the sector's
-integer configurations, over a cutoff schedule, and reports per-level
-eigenvalue differences with convergence diagnostics.  Its (formulation,
+``sector_hamiltonian`` is the one place the formulation is chosen: a
+``links_E`` space gets the Gauss sector and ``h_original``, a ``plaqs_M``
+space the charge-neutral, flux-class matched sector and ``h_dual_thetam``,
+each built directly on the sector's integer configurations, with the static
+charges of the ``ModelParams``.  The ``build`` and ``spectrum`` commands and
+every comparison cell call it.
+
+``compare_formulations`` is the equivalence harness: over a cutoff schedule
+it solves both formulations' sectors and reports per-level eigenvalue
+differences with convergence diagnostics.  Its (formulation,
 cutoff) cells run one at a time, so a comparison needs no more memory than
 its largest cell.  Sector matching matters: the flux-variable Hilbert space
 splits into integer cosets of the flux-class lattice, only one of which (per
@@ -232,11 +237,6 @@ def cluster_levels(values, width: float = CLUSTER_WIDTH) -> list[tuple[float, in
 # --- sector construction -----------------------------------------------------
 
 
-def electric_sector_basis(spec: HilbertSpec, static_charges=None) -> BasisMap:
-    """Gauss-law sector of the electric formulation (default: no static charges)."""
-    return hilbert.gauss_sector_basis(spec, static_charges)
-
-
 def flux_sector_basis(
     spec: HilbertSpec,
     static_charges=None,
@@ -269,6 +269,25 @@ def flux_sector_basis(
     return hilbert.sector_basis(spec, rows, targets, moduli)
 
 
+def sector_hamiltonian(
+    spec: HilbertSpec, params: ModelParams, match_class: bool = True
+) -> tuple[BasisMap, sp.csr_matrix, str]:
+    """The physical sector of ``spec``, its Hamiltonian and the sector label.
+
+    This is the one choice between the two formulations: a ``links_E`` space
+    gets its Gauss sector and ``h_original`` ("gauss"), a ``plaqs_M`` space
+    its charge-neutral sector, class-matched unless ``match_class`` is False,
+    and ``h_dual_thetam`` ("neutral+class" or "neutral").  The static charges
+    are those of ``params``, which is validated before any enumeration.
+    """
+    q = params.validated(spec.lattice).charges(spec.lattice)
+    if spec.gauge_kind == "links_E":
+        basis = hilbert.gauss_sector_basis(spec, q)
+        return basis, h_original(spec, params, basis=basis), "gauss"
+    basis = flux_sector_basis(spec, q, match_class=match_class)
+    return basis, h_dual_thetam(spec, params, basis=basis), "neutral+class" if match_class else "neutral"
+
+
 # --- the comparison harness --------------------------------------------------
 
 
@@ -282,7 +301,6 @@ class CompareConfig:
     n_max: int = 1
     sector: str = "physical"  # "physical" (class-matched) | "charge"
     cutoff_ratio: int = 1  # flux cutoff = ratio * electric cutoff
-    static_charges: tuple[float, ...] | None = None
     max_dim: int = hilbert.DEFAULT_MAX_DIM
     tolerance: float = 1e-4  # pass/fail threshold on the final max difference
 
@@ -297,6 +315,7 @@ class CompareConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
     def echo(self) -> dict:
+        q = self.params.static_charges
         return {
             "dim": self.lattice.dim,
             "N": self.lattice.N,
@@ -305,7 +324,7 @@ class CompareConfig:
             "n_max": self.n_max,
             "sector": self.sector,
             "cutoff_ratio": self.cutoff_ratio,
-            "static_charges": list(self.static_charges) if self.static_charges else None,
+            "static_charges": None if q is None else np.asarray(q, dtype=float).tolist(),
             "g2": self.params.g2,
             "t": self.params.t,
             "m": self.params.m,
@@ -314,32 +333,16 @@ class CompareConfig:
 
 
 def _cell_spectrum(config: CompareConfig, formulation: str, cutoff: int, k: int, seed: int) -> SpectrumReport:
-    lat = config.lattice
-    q = np.asarray(config.static_charges, dtype=float) if config.static_charges else None
-    if formulation == "original":
-        spec = HilbertSpec(
-            lat,
-            "links_E",
-            cutoff=cutoff,
-            matter=config.matter,
-            n_max=config.n_max,
-            max_dim=config.max_dim,
-        )
-        basis = electric_sector_basis(spec, q)
-        H = h_original(spec, config.params, basis=basis)
-        sector = "gauss"
-    else:
-        spec = HilbertSpec(
-            lat,
-            "plaqs_M",
-            cutoff=config.cutoff_ratio * cutoff,
-            matter=config.matter,
-            n_max=config.n_max,
-            max_dim=config.max_dim,
-        )
-        basis = flux_sector_basis(spec, q, match_class=config.sector == "physical")
-        H = h_dual_thetam(spec, config.params, basis=basis)
-        sector = "neutral+class" if config.sector == "physical" else "neutral"
+    electric = formulation == "original"
+    spec = HilbertSpec(
+        config.lattice,
+        "links_E" if electric else "plaqs_M",
+        cutoff=cutoff if electric else config.cutoff_ratio * cutoff,
+        matter=config.matter,
+        n_max=config.n_max,
+        max_dim=config.max_dim,
+    )
+    _, H, sector = sector_hamiltonian(spec, config.params, match_class=config.sector == "physical")
     return lowest_eigenvalues(H, k, seed=seed, sector=sector, cutoff=cutoff)
 
 

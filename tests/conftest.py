@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dualqed import checks
-from dualqed.lattice import Lattice
+from dualqed import checks, dualmap, hilbert
+from dualqed.lattice import Lattice, divergence_matrix
 
 # geometries small enough for exhaustive/dense checks
 GEOMETRIES_2D = [Lattice(2, n, bc) for n in (1, 2, 3) for bc in ("open", "periodic")]
@@ -26,6 +26,37 @@ def assert_entries_hold(lat: Lattice, rng, *names: str, draws: int | None = None
     for check in map(checks.get, names):
         if check.applies(lat):
             assert check.worst(lat, rng, draws) <= check.tol, check.name
+
+
+def gauss_residuals(basis) -> np.ndarray:
+    """(n_sites, dim) integer div E - Q per basis state: the Gauss
+    constraint without static charges, for a ``links_E`` basis."""
+    div = divergence_matrix(basis.spec.lattice) @ hilbert.gauge_level_diagonals(basis)
+    return div - hilbert.charge_diagonals(basis)
+
+
+def integer_image_mask(snf, vecs: np.ndarray) -> np.ndarray:
+    """Which columns of an integer array lie in the integer column lattice A·Z^m.
+
+    `snf` is the (U, D, V) triple of `rational.smith_normal_form` of A; a
+    column v is a member iff (U·v)_i is divisible by d_i for i <= rank and
+    vanishes beyond.  Arithmetic stays in the dtype of `vecs` (int64, or
+    object for Python ints).
+    """
+    assert vecs.dtype.kind in "iO", "integer image membership needs integer entries"
+    u, d, _ = snf
+    n_cols = len(d[0]) if d else 0
+    w = np.array(u, dtype=vecs.dtype) @ vecs
+    divisors = np.array([d[i][i] if i < n_cols else 0 for i in range(len(u))], dtype=vecs.dtype)
+    pivots = divisors != 0
+    return np.all(w[~pivots] == 0, axis=0) & np.all(w[pivots] % divisors[pivots, None] == 0, axis=0)
+
+
+def in_flux_class(lat: Lattice, vec) -> bool:
+    """Whether an integer flux/winding vector lies in the zero-offset class
+    lattice D·Z^n, in Python-int arithmetic."""
+    column = np.array([int(x) for x in vec], dtype=object)[:, None]
+    return bool(integer_image_mask(dualmap._flux_class_snf(lat), column)[0])
 
 
 def entry_test(*names: str, geometries=GEOMETRIES, draws: int | None = None):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import record_acceptance
+from conftest import gauss_residuals, record_acceptance
 from dualqed import checks, dualmap, helmholtz, hilbert, spectrum
 from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
 from dualqed.hilbert import HilbertSpec
@@ -106,14 +106,15 @@ def test_criterion_4_canonical_pairing_identity():
 
 
 def test_criterion_5_quadratic_form_equivalence():
-    """Transverse energy of a potential equals the condensed quadratic form
-    of its cell image: 100 random vectors per 2D geometry."""
+    """The electric energy of an integer link field splits into the Coulomb
+    energy of its divergence and the D+ form of its fluxes: 100 random
+    fields per 2D geometry."""
     worst = 0.0
     for lat in GEOMS_2D:
         rng = np.random.default_rng(lat.N * 7 + (lat.bc == "open"))
         worst = max(worst, checks.get("quadratic_form_equivalence").worst(lat, rng, 100))
     ok = worst <= 1e-10
-    record_acceptance(5, ok, f"800 quadratic-form pairs, worst relative residual {worst:.1e}")
+    record_acceptance(5, ok, f"800 integer link fields, worst relative energy-split residual {worst:.1e}")
     assert worst <= 1e-10
 
 
@@ -195,8 +196,9 @@ def test_criterion_9_block_structure():
     spec_e = HilbertSpec(lat_e, "links_E", cutoff=1, matter="staggered_fermion")
     H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5), hilbert.product_basis(spec_e))
     worst_gauss = 0.0
+    residuals = gauss_residuals(hilbert.product_basis(spec_e))
     for s in range(lat_e.n_sites):
-        G = sp.diags(hilbert.gauss_diagonal(hilbert.product_basis(spec_e), s), dtype=float)
+        G = sp.diags(residuals[s], dtype=float)
         comm = (H_e @ G - G @ H_e).tocoo()
         worst_gauss = max(worst_gauss, float(np.abs(comm.data).max()) if comm.nnz else 0.0)
 

@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 import scipy.sparse as sp
 
-from dualqed import checks, dualmap, rational
+from dualqed import checks, dualmap, greens, rational
 from dualqed.lattice import Lattice
 
 from conftest import GEOMETRIES, entry_test, geometry_id
@@ -67,3 +67,24 @@ def test_constraints_short_of_the_kernel_fail_both_kernel_checks(rng, monkeypatc
     _mutated_constraints(monkeypatch, lambda mat: mat[1:])
     for name in KERNEL_CHECKS:
         assert checks.get(name).worst(Lattice(2, 2, "periodic"), rng) > 0, name
+
+
+# Each kernel of the energy split, scaled by 1 + 1e-6.
+SCALED_KERNELS = {
+    "modified_greens": (dualmap, lambda table: table * (1 + 1e-6)),
+    "greens_sites": (greens, lambda table: dataclasses.replace(table, values=table.values * (1 + 1e-6))),
+}
+
+
+@pytest.mark.parametrize("kernel", SCALED_KERNELS)
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_scaled_kernel_fails_quadratic_form_equivalence(lat, kernel, rng, monkeypatch):
+    """A relative error of 1e-6 in either the Coulomb table G or D+ breaks
+    the split |E|^2 = rho^T G rho + f^T D+ f."""
+    if kernel == "greens_sites" and lat.n_sites == 1:
+        pytest.skip("one site carries no charge for G to weigh")
+    module, scale = SCALED_KERNELS[kernel]
+    build = getattr(module, kernel)
+    monkeypatch.setattr(module, kernel, lambda lat: scale(build(lat)))
+    check = checks.get("quadratic_form_equivalence")
+    assert check.worst(lat, rng, draws=5) > check.tol

@@ -186,7 +186,10 @@ PINNED_CHECK_NAMES = {
     ("2", "2", "open"): MAP_CHECKS + ["quadratic_form_equivalence", "canonical_pairing_identity"],
     ("2", "2", "periodic"): MAP_CHECKS
     + ["quadratic_form_equivalence", "canonical_pairing_identity_on_constraint_quotient"],
-    ("3", "1", "periodic"): MAP_CHECKS[:3] + ["cube_flux_of_curl_vanishes"] + MAP_CHECKS[3:],
+    ("3", "1", "periodic"): MAP_CHECKS[:3]
+    + ["cube_flux_of_curl_vanishes"]
+    + MAP_CHECKS[3:]
+    + ["quadratic_form_equivalence"],
 }
 
 
@@ -254,6 +257,30 @@ def test_unknown_config_key_rejected(tmp_path):
     err = stderr_error(proc)
     assert err["error"] == "config"
     assert "walrus" in err["message"]
+
+
+REQUIRED_FLAGS = {"shifts": ["--site", "0,0", "--direction", "0"], "dump-op": ["--name", "divergence"]}
+
+
+def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
+    """Each subcommand takes every one of its flags' dests as a --config key;
+    the value written is the one the flags already give (handlers stubbed)."""
+    import argparse
+
+    from dualqed import cli
+
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: 0)
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in sub.choices.items():
+        argv = [command, "--N", "1", *REQUIRED_FLAGS.get(command, [])]
+        defaults = vars(parser.parse_args(argv))
+        for dest in (a.dest for a in p._actions if a.dest != "help"):
+            path = tmp_path / f"{command}-{dest}.json"
+            path.write_text(json.dumps({dest: str(path) if dest == "config" else defaults[dest]}))
+            assert cli.main(argv + ["--config", str(path)]) == 0, (command, dest)
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])

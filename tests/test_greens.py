@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualqed.greens import (
+    DENSE_LIMIT,
     NeutralityError,
     _fourier_site_kernel,
     greens_plaquettes_obc,
@@ -165,6 +166,23 @@ def test_poisson_solve_round_trip():
     lap = laplacian_matrix(lat, "site").toarray()
     assert np.abs(-lap @ f.values - rho).max() < 1e-10
     assert abs(f.values.sum()) < 1e-10  # zero-mean convention
+
+
+@pytest.mark.parametrize(
+    "lat, kind, cells",
+    [(Lattice(2, 65, "periodic"), "site", "site"), (Lattice(2, 65, "open"), "plaq_obc", "plaquette")],
+    ids=["site-periodic", "plaq_obc-open"],
+)
+def test_poisson_solve_conjugate_gradients_above_the_dense_limit(lat, kind, cells):
+    """4,225 cells, above the dense-table limit: the conjugate-gradient
+    fallback solves -lap f = rho."""
+    lap = laplacian_matrix(lat, cells)
+    assert lap.shape[0] > DENSE_LIMIT
+    rho = np.random.default_rng(11).standard_normal(lap.shape[0])
+    if kind == "site":
+        rho -= rho.mean()
+    f = poisson_solve(lat, FieldVector(lat, cells, rho), kind=kind)
+    assert np.abs(-(lap @ f.values) - rho).max() <= 1e-10
 
 
 def test_poisson_solve_rejects_charged_source():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dualqed import dualmap, rational
 from dualqed.lattice import cube_flux_matrix, divergence_matrix
 
-from conftest import GEOMETRIES, geometry_id
+from conftest import GEOMETRIES, geometry_id, integer_image_mask
 
 
 def F(mat):
@@ -396,7 +396,7 @@ def small_image_problems(draw):
 def test_integer_image_membership_matches_brute_force(problem):
     A, v = problem
     snf = rational.smith_normal_form(A)
-    got = rational.in_integer_image(snf, v)
+    got = integer_image_mask(snf, np.array(v, dtype=object)[:, None])[0]
     # The box is complete for these ranges (|entries| <= 3, |v| <= 4, at most
     # two columns): every solvable case has a solution with |x_i| <= 24.
     # Full column rank: an invertible 2x2 row block B gives x = adj(B) v / det B,
@@ -411,4 +411,4 @@ def test_integer_image_scaled_lattice():
     # image of [[4]] is 4Z
     snf = rational.smith_normal_form([[4]])
     for v in range(-8, 9):
-        assert rational.in_integer_image(snf, [v]) == (v % 4 == 0)
+        assert integer_image_mask(snf, np.array([[v]]))[0] == (v % 4 == 0)

@@ -22,7 +22,7 @@ from dualqed.spectrum import (
     lowest_eigenvalues,
 )
 
-from conftest import GEOMETRIES
+from conftest import GEOMETRIES, in_flux_class
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -197,7 +197,7 @@ def _sector_matrix(lat, formulation: str, cutoff: int, matter: str = "none", max
     params = ModelParams(g2=1.3, t=0.9, m=0.4)
     if formulation == "electric":
         spec = HilbertSpec(lat, "links_E", cutoff=cutoff, matter=matter, max_dim=max_dim)
-        return h_original(spec, params, spectrum.electric_sector_basis(spec))
+        return h_original(spec, params, hilbert.gauss_sector_basis(spec))
     spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter, max_dim=max_dim)
     return h_dual_thetam(spec, params, flux_sector_basis(spec))
 
@@ -327,7 +327,7 @@ FLUX_REFERENCE_CASES = [
 @pytest.mark.parametrize("lat,matter,cutoff,charges", FLUX_REFERENCE_CASES, ids=lambda c: str(c)[:24])
 def test_flux_sector_matches_per_state_class_test(lat, matter, cutoff, charges):
     """The one congruence test over all states selects exactly the states the
-    per-state loop over ``flux_class_contains`` selects."""
+    per-state loop over the Smith-form membership oracle selects."""
     from dualqed import dualmap
 
     spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter, n_max=2)
@@ -339,7 +339,7 @@ def test_flux_sector_matches_per_state_class_test(lat, matter, cutoff, charges):
     want = [
         i
         for i in range(full.dim)
-        if rho[:, i].sum() == 0 and dualmap.flux_class_contains(lat, flux[:, i] - offsets[:, i])
+        if rho[:, i].sum() == 0 and in_flux_class(lat, flux[:, i] - offsets[:, i])
     ]
     got = flux_sector_basis(spec, None if charges is None else np.array(charges), match_class=True)
     assert got.indices.tolist() == want
@@ -403,7 +403,7 @@ def _direct_cells(cfg: CompareConfig, schedule) -> dict:
     cells = {}
     for cutoff in schedule:
         spec = HilbertSpec(cfg.lattice, "links_E", cutoff=cutoff, **params)
-        cells["original", cutoff] = (h_original(spec, cfg.params, spectrum.electric_sector_basis(spec)), "gauss")
+        cells["original", cutoff] = (h_original(spec, cfg.params, hilbert.gauss_sector_basis(spec)), "gauss")
         spec = HilbertSpec(cfg.lattice, "plaqs_M", cutoff=cfg.cutoff_ratio * cutoff, **params)
         cells["flux", cutoff] = (h_dual_thetam(spec, cfg.params, flux_sector_basis(spec)), "neutral+class")
     return cells
@@ -431,6 +431,70 @@ def test_report_rows_equal_directly_built_cells(lat, matter, ratio):
             H, sector = cells[form, row["cutoff"]]
             direct = lowest_eigenvalues(H, k, seed=5, sector=sector, cutoff=row["cutoff"])
             assert row[form] == direct.as_dict()
+
+
+def test_comparison_reads_static_charges_from_the_params():
+    """The charges of the params place both cells in the same charged sector,
+    so matched windows agree, and the report echoes them."""
+    q = (1.0, -1.0, 0.0, 0.0)
+    cfg = CompareConfig(ONE_PLAQ_OPEN, ModelParams(static_charges=q), matter="none", cutoff_ratio=4)
+    rep = compare_formulations(cfg, k=3, schedule=(2,))
+    assert rep["final_max_difference"] <= 1e-12
+    assert rep["config"]["static_charges"] == list(q)
+
+
+def test_sector_hamiltonian_validates_the_params_before_enumerating():
+    spec = HilbertSpec(ONE_PLAQ_OPEN, "links_E", cutoff=2, max_dim=1)
+    with pytest.raises(hilbert.MemoryGuardError):
+        spectrum.sector_hamiltonian(spec, ModelParams())
+    with pytest.raises(ValueError, match="neutral"):
+        spectrum.sector_hamiltonian(spec, ModelParams(static_charges=(1.0, 0.0, 0.0, 0.0)))
+
+
+# a 2^22 guard refuses the slow sectors within half a second each
+CALLER_GUARD = 2**22
+CALLER_CASES = [
+    pytest.param(lat, formulation, matter, cutoff, id=f"{lat.label()}-{formulation}-{matter}-c{cutoff}")
+    for lat in GEOMETRIES
+    if lat.dim == 2
+    for formulation in ("electric", "flux")
+    for matter in hilbert.MATTER_KINDS
+    for cutoff in (1, 2)
+]
+
+
+@pytest.mark.parametrize("lat,formulation,matter,cutoff", CALLER_CASES)
+def test_every_caller_reports_the_directly_built_sector(lat, formulation, matter, cutoff, tmp_path):
+    """``build`` and ``spectrum`` through the CLI, and a comparison cell,
+    report the sector dimension, nonzeros and eigenvalues of the sector and
+    Hamiltonian built straight from the sector constructors and builders."""
+    from dualqed import cli
+
+    params = ModelParams(g2=1.3, t=0.9, m=0.4)
+    kind = "links_E" if formulation == "electric" else "plaqs_M"
+    spec = HilbertSpec(lat, kind, cutoff=cutoff, matter=matter, max_dim=CALLER_GUARD)
+    try:
+        basis = hilbert.gauss_sector_basis(spec) if kind == "links_E" else flux_sector_basis(spec)
+    except hilbert.MemoryGuardError:
+        pytest.skip("sector refused by the guard")
+    H = (h_original if kind == "links_E" else h_dual_thetam)(spec, params, basis)
+    k = min(3, basis.dim)
+    direct = lowest_eigenvalues(H, k)
+
+    argv = [
+        "--dim", "2", "--N", str(lat.N), "--bc", lat.bc, "--formulation", formulation,
+        "--matter", matter, "--cutoff", str(cutoff), "--g2", "1.3", "--t", "0.9", "--m", "0.4",
+    ]  # fmt: skip
+    out = tmp_path / "report.json"
+    assert cli.main(["build", *argv, "--out", str(out)]) == 0
+    built = json.loads(out.read_text())
+    assert (built["sector_dim"], built["nonzeros"]) == (basis.dim, H.nnz)
+    assert cli.main(["spectrum", *argv, "--k", str(k), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["eigenvalues"] == list(direct.eigenvalues)
+
+    cfg = CompareConfig(lat, params, matter=matter, max_dim=CALLER_GUARD)
+    cell = spectrum._cell_spectrum(cfg, "original" if kind == "links_E" else "flux", cutoff, k, 0)
+    assert (cell.dimension, cell.eigenvalues) == (basis.dim, direct.eigenvalues)
 
 
 def _traced_peak(fn, *args) -> int:
