@@ -5,10 +5,12 @@ exit 0 = success with all checks passing, exit 1 = a check failed, exit 2 =
 configuration error.  Errors are emitted as one-line JSON objects on stderr.
 `--config file.json` overrides flags of the same name; unknown keys are
 rejected.  `--threads` (or the DUALQED_THREADS environment variable) caps
-BLAS/OpenMP parallelism.  The package import has already loaded numpy and
-scipy by the time flags are parsed, so the cap is set at runtime in the
-OpenBLAS each of them bundles, and in the environment for anything loaded
-later or run as a child process.
+BLAS/OpenMP parallelism.  The package import has already loaded numpy,
+``scipy.sparse`` and ``scipy.linalg`` by the time flags are parsed, so the cap
+is set at runtime in the OpenBLAS each of them bundles, and in the
+environment for anything loaded later or run as a child process.  The sparse
+solvers (``scipy.sparse.linalg``: Lanczos, conjugate gradients) load on first
+use, after the cap, and share scipy's capped OpenBLAS.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import rational
 from .lattice import (
@@ -198,6 +197,8 @@ def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVe
         if lat.n_sites <= DENSE_LIMIT:
             G = greens_sites(lat)
             return FieldVector(lat, "site", G.values @ rhs.values)
+        import scipy.sparse.linalg as spla  # loaded only where CG runs
+
         A = (-laplacian_matrix(lat, "site")).astype(float).tocsr()
         b = rhs.values - rhs.values.mean()
         x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10 * lat.n_sites)
@@ -210,6 +211,8 @@ def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVe
         if lat.n_plaqs <= DENSE_LIMIT:
             G = greens_plaquettes_obc(lat)
             return FieldVector(lat, "plaquette", G.values @ rhs.values)
+        import scipy.sparse.linalg as spla  # loaded only where CG runs
+
         A = (-laplacian_matrix(lat, "plaquette")).astype(float).tocsr()
         x, info = spla.cg(A, rhs.values, rtol=1e-12, atol=0.0, maxiter=10 * lat.n_plaqs)
         if info != 0:

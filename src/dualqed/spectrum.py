@@ -5,7 +5,9 @@ small sorted spectrum with per-pair residuals.  It works in the operator's
 own dtype, float64 for every model the builders make.  Below
 ``DENSE_EIG_LIMIT`` states it asks a dense solver for the
 k lowest pairs only; at and above it, it runs restarted Lanczos (ARPACK,
-seeded start vector, no shift-invert).  The limit is the crossover measured
+seeded start vector, no shift-invert).  ``scipy.sparse.linalg``, which holds
+ARPACK, is imported in that branch only, so a process that never runs
+Lanczos never loads it.  The limit is the crossover measured
 at one BLAS thread on 2D lattice sectors: the dense subset is faster up to
 683 states, Lanczos from 1,033 on.  Every residual ``|Hv - lambda v|`` must
 stay below ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the largest absolute
@@ -14,7 +16,9 @@ row sum; a larger one raises ``ResidualError`` instead of being reported.
 A matrix that splits is solved block by block.  On a torus without matter no
 term changes the winding fluxes, so a pure-gauge sector is block diagonal:
 the 2x2 periodic Gauss sector at cutoff 2 has 1,333 states in 145 blocks.
-The blocks are the matrix's connected components.  Those whose Gershgorin
+The blocks are the matrix's connected components, labelled in numpy by
+hook and shortcut (``_component_labels``) exactly as scipy's csgraph numbers
+them, without loading csgraph.  Those whose Gershgorin
 bound shows they hold none of the k lowest levels are dropped, one batched
 dense eigvalsh per block size finds the blocks that do, and only those are
 solved.  When the kept blocks' dense work sum n_b^3 reaches
@@ -56,8 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from . import dualmap, hilbert
 from .hamiltonian import ModelParams, h_dual_thetam, h_original
@@ -107,9 +109,42 @@ def _eigenpairs(H: sp.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.nda
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
+    import scipy.sparse.linalg as spla  # loaded only where Lanczos runs
+
     vals, vecs = spla.eigsh(H, k=k, which="SA", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "iterative"
+
+
+def _component_labels(H: sp.csr_matrix) -> tuple[int, np.ndarray]:
+    """The connected components of H's graph: (count, label per state).
+
+    Every stored entry is an edge, explicit zeros included, in either
+    direction.  Hook and shortcut: each edge joining two trees hangs the
+    larger root under the smaller one, then every state jumps to its
+    parent's parent until none moves.  A state's parent is never larger
+    than the state, so at the end each points at its component's smallest
+    state, and components are numbered in the order of those states, as
+    ``scipy.sparse.csgraph.connected_components(H, directed=False)`` does.
+    """
+    n = H.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(H.indptr))
+    cols = H.indices
+    root = np.arange(n)
+    while True:
+        a, b = root[rows], root[cols]
+        crossing = a != b
+        if not crossing.any():
+            break
+        rows, cols, a, b = rows[crossing], cols[crossing], a[crossing], b[crossing]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
 def _block_eigenpairs(
@@ -127,7 +162,7 @@ def _block_eigenpairs(
     blocks holding them are solved, and their vectors are embedded in the
     full space.
     """
-    n_blocks, labels = connected_components(H, directed=False)
+    n_blocks, labels = _component_labels(H)
     if n_blocks == 1:
         return _eigenpairs(H, k, seed)
     diag = H.diagonal().real

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through real subprocesses: exit codes,
 JSON bodies, exact-fraction output, config-file handling, atomic writes.
-The thread cap is checked in-process, where the loaded BLAS can be read."""
+The thread cap is checked in-process, where the loaded BLAS can be read, and
+in fresh interpreters that also show which solver modules a run loads."""
 
 import json
 import os
@@ -552,9 +553,104 @@ def test_thread_cap_reaches_the_loaded_openblas(tmp_path, monkeypatch):
         assert cli.main(argv) == 0
         assert {name: get() for name, (get, _) in blas.items()} == {"numpy": 1, "scipy": 1}
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # for child processes
+        for _, setter in blas.values():
+            setter(2)
+        out = tmp_path / "lanczos.json"
+        assert cli.main([*LANCZOS_SPECTRUM, "--threads", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == "iterative"
+        assert {name: get() for name, (get, _) in blas.items()} == {"numpy": 1, "scipy": 1}
     finally:
         for name, (_, setter) in blas.items():
             setter(before[name])
+
+
+# solver modules the package import leaves out; they load where a solver runs
+LAZY_SOLVERS = ("scipy.sparse.linalg", "scipy.sparse.csgraph")
+# the 2,443-state electric 2x2 open sector with fermions: connected, so Lanczos
+LANCZOS_SPECTRUM = [
+    "spectrum", "--dim", "2", "--N", "2", "--bc", "open",
+    "--matter", "staggered_fermion", "--cutoff", "1",
+]  # fmt: skip
+
+_FRESH_PRELUDE = f"""
+import json, os, sys
+import numpy as np
+import dualqed
+from dualqed import cli
+
+def solvers():
+    return [name for name in {LAZY_SOLVERS!r} if name in sys.modules]
+
+seen = {{"import": solvers()}}
+"""
+
+
+def _fresh_process(body: str) -> dict:
+    """Run ``body`` in a new interpreter after the prelude and
+    ``_bundled_openblas``; print and return its ``seen`` dict."""
+    import inspect
+
+    import dualqed
+
+    src = os.path.dirname(os.path.dirname(dualqed.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = _FRESH_PRELUDE + inspect.getsource(_bundled_openblas) + body + "\nprint(json.dumps(seen))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_and_dense_commands_load_no_sparse_solver(tmp_path):
+    """``import dualqed``, ``dof``, ``verify-all`` and a dense ``spectrum``
+    leave scipy's sparse solvers and graph routines unloaded."""
+    runs = {
+        "dof": ["dof", "--dim", "2", "--N", "2", "--bc", "open"],
+        "verify-all": ["verify-all", "--dim", "2", "--N", "2", "--bc", "periodic"],
+        "spectrum": ["spectrum", "--dim", "2", "--N", "2", "--bc", "periodic", "--cutoff", "2"],
+    }
+    body = f"""
+for name, argv in {runs!r}.items():
+    out = os.path.join({str(tmp_path)!r}, name + ".json")
+    assert cli.main(argv + ["--out", out]) == 0, name
+    seen[name] = solvers()
+seen["method"] = json.load(open(out))["method"]
+"""
+    seen = _fresh_process(body)
+    assert seen.pop("method") == "dense"
+    assert seen == {"import": [], "dof": [], "verify-all": [], "spectrum": []}
+
+
+def test_lanczos_and_conjugate_gradients_load_the_solver_under_the_cap(tmp_path):
+    """A Lanczos-path ``spectrum`` imports ARPACK on first use, under the
+    thread cap already set in scipy's OpenBLAS; a conjugate-gradient
+    ``poisson_solve`` above ``DENSE_LIMIT`` imports it too."""
+    body = f"""
+get, setter = _bundled_openblas().get("scipy", (lambda: None, lambda n: None))
+setter(2)
+out = os.path.join({str(tmp_path)!r}, "lanczos.json")
+assert cli.main({LANCZOS_SPECTRUM!r} + ["--threads", "1", "--out", out]) == 0
+seen["method"] = json.load(open(out))["method"]
+seen["lanczos"] = solvers()
+seen["threads"] = get()
+"""
+    seen = _fresh_process(body)
+    assert seen["import"] == [] and seen["method"] == "iterative"
+    assert "scipy.sparse.linalg" in seen["lanczos"]
+    assert seen["threads"] in (None, 1)
+
+    body = """
+import numpy as np
+from dualqed.greens import DENSE_LIMIT, poisson_solve
+from dualqed.lattice import FieldVector, Lattice
+lat = Lattice(2, 65, "periodic")
+assert lat.n_sites > DENSE_LIMIT
+rho = np.zeros(lat.n_sites)
+rho[:2] = 1.0, -1.0
+poisson_solve(lat, FieldVector(lat, "site", rho))
+seen["cg"] = solvers()
+"""
+    seen = _fresh_process(body)
+    assert seen["import"] == [] and "scipy.sparse.linalg" in seen["cg"]
 
 
 def test_writes_are_atomic_no_temp_litter(tmp_path):

@@ -285,6 +285,66 @@ def test_block_path_breaks_ties_by_block_label():
     assert np.abs(vecs[4:]).max() == 0 and np.abs(vecs[:2, 0]).max() > 0 and np.abs(vecs[2:4, 1]).max() > 0
 
 
+# the sector cases of the labeller oracle; 3D has no flux sector
+LABEL_CASES = [
+    pytest.param(lat, formulation, id=f"{lat.label()}-{formulation}")
+    for lat in GEOMETRIES
+    for formulation in (("electric", "flux") if lat.dim == 2 else ("electric",))
+]
+
+
+def _assert_labels_match_csgraph(H):
+    count, labels = spectrum._component_labels(sp.csr_matrix(H))
+    oracle_count, oracle_labels = connected_components(H, directed=False)
+    assert count == oracle_count
+    assert np.array_equal(labels, oracle_labels)
+
+
+@pytest.mark.parametrize("lat,formulation", LABEL_CASES)
+def test_component_labels_match_csgraph_on_every_sector(lat, formulation):
+    """The block labels are those of ``connected_components(H, directed=False)``,
+    count and numbering, on every sector of the lattice the guard admits."""
+    admitted = 0
+    for matter in hilbert.MATTER_KINDS:
+        for cutoff in (1, 2):
+            try:  # a 2^22 guard refuses the slow sectors within a tenth of a second
+                H = _sector_matrix(lat, formulation, cutoff, matter, max_dim=2**22)
+            except hilbert.MemoryGuardError:
+                continue
+            _assert_labels_match_csgraph(H)
+            admitted += 1
+    if not admitted:
+        pytest.skip("every sector refused by the guard")
+
+
+def test_component_labels_match_csgraph_on_edge_cases():
+    """Empty, single-state and diagonal matrices; stored explicit zeros, which
+    are edges; one-sided entries; and the 1,201-state chain of the 1x1 open
+    flux sector with fermions at cutoff 400."""
+    _assert_labels_match_csgraph(sp.csr_matrix((0, 0)))
+    _assert_labels_match_csgraph(sp.csr_matrix(np.array([[2.0]])))
+    _assert_labels_match_csgraph(sp.diags(np.arange(6.0)).tocsr())
+    zeros = sp.csr_matrix((np.array([1.0, 0.0, 0.0, 1.0, 1.0]), (np.array([0, 0, 3, 3, 4]), np.array([0, 3, 0, 3, 4]))), (5, 5))
+    assert zeros.nnz == 5 and spectrum._component_labels(zeros)[0] == 4
+    _assert_labels_match_csgraph(zeros)
+    _assert_labels_match_csgraph(sp.csr_matrix(np.triu(np.ones((4, 4))) - np.eye(4)))
+    chain = _sector_matrix(ONE_PLAQ_OPEN, "flux", 400, "staggered_fermion")
+    assert chain.shape[0] == 1201
+    _assert_labels_match_csgraph(chain)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_component_labels_match_csgraph_on_shuffled_forests(seed):
+    """Sparse random graphs, many-component and with shuffled state numbers,
+    so roots are hooked in every order."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    edges = rng.integers(0, n, size=(2, 300 + 60 * seed))
+    perm = rng.permutation(n)
+    H = sp.csr_matrix((np.ones(edges.shape[1]), (perm[edges[0]], perm[edges[1]])), (n, n))
+    _assert_labels_match_csgraph(H)
+
+
 def test_cluster_levels_groups_near_degeneracies():
     vals = [1.0 + 5e-10, 0.0, 1.0, 2.0, 1e-12]
     out = cluster_levels(vals)
