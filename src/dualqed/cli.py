@@ -11,6 +11,11 @@ is set at runtime in the OpenBLAS each of them bundles, and in the
 environment for anything loaded later or run as a child process.  The sparse
 solvers (``scipy.sparse.linalg``: Lanczos, conjugate gradients) load on first
 use, after the cap, and share scipy's capped OpenBLAS.
+
+The subcommands are one table, ``_COMMANDS``.  A run whose first argument
+names a subcommand builds that subcommand's parser only; ``--help``, no
+command and an unknown one get the parser of every subcommand, so their help
+and error messages are argparse's own.
 """
 
 from __future__ import annotations
@@ -451,7 +456,66 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formulation", default="electric", choices=("electric", "flux"))
 
 
-def build_parser() -> _Parser:
+def _add_greens_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--kind", choices=("site", "site_pbc", "site_obc", "modified", "plaq_obc"), default="site"
+    )
+    p.add_argument("--exact", action="store_true", help="exact rational entries")
+
+
+def _add_shifts_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--site", required=True, help="comma-separated coordinates")
+    p.add_argument("--direction", type=int, required=True)
+    p.add_argument("--exact", action="store_true")
+
+
+def _add_sector_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
+
+
+def _add_k_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=3)
+
+
+def _add_compare_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--schedule", default="2,4,6,8", help="comma-separated cutoffs")
+    p.add_argument("--ratio", type=int, default=1, help="flux cutoff per electric cutoff")
+    p.add_argument("--tolerance", type=float, default=1e-4, help="pass threshold on final max difference")
+
+
+def _add_name_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", required=True, help="operator name from the registry")
+
+
+# name -> (help, flag adders after the lattice and common flags, handler, defaults).
+# Handlers are named, and looked up when a parser is built, so a handler
+# rebound on this module after import is the one a parse dispatches to.
+_COMMANDS = {
+    "greens": ("write a Green's-function table as CSV", (_add_greens_flags,), "_cmd_greens", {}),
+    "shifts": ("shift table of one link (JSON)", (_add_shifts_flags,), "_cmd_shifts", {}),
+    "dof": ("degree-of-freedom audit (JSON)", (), "_cmd_dof", {}),
+    "check-maps": ("linear-map identity suite", (), "_cmd_checks", {"maps_only": True}),
+    "build": ("build a Hamiltonian, report dimensions", (_add_model_flags, _add_sector_flag), "_cmd_build", {}),
+    "spectrum": (
+        "lowest eigenvalues of one formulation",
+        (_add_model_flags, _add_sector_flag, _add_k_flag),
+        "_cmd_spectrum",
+        {},
+    ),
+    "compare": (
+        "cross-formulation spectrum comparison",
+        (_add_model_flags, _add_sector_flag, _add_k_flag, _add_compare_flags),
+        "_cmd_compare",
+        {},
+    ),
+    "verify-all": ("full invariant suite for a geometry", (), "_cmd_checks", {"maps_only": False}),
+    "dump-op": ("write one linear operator as COO CSV", (_add_name_flag,), "_cmd_dump_op", {}),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``dualqed`` parser with the subparser of `command` only, or of
+    every subcommand when `command` is None."""
     # argparse makes a formatter for every argument it adds, and a stock
     # HelpFormatter reads the terminal size each time; read it once per build,
     # as HelpFormatter would (columns - 2), and share it with every subparser
@@ -460,79 +524,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=formatter)
     )
-
-    p = sub.add_parser("greens", help="write a Green's-function table as CSV")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument(
-        "--kind", choices=("site", "site_pbc", "site_obc", "modified", "plaq_obc"), default="site"
-    )
-    p.add_argument("--exact", action="store_true", help="exact rational entries")
-    p.set_defaults(handler=_cmd_greens)
-
-    p = sub.add_parser("shifts", help="shift table of one link (JSON)")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--site", required=True, help="comma-separated coordinates")
-    p.add_argument("--direction", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
-    p.set_defaults(handler=_cmd_shifts)
-
-    p = sub.add_parser("dof", help="degree-of-freedom audit (JSON)")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_dof)
-
-    p = sub.add_parser("check-maps", help="linear-map identity suite")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_checks, maps_only=True)
-
-    p = sub.add_parser("build", help="build a Hamiltonian, report dimensions")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
-    p.set_defaults(handler=_cmd_build)
-
-    p = sub.add_parser("spectrum", help="lowest eigenvalues of one formulation")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
-    p.add_argument("--k", type=int, default=3)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("compare", help="cross-formulation spectrum comparison")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--schedule", default="2,4,6,8", help="comma-separated cutoffs")
-    p.add_argument("--ratio", type=int, default=1, help="flux cutoff per electric cutoff")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="pass threshold on final max difference")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("verify-all", help="full invariant suite for a geometry")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_checks, maps_only=False)
-
-    p = sub.add_parser("dump-op", help="write one linear operator as COO CSV")
-    _add_lattice_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--name", required=True, help="operator name from the registry")
-    p.set_defaults(handler=_cmd_dump_op)
-
-    for p in sub.choices.values():  # a subcommand's config keys are its flags' dests
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.default is not argparse.SUPPRESS})
+    for name in _COMMANDS if command is None else (command,):
+        help_text, adders, handler, defaults = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in (_add_lattice_flags, _add_common_flags, *adders):
+            add(p)
+        # a subcommand's config keys are its flags' dests
+        flags = {a.dest: a for a in p._actions if a.default is not argparse.SUPPRESS}
+        p.set_defaults(handler=globals()[handler], flags=flags, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
+        if argv is None:
+            argv = sys.argv[1:]
+        # a known command gets its own subparser only; anything else (no
+        # command, --help, an unknown name) the full parser, for its messages
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         args = parser.parse_args(argv)
         _load_config(args, args.flags)
         _apply_thread_cap(args.threads)

@@ -40,7 +40,6 @@ from .lattice import (
     curl_plaq_to_link_matrix,
     divergence_matrix,
     link_index,
-    plaquettes,
     shift_site,
     site_index,
     sites,
@@ -145,11 +144,12 @@ def constraint_set(lat: Lattice) -> ConstraintSet:
             rows.append(vec)
             kinds.append("cube_flux")
         if lat.periodic:
+            # normal-i plaquettes fill [i N^3, (i + 1) N^3), corners row-major
+            n3 = lat.N**3
+            on_slice = np.indices((lat.N,) * 3).reshape(3, n3) == 0
             for i in range(3):
                 vec = np.zeros(width, dtype=np.int64)
-                for p, (x, normal) in enumerate(plaquettes(lat)):
-                    if normal == i and x[i] == 0:
-                        vec[p] = 1
+                vec[i * n3 : (i + 1) * n3] = on_slice[i]
                 rows.append(vec)
                 kinds.append(f"slice_sum_{i}")
     if rows:

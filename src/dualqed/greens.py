@@ -30,7 +30,6 @@ from .lattice import (
     Lattice,
     cached,
     laplacian_matrix,
-    sites,
 )
 
 # Dense-table cutoff: above this many cells, poisson_solve falls back to
@@ -103,7 +102,7 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
         return GreensTable(lat, kind, rational.to_float(G), "zero_row_sum", exact=tuple(map(tuple, G)))
     if lat.periodic:
         kernel = _fourier_site_kernel(lat)
-        coords = np.array(sites(lat))
+        coords = np.indices((lat.N,) * lat.dim).reshape(lat.dim, -1).T
         disp = (coords[:, None, :] - coords[None, :, :]) % lat.N
         vals = kernel[tuple(disp[..., ax] for ax in range(lat.dim))]
         return GreensTable(lat, kind, vals, "zero_row_sum")

@@ -45,7 +45,6 @@ Every amplitude is real, so every model is built, and solved, in real
 arithmetic.
 
 The memory guard bounds what is allocated, not the product dimension:
-`product_basis` refuses a space of more than `max_dim` states, and
 `sector_basis` refuses before its candidates would hold more than `max_dim`
 int64 entries.  Raise `max_dim` deliberately to go past it.
 """
@@ -152,17 +151,6 @@ class BasisMap:
     @property
     def dim(self) -> int:
         return len(self.indices)
-
-
-def product_basis(spec: HilbertSpec) -> BasisMap:
-    """Every product state of the space; refused above ``spec.max_dim`` states."""
-    if spec.total_dim > spec.max_dim:
-        raise MemoryGuardError(
-            f"product dimension {spec.total_dim} exceeds guard {spec.max_dim}; "
-            "raise max_dim explicitly to proceed"
-        )
-    indices = np.arange(spec.total_dim, dtype=np.int64)
-    return BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
 
 
 def empty_basis(spec: HilbertSpec) -> BasisMap:

@@ -19,6 +19,9 @@ Geometry conventions used across the package:
 Forward difference (gradient) maps sites to links, backward difference
 (divergence) maps links to sites, and the two curls map links to plaquettes
 and back.  All operator matrices are integer CSR and cached per lattice.
+Each is built from its own stencil by index arithmetic on coordinate grids
+(`_stencil`), never from another operator or from the tuple enumerations,
+which remain for callers that walk cells one by one.
 Every cached result is read-only: `cached` freezes its arrays once, when
 it is computed, and cached lookup tables are mapping proxies, so a write
 into a shared result raises instead of corrupting every later caller.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -107,15 +111,15 @@ class Lattice:
 
     @property
     def n_links(self) -> int:
-        return len(links(self))
+        return self.dim * self.N * self.sites_per_side ** (self.dim - 1)
 
     @property
     def n_plaqs(self) -> int:
-        return len(plaquettes(self))
+        return self.N**2 if self.dim == 2 else 3 * self.sites_per_side * self.N**2
 
     @property
     def n_cubes(self) -> int:
-        return len(cubes(self))
+        return self.N**3 if self.dim == 3 else 0
 
     @property
     def n_global_loops(self) -> int:
@@ -220,19 +224,6 @@ def plaquette_index(lat: Lattice, x: tuple[int, ...], normal: int | None = None)
     return _plaq_index(lat)[(x, normal)]
 
 
-def plaquette_exists(lat: Lattice, x: tuple[int, ...], normal: int | None = None) -> bool:
-    if lat.periodic:
-        return True
-    if lat.dim == 2:
-        return all(0 <= c < lat.N for c in x)
-    j, k = _cyclic(normal)
-    return (
-        0 <= x[normal] <= lat.N
-        and 0 <= x[j] < lat.N
-        and 0 <= x[k] < lat.N
-    )
-
-
 @cached
 def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     if lat.dim == 2:
@@ -260,11 +251,9 @@ def global_loop_links(lat: Lattice, direction: int) -> list[int]:
     """
     if not lat.periodic:
         return []
-    idx = []
-    for step in range(lat.N):
-        x = tuple(step if ax == direction else 0 for ax in range(lat.dim))
-        idx.append(link_index(lat, x, direction))
-    return idx
+    x = np.zeros((lat.dim, lat.N), dtype=np.int64)
+    x[direction] = np.arange(lat.N)
+    return _cell_indices(lat, "link", direction, x).tolist()
 
 
 def site_parity(lat: Lattice) -> np.ndarray:
@@ -275,24 +264,84 @@ def site_parity(lat: Lattice) -> np.ndarray:
 @cached
 def axis_indicator_matrix(lat: Lattice) -> sp.csr_matrix:
     """n_links x dim matrix whose column i marks the direction-i axis line."""
-    rows, cols = [], []
-    for i in range(lat.dim):
-        for n in global_loop_links(lat, i):
-            rows.append(n)
-            cols.append(i)
-    vals = [1] * len(rows)
-    return _csr(rows, cols, vals, (lat.n_links, lat.dim))
+    rows = np.array([global_loop_links(lat, i) for i in range(lat.dim)], dtype=np.int64)
+    cols = np.repeat(np.arange(lat.dim), rows.shape[1])
+    return _csr(rows.ravel(), cols, np.ones(rows.size), (lat.n_links, lat.dim))
 
 
 @cached
 def direction_sum_matrix(lat: Lattice) -> sp.csr_matrix:
     """dim x n_links matrix summing link values per direction."""
-    rows, cols = [], []
-    for n, (_, i) in enumerate(links(lat)):
-        rows.append(i)
-        cols.append(n)
-    vals = [1] * len(rows)
-    return _csr(rows, cols, vals, (lat.dim, lat.n_links))
+    rows = np.repeat(np.arange(lat.dim), lat.n_links // lat.dim)
+    return _csr(rows, np.arange(lat.n_links), np.ones(lat.n_links), (lat.dim, lat.n_links))
+
+
+# ---------------------------------------------------------------------------
+# Index arithmetic.  The cells of one kind and orientation (the direction of
+# a link, the normal of a 3D plaquette) fill a regular grid; the grids of a
+# kind follow one another in orientation order, so a cell's index is its
+# grid's offset plus its row-major place in the grid.  The operator matrices
+# are built from these grids, not from the cell enumerations above.
+# ---------------------------------------------------------------------------
+
+
+def plaquette_grid_shape(lat: Lattice, normal: int | None = None) -> tuple[int, ...]:
+    """Shape of the regular grid on which same-orientation plaquettes live."""
+    if lat.dim == 2:
+        return (lat.N, lat.N)
+    shape = [lat.N] * 3
+    shape[normal] = lat.sites_per_side
+    return tuple(shape)
+
+
+def _orientations(lat: Lattice, kind: CellKind):
+    return range(lat.dim) if kind == "link" or (kind == "plaquette" and lat.dim == 3) else (None,)
+
+
+def _grid_shape(lat: Lattice, kind: CellKind, orientation: int | None) -> tuple[int, ...]:
+    if kind == "plaquette":
+        return plaquette_grid_shape(lat, orientation)
+    shape = [lat.sites_per_side if kind != "cube" else lat.N] * lat.dim
+    if kind == "link":
+        shape[orientation] = lat.N
+    return tuple(shape)
+
+
+def _cell_indices(lat: Lattice, kind: CellKind, orientation: int | None, x: np.ndarray) -> np.ndarray:
+    """Index of the cell of `kind` and `orientation` at each column of the
+    (dim, n) coordinate array x: wrapped mod N on a torus, -1 where the cell
+    is absent from an open lattice."""
+    shape = _grid_shape(lat, kind, orientation)
+    offset = (orientation or 0) * math.prod(shape)
+    if lat.periodic:
+        return offset + np.ravel_multi_index(x, shape, mode="wrap")
+    inside = ((x >= 0) & (x < np.array(shape)[:, None])).all(axis=0)
+    return np.where(inside, offset + np.ravel_multi_index(x, shape, mode="clip"), -1)
+
+
+def _unit_shifts(lat: Lattice) -> np.ndarray:
+    """e[i] is the unit step along axis i as a (dim, 1) column, to add to a
+    (dim, n) coordinate array."""
+    return np.eye(lat.dim, dtype=np.int64)[:, :, None]
+
+
+def _stencil(lat: Lattice, row_kind: CellKind, col_kind: CellKind, terms) -> sp.csr_matrix:
+    """Integer matrix whose row for the row_kind cell at (x, orientation o)
+    holds `sign` at the col_kind cell (x + shift, o') for every
+    (sign, shift, o') in terms(o); a term whose cell is absent is dropped."""
+    rows, cols, signs = [], [], []
+    for o in _orientations(lat, row_kind):
+        x = np.indices(_grid_shape(lat, row_kind, o)).reshape(lat.dim, -1)
+        here = _cell_indices(lat, row_kind, o, x)
+        for sign, shift, target in terms(o):
+            rows.append(here)
+            cols.append(_cell_indices(lat, col_kind, target, x + shift))
+            signs.append(sign)
+    vals = np.repeat(signs, [c.size for c in cols])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    present = cols >= 0
+    shape = (lat.n_cells(row_kind), lat.n_cells(col_kind))
+    return _csr(rows[present], cols[present], vals[present], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +429,8 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
 @cached
 def gradient_matrix(lat: Lattice) -> sp.csr_matrix:
     """Forward difference, sites -> links: (grad f)_i(x) = f(x+e_i) - f(x)."""
-    rows, cols, vals = [], [], []
-    for n, (x, i) in enumerate(links(lat)):
-        head = shift_site(lat, x, i, +1)
-        rows += [n, n]
-        cols += [site_index(lat, head), site_index(lat, x)]
-        vals += [1, -1]
-    return _csr(rows, cols, vals, (lat.n_links, lat.n_sites))
+    e = _unit_shifts(lat)
+    return _stencil(lat, "link", "site", lambda i: ((1, e[i], None), (-1, 0, None)))
 
 
 @cached
@@ -396,31 +440,8 @@ def divergence_matrix(lat: Lattice) -> sp.csr_matrix:
     Built from its own stencil (terms referring to absent links are dropped);
     equals minus the gradient transpose entrywise, which the tests check.
     """
-    rows, cols, vals = [], [], []
-    for n, x in enumerate(sites(lat)):
-        for i in range(lat.dim):
-            if lat.periodic or x[i] < lat.N:
-                rows.append(n)
-                cols.append(link_index(lat, x, i))
-                vals.append(1)
-            back = shift_site(lat, x, i, -1)
-            if back is not None and (lat.periodic or back[i] < lat.N):
-                rows.append(n)
-                cols.append(link_index(lat, back, i))
-                vals.append(-1)
-    return _csr(rows, cols, vals, (lat.n_sites, lat.n_links))
-
-
-def plaquette_grid_shape(lat: Lattice, normal: int | None = None) -> tuple[int, ...]:
-    """Shape of the regular grid on which same-orientation plaquettes live."""
-    if lat.dim == 2:
-        return (lat.N, lat.N)
-    j, k = _cyclic(normal)
-    shape = [0, 0, 0]
-    shape[normal] = lat.N if lat.periodic else lat.N + 1
-    shape[j] = lat.N
-    shape[k] = lat.N
-    return tuple(shape)
+    e = _unit_shifts(lat)
+    return _stencil(lat, "site", "link", lambda _: [t for i in range(lat.dim) for t in ((1, 0, i), (-1, -e[i], i))])
 
 
 @cached
@@ -441,34 +462,8 @@ def laplacian_matrix(lat: Lattice, kind: CellKind = "site") -> sp.csr_matrix:
         return (divergence_matrix(lat) @ gradient_matrix(lat)).tocsr()
     if kind != "plaquette":
         raise ValueError(f"no Laplacian for cell kind {kind!r}")
-    n = lat.n_plaqs
-    rows, cols, vals = [], [], []
-    for p, plaq in enumerate(plaquettes(lat)):
-        if lat.dim == 2:
-            x, normal = plaq, None
-        else:
-            x, normal = plaq
-        rows.append(p)
-        cols.append(p)
-        vals.append(-2 * lat.dim)
-        for ax in range(lat.dim):
-            for step in (+1, -1):
-                y = list(x)
-                y[ax] += step
-                if lat.periodic:
-                    y[ax] %= lat.N
-                    q = tuple(y)
-                else:
-                    shape = plaquette_grid_shape(lat, normal)
-                    if not (0 <= y[ax] < shape[ax]):
-                        continue
-                    q = tuple(y)
-                rows.append(p)
-                cols.append(plaquette_index(lat, q, normal))
-                vals.append(1)
-    mat = _csr(rows, cols, vals, (n, n))
-    mat.sum_duplicates()
-    return mat
+    steps = np.concatenate([_unit_shifts(lat), -_unit_shifts(lat)])
+    return _stencil(lat, "plaquette", "plaquette", lambda o: [(-2 * lat.dim, 0, o)] + [(1, step, o) for step in steps])
 
 
 @cached
@@ -479,25 +474,13 @@ def curl_link_to_plaq_matrix(lat: Lattice) -> sp.csr_matrix:
     +F_k(x+e_j) - F_k(x) - F_j(x+e_k) + F_j(x); in 2D this is the familiar
     F_1(x) + F_2(x+e_1) - F_1(x+e_2) - F_2(x).
     """
-    rows, cols, vals = [], [], []
-    for p, plaq in enumerate(plaquettes(lat)):
-        if lat.dim == 2:
-            x, (j, k) = plaq, (0, 1)
-        else:
-            x, normal = plaq
-            j, k = _cyclic(normal)
-        for sgn, base, direction in (
-            (+1, x, j),
-            (+1, shift_site(lat, x, j, +1), k),
-            (-1, shift_site(lat, x, k, +1), j),
-            (-1, x, k),
-        ):
-            rows.append(p)
-            cols.append(link_index(lat, base, direction))
-            vals.append(sgn)
-    mat = _csr(rows, cols, vals, (lat.n_plaqs, lat.n_links))
-    mat.sum_duplicates()
-    return mat
+    e = _unit_shifts(lat)
+
+    def terms(normal):
+        j, k = (0, 1) if normal is None else _cyclic(normal)
+        return ((1, 0, j), (1, e[j], k), (-1, e[k], j), (-1, 0, k))
+
+    return _stencil(lat, "plaquette", "link", terms)
 
 
 @cached
@@ -510,36 +493,16 @@ def curl_plaq_to_link_matrix(lat: Lattice) -> sp.csr_matrix:
     survives: direction-0 links get L(x) - L(x-e_1), direction-1 links get
     L(x-e_0) - L(x).  Equals the transpose of the plaquette circulation map.
     """
-    rows, cols, vals = [], [], []
-    for n, (x, i) in enumerate(links(lat)):
+    e = _unit_shifts(lat)
+
+    def terms(i):
         if lat.dim == 2:
-            # direction 0: +L(x) - L(x - e_1); direction 1: -L(x) + L(x - e_0)
-            sgn = +1 if i == 0 else -1
-            back_ax = 1 if i == 0 else 0
-            terms = [(sgn, x), (-sgn, shift_site(lat, x, back_ax, -1))]
-            for s, corner in terms:
-                if corner is None or not plaquette_exists(lat, corner):
-                    continue
-                rows.append(n)
-                cols.append(plaquette_index(lat, corner))
-                vals.append(s)
-            continue
+            sign = 1 if i == 0 else -1
+            return ((sign, 0, None), (-sign, -e[1 - i], None))
         j, k = _cyclic(i)
-        terms = [
-            (+1, x, k),
-            (-1, shift_site(lat, x, j, -1), k),
-            (-1, x, j),
-            (+1, shift_site(lat, x, k, -1), j),
-        ]
-        for s, corner, normal in terms:
-            if corner is None or not plaquette_exists(lat, corner, normal):
-                continue
-            rows.append(n)
-            cols.append(plaquette_index(lat, corner, normal))
-            vals.append(s)
-    mat = _csr(rows, cols, vals, (lat.n_links, lat.n_plaqs))
-    mat.sum_duplicates()
-    return mat
+        return ((1, 0, k), (-1, -e[j], k), (-1, 0, j), (1, -e[k], j))
+
+    return _stencil(lat, "link", "plaquette", terms)
 
 
 @cached
@@ -551,19 +514,8 @@ def cube_flux_matrix(lat: Lattice) -> sp.csr_matrix:
     """
     if lat.dim != 3:
         raise ValueError("cube flux needs a 3D lattice")
-    rows, cols, vals = [], [], []
-    for c, x in enumerate(cubes(lat)):
-        for i in range(3):
-            far = shift_site(lat, x, i, +1)
-            rows += [c, c]
-            cols += [
-                plaquette_index(lat, far, i),
-                plaquette_index(lat, x, i),
-            ]
-            vals += [1, -1]
-    mat = _csr(rows, cols, vals, (lat.n_cubes, lat.n_plaqs))
-    mat.sum_duplicates()
-    return mat
+    e = _unit_shifts(lat)
+    return _stencil(lat, "cube", "plaquette", lambda _: [t for i in range(3) for t in ((1, e[i], i), (-1, 0, i))])
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,13 @@ class SpectrumReport:
         }
 
 
-def _eigenpairs(H: sp.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """The k lowest eigenpairs (ascending) and the method that found them."""
+def _eigenpairs(H: sp.csr_matrix | np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The k lowest eigenpairs (ascending) and the method that found them.
+
+    H is a sparse matrix, or a dense block already assembled (``_block_eigenpairs``)."""
     n = H.shape[0]
     if n < DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, k - 1])
+        vals, vecs = sla.eigh(H if isinstance(H, np.ndarray) else H.toarray(), subset_by_index=[0, k - 1])
         return vals, vecs, "dense"
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -159,8 +161,8 @@ def _block_eigenpairs(
     whose dense work sum n_b^3 is not below ``DENSE_EIG_LIMIT``^3, go to
     ``_eigenpairs`` whole.  Otherwise one batched eigvalsh per block size
     picks the k lowest levels (ties by value, block label, level), only the
-    blocks holding them are solved, and their vectors are embedded in the
-    full space.
+    blocks holding them are solved, each from the dense block that step
+    assembled, and their vectors are embedded in the full space.
     """
     n_blocks, labels = _component_labels(H)
     if n_blocks == 1:
@@ -183,6 +185,7 @@ def _block_eigenpairs(
     local[by_block] = np.arange(H.shape[0]) - starts[labels[by_block]]
     coo = H.tocoo()
     values, owners, levels = [], [], []
+    stacks = {}  # block size -> (the kept blocks of that size, dense; each block's slot among them)
     for size in np.unique(sizes[kept]):
         group = kept[sizes[kept] == size]
         slot = np.full(n_blocks, -1)
@@ -191,6 +194,7 @@ def _block_eigenpairs(
         rows, cols = coo.row[entry], coo.col[entry]
         dense = np.zeros((group.size, size, size), dtype=H.dtype)
         np.add.at(dense, (slot[labels[rows]], local[rows], local[cols]), coo.data[entry])
+        stacks[size] = dense, slot
         values.append(np.linalg.eigvalsh(dense).ravel())
         owners.append(np.repeat(group, size))
         levels.append(np.tile(np.arange(size), group.size))
@@ -201,7 +205,8 @@ def _block_eigenpairs(
     for block in np.unique(owners[chosen]):
         states = by_block[starts[block] : starts[block + 1]]
         count = int(levels[chosen][owners[chosen] == block].max()) + 1
-        vals, vecs, _ = _eigenpairs(H[states][:, states], count, seed)
+        dense, slot = stacks[sizes[block]]
+        vals, vecs, _ = _eigenpairs(dense[slot[block]], count, seed)
         for level in range(count):
             vec = np.zeros(H.shape[0], dtype=vecs.dtype)
             vec[states] = vecs[:, level]

@@ -1,10 +1,24 @@
-"""Shared fixtures and the acceptance-summary reporter."""
+"""Shared fixtures, the loop-built reference operators, the product-space
+basis, and the acceptance-summary reporter."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualqed import checks, dualmap, hilbert
-from dualqed.lattice import Lattice, divergence_matrix
+from dualqed.lattice import (
+    Lattice,
+    _cyclic,
+    cubes,
+    divergence_matrix,
+    link_index,
+    links,
+    plaquette_index,
+    plaquettes,
+    shift_site,
+    site_index,
+    sites,
+)
 
 # geometries small enough for exhaustive/dense checks
 GEOMETRIES_2D = [Lattice(2, n, bc) for n in (1, 2, 3) for bc in ("open", "periodic")]
@@ -68,6 +82,172 @@ def entry_test(*names: str, geometries=GEOMETRIES, draws: int | None = None):
         assert_entries_hold(lat, rng, *names, draws=draws)
 
     return test
+
+
+# --- reference operators ------------------------------------------------------
+# The lattice maps as first written: one Python loop per cell over the tuple
+# enumerations and their index maps.  `lattice` builds the same matrices by
+# index arithmetic on coordinate grids; test_lattice compares the two.
+
+
+def _loop_csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    mat = sp.csr_matrix((np.asarray(vals, dtype=np.int64), (rows, cols)), shape=shape)
+    mat.sum_duplicates()
+    return mat
+
+
+def _plaquette_exists(lat: Lattice, x, normal=None) -> bool:
+    if lat.periodic:
+        return True
+    if lat.dim == 2:
+        return all(0 <= c < lat.N for c in x)
+    j, k = _cyclic(normal)
+    return 0 <= x[normal] <= lat.N and 0 <= x[j] < lat.N and 0 <= x[k] < lat.N
+
+
+def loop_gradient(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for n, (x, i) in enumerate(links(lat)):
+        rows += [n, n]
+        cols += [site_index(lat, shift_site(lat, x, i, +1)), site_index(lat, x)]
+        vals += [1, -1]
+    return _loop_csr(rows, cols, vals, (lat.n_links, lat.n_sites))
+
+
+def loop_divergence(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for n, x in enumerate(sites(lat)):
+        for i in range(lat.dim):
+            if lat.periodic or x[i] < lat.N:
+                rows.append(n)
+                cols.append(link_index(lat, x, i))
+                vals.append(1)
+            back = shift_site(lat, x, i, -1)
+            if back is not None and (lat.periodic or back[i] < lat.N):
+                rows.append(n)
+                cols.append(link_index(lat, back, i))
+                vals.append(-1)
+    return _loop_csr(rows, cols, vals, (lat.n_sites, lat.n_links))
+
+
+def loop_plaquette_laplacian(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for p, plaq in enumerate(plaquettes(lat)):
+        x, normal = (plaq, None) if lat.dim == 2 else plaq
+        rows.append(p)
+        cols.append(p)
+        vals.append(-2 * lat.dim)
+        for ax in range(lat.dim):
+            for step in (+1, -1):
+                y = list(x)
+                y[ax] += step
+                if lat.periodic:
+                    y[ax] %= lat.N
+                elif not _plaquette_exists(lat, y, normal):
+                    continue
+                rows.append(p)
+                cols.append(plaquette_index(lat, tuple(y), normal))
+                vals.append(1)
+    return _loop_csr(rows, cols, vals, (lat.n_plaqs, lat.n_plaqs))
+
+
+def loop_curl_link_to_plaq(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for p, plaq in enumerate(plaquettes(lat)):
+        if lat.dim == 2:
+            x, (j, k) = plaq, (0, 1)
+        else:
+            x, normal = plaq
+            j, k = _cyclic(normal)
+        for sgn, base, direction in (
+            (+1, x, j),
+            (+1, shift_site(lat, x, j, +1), k),
+            (-1, shift_site(lat, x, k, +1), j),
+            (-1, x, k),
+        ):
+            rows.append(p)
+            cols.append(link_index(lat, base, direction))
+            vals.append(sgn)
+    return _loop_csr(rows, cols, vals, (lat.n_plaqs, lat.n_links))
+
+
+def loop_curl_plaq_to_link(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for n, (x, i) in enumerate(links(lat)):
+        if lat.dim == 2:
+            sgn = +1 if i == 0 else -1
+            back_ax = 1 if i == 0 else 0
+            terms = [(sgn, x, None), (-sgn, shift_site(lat, x, back_ax, -1), None)]
+        else:
+            j, k = _cyclic(i)
+            terms = [
+                (+1, x, k),
+                (-1, shift_site(lat, x, j, -1), k),
+                (-1, x, j),
+                (+1, shift_site(lat, x, k, -1), j),
+            ]
+        for s, corner, normal in terms:
+            if corner is None or not _plaquette_exists(lat, corner, normal):
+                continue
+            rows.append(n)
+            cols.append(plaquette_index(lat, corner, normal))
+            vals.append(s)
+    return _loop_csr(rows, cols, vals, (lat.n_links, lat.n_plaqs))
+
+
+def loop_cube_flux(lat: Lattice) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for c, x in enumerate(cubes(lat)):
+        for i in range(3):
+            rows += [c, c]
+            cols += [plaquette_index(lat, shift_site(lat, x, i, +1), i), plaquette_index(lat, x, i)]
+            vals += [1, -1]
+    return _loop_csr(rows, cols, vals, (lat.n_cubes, lat.n_plaqs))
+
+
+def loop_axis_indicator(lat: Lattice) -> sp.csr_matrix:
+    rows, cols = [], []
+    for i in range(lat.dim):
+        for step in range(lat.N if lat.periodic else 0):
+            rows.append(link_index(lat, tuple(step if ax == i else 0 for ax in range(lat.dim)), i))
+            cols.append(i)
+    return _loop_csr(rows, cols, [1] * len(rows), (lat.n_links, lat.dim))
+
+
+def loop_direction_sum(lat: Lattice) -> sp.csr_matrix:
+    rows, cols = [], []
+    for n, (_, i) in enumerate(links(lat)):
+        rows.append(i)
+        cols.append(n)
+    return _loop_csr(rows, cols, [1] * len(rows), (lat.dim, lat.n_links))
+
+
+# name (a `lattice._OPERATORS` key, or the builder's name) -> reference builder
+LOOP_OPERATORS = {
+    "gradient": loop_gradient,
+    "divergence": loop_divergence,
+    "laplacian_site": lambda lat: (loop_divergence(lat) @ loop_gradient(lat)).tocsr(),
+    "laplacian_plaquette": loop_plaquette_laplacian,
+    "curl_link_to_plaq": loop_curl_link_to_plaq,
+    "curl_plaq_to_link": loop_curl_plaq_to_link,
+    "cube_flux": loop_cube_flux,
+    "axis_indicator_matrix": loop_axis_indicator,
+    "direction_sum_matrix": loop_direction_sum,
+}
+
+
+# --- the product space -----------------------------------------------------------
+
+
+def product_basis(spec: hilbert.HilbertSpec) -> hilbert.BasisMap:
+    """Every product state of the space; refused above ``spec.max_dim`` states."""
+    if spec.total_dim > spec.max_dim:
+        raise hilbert.MemoryGuardError(
+            f"product dimension {spec.total_dim} exceeds guard {spec.max_dim}; "
+            "raise max_dim explicitly to proceed"
+        )
+    indices = np.arange(spec.total_dim, dtype=np.int64)
+    return hilbert.BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
 
 
 # --- acceptance report -------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import gauss_residuals, record_acceptance
+from conftest import gauss_residuals, product_basis, record_acceptance
 from dualqed import checks, dualmap, helmholtz, hilbert, spectrum
 from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
 from dualqed.hilbert import HilbertSpec
@@ -194,9 +194,9 @@ def test_criterion_9_block_structure():
     structure and exact charge conservation in the flux description."""
     lat_e = Lattice(2, 1, "open")
     spec_e = HilbertSpec(lat_e, "links_E", cutoff=1, matter="staggered_fermion")
-    H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5), hilbert.product_basis(spec_e))
+    H_e = h_original(spec_e, ModelParams(g2=1.0, t=1.0, m=0.5), product_basis(spec_e))
     worst_gauss = 0.0
-    residuals = gauss_residuals(hilbert.product_basis(spec_e))
+    residuals = gauss_residuals(product_basis(spec_e))
     for s in range(lat_e.n_sites):
         G = sp.diags(residuals[s], dtype=float)
         comm = (H_e @ G - G @ H_e).tocoo()
@@ -204,7 +204,7 @@ def test_criterion_9_block_structure():
 
     lat_m = Lattice(2, 2, "periodic")
     spec_m = HilbertSpec(lat_m, "plaqs_M", cutoff=1, matter="staggered_fermion")
-    full_m = hilbert.product_basis(spec_m)
+    full_m = product_basis(spec_m)
     H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5), full_m)
     total_m = sp.diags(hilbert.gauge_level_diagonals(full_m).sum(axis=0), dtype=float)
     comm_m = (H_m @ total_m - total_m @ H_m).tocoo()

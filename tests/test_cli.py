@@ -284,6 +284,70 @@ def test_every_flag_is_a_config_key(tmp_path, monkeypatch):
             assert cli.main(argv + ["--config", str(path)]) == 0, (command, dest)
 
 
+def _every_flag_argv(command: str, p) -> list[str]:
+    """An argv of `command` that sets every one of its flags to a value that
+    is not the default (a parse only: no handler runs)."""
+    argv = [command]
+    for action in p._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, str(action.choices[-1])]
+        else:
+            argv += [flag, {int: "2", float: "0.5"}.get(action.type, f"{action.dest}-value")]
+    return argv
+
+
+def _parsed(parser, argv) -> dict:
+    """vars() of a parse, the flags' Action objects read as comparable tuples."""
+    out = vars(parser.parse_args(argv))
+    out["flags"] = {d: (a.option_strings, a.type, a.default, a.required, a.choices) for d, a in out["flags"].items()}
+    return out
+
+
+def test_per_command_parser_parses_like_the_full_parser():
+    """`build_parser(command)` registers that subcommand only, and parses its
+    minimal argv and an argv setting every flag exactly as the full parser."""
+    import argparse
+
+    from dualqed import cli
+
+    def subparsers(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    full = cli.build_parser()
+    assert list(subparsers(full)) == list(cli._COMMANDS)
+    for command, p in subparsers(full).items():
+        own = cli.build_parser(command)
+        assert list(subparsers(own)) == [command]
+        for argv in ([command, "--N", "1", *REQUIRED_FLAGS.get(command, [])], _every_flag_argv(command, p)):
+            assert _parsed(own, argv) == _parsed(full, argv), argv
+
+
+COMMAND_LIST = "'greens', 'shifts', 'dof', 'check-maps', 'build', 'spectrum', 'compare', 'verify-all', 'dump-op'"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["walrus"], f"argument command: invalid choice: 'walrus' (choose from {COMMAND_LIST})"),
+        (["--N", "2", "dof"], f"argument command: invalid choice: '2' (choose from {COMMAND_LIST})"),
+    ],
+    ids=["no-command", "unknown-command", "flag-before-command"],
+)
+def test_argv_without_a_known_command_is_a_config_error(argv, message, capsys):
+    """No known command first: the full parser reports it, exit 2."""
+    from dualqed import cli
+
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_help_is_byte_identical_to_the_stock_formatter(columns, monkeypatch, capsys):
     """The parser reads the terminal width once per build.  ``dualqed --help``

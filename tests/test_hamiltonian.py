@@ -18,7 +18,7 @@ from dualqed.hamiltonian import (
 from dualqed.hilbert import HilbertSpec
 from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, links, shift_site, site_index, site_parity
 
-from conftest import GEOMETRIES_2D, gauss_residuals
+from conftest import GEOMETRIES_2D, gauss_residuals, product_basis
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -89,7 +89,7 @@ def test_flux_rotor_matches_hand_matrix():
     spec = HilbertSpec(lat, "plaqs_M", cutoff=4)
     assert spec.total_dim == 9
 
-    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0), hilbert.product_basis(spec)).toarray().real
+    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0), product_basis(spec)).toarray().real
     Ms = np.arange(-4, 5)
     expected = np.diag(0.5 * g2 * 0.25 * Ms.astype(float) ** 2)
     x = -1.0 / (2.0 * g2)
@@ -123,7 +123,7 @@ def test_builders_produce_hermitian_operators(lat, kind, matter, cutoff, charges
     q = None if charges is None else np.array(charges)
     params = ModelParams(g2=0.9, t=0.6, m=0.25, static_charges=q)
     build = h_original if kind == "links_E" else h_dual_thetam
-    H = build(spec, params, hilbert.product_basis(spec))
+    H = build(spec, params, product_basis(spec))
     assert hilbert.hermiticity_defect(H) <= 1e-12
     assert H.shape == (spec.total_dim, spec.total_dim)
 
@@ -145,8 +145,8 @@ def test_every_matter_kind_builds_real_hamiltonians(matter):
 def test_electric_hamiltonian_commutes_with_every_constraint():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
-    H = h_original(spec, ModelParams(g2=1.1, t=0.8, m=0.3), hilbert.product_basis(spec))
-    residuals = gauss_residuals(hilbert.product_basis(spec))
+    H = h_original(spec, ModelParams(g2=1.1, t=0.8, m=0.3), product_basis(spec))
+    residuals = gauss_residuals(product_basis(spec))
     for s in range(lat.n_sites):
         G = sp.diags(residuals[s], dtype=float)
         comm = H @ G - G @ H
@@ -160,7 +160,7 @@ def test_projected_build_equals_projection_of_full_build():
     basis = hilbert.gauss_sector_basis(spec)
     params = ModelParams(g2=1.1, t=0.8, m=0.3)
     in_sector = h_original(spec, params, basis)
-    restricted = h_original(spec, params, hilbert.product_basis(spec))[np.ix_(basis.indices, basis.indices)]
+    restricted = h_original(spec, params, product_basis(spec))[np.ix_(basis.indices, basis.indices)]
     diff = (in_sector - restricted).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
 
@@ -168,8 +168,8 @@ def test_projected_build_equals_projection_of_full_build():
 def test_dual_hamiltonian_conserves_total_charge():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "plaqs_M", cutoff=2, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
-    total_q = sp.diags(hilbert.charge_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), product_basis(spec))
+    total_q = sp.diags(hilbert.charge_diagonals(product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_q - total_q @ H).tocoo()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) <= 1e-12
 
@@ -180,8 +180,8 @@ def test_dual_hamiltonian_conserves_total_flux_on_periodic_lattices():
     the summed flux is a good quantum number on periodic lattices."""
     lat = Lattice(2, 2, "periodic")
     spec = HilbertSpec(lat, "plaqs_M", cutoff=1, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
-    total_m = sp.diags(hilbert.gauge_level_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), product_basis(spec))
+    total_m = sp.diags(hilbert.gauge_level_diagonals(product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) <= 1e-12
 
@@ -191,8 +191,8 @@ def test_open_boundary_hopping_changes_total_flux():
     across them moves the summed flux: no conservation is expected."""
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "plaqs_M", cutoff=2, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), hilbert.product_basis(spec))
-    total_m = sp.diags(hilbert.gauge_level_diagonals(hilbert.product_basis(spec)).sum(axis=0), dtype=float)
+    H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), product_basis(spec))
+    total_m = sp.diags(hilbert.gauge_level_diagonals(product_basis(spec)).sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert comm.nnz and np.abs(comm.data).max() > 0.1
 
@@ -323,11 +323,11 @@ def test_zero_hopping_spectrum_is_additive_electric():
     lat = ONE_PLAQ_OPEN
     g2, m = 1.3, 0.37
     spec = HilbertSpec(lat, "links_E", cutoff=1, matter="staggered_fermion")
-    H = h_original(spec, ModelParams(g2=g2, t=0.0, m=m), hilbert.product_basis(spec)).toarray()
+    H = h_original(spec, ModelParams(g2=g2, t=0.0, m=m), product_basis(spec)).toarray()
     full = np.sort(np.linalg.eigvalsh(H))
 
     gauge = HilbertSpec(lat, "links_E", cutoff=1)
-    H_gauge = h_original(gauge, ModelParams(g2=g2, t=0.0), hilbert.product_basis(gauge))
+    H_gauge = h_original(gauge, ModelParams(g2=g2, t=0.0), product_basis(gauge))
     gauge_levels = np.linalg.eigvalsh(H_gauge.toarray())
     matter_levels = _staggered_matter_levels(lat, m)
     sums = np.sort(np.add.outer(matter_levels, gauge_levels).ravel())
@@ -339,11 +339,11 @@ def test_zero_hopping_spectrum_is_additive_dual():
     lat = ONE_PLAQ_OPEN
     g2, m = 1.3, 0.37
     spec = HilbertSpec(lat, "plaqs_M", cutoff=4, matter="staggered_fermion")
-    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0, m=m), hilbert.product_basis(spec)).toarray()
+    H = h_dual_thetam(spec, ModelParams(g2=g2, t=0.0, m=m), product_basis(spec)).toarray()
     full = np.sort(np.linalg.eigvalsh(H))
 
     gauge = HilbertSpec(lat, "plaqs_M", cutoff=4)
-    H_gauge = h_dual_thetam(gauge, ModelParams(g2=g2, t=0.0), hilbert.product_basis(gauge))
+    H_gauge = h_dual_thetam(gauge, ModelParams(g2=g2, t=0.0), product_basis(gauge))
     gauge_levels = np.linalg.eigvalsh(H_gauge.toarray())
     matter_levels = _staggered_matter_levels(lat, m, g2=g2, with_coulomb=True)
     sums = np.sort(np.add.outer(matter_levels, gauge_levels).ravel())

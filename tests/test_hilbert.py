@@ -24,12 +24,11 @@ from dualqed.hilbert import (
     gauge_level_diagonals,
     global_level_diagonals,
     hermiticity_defect,
-    product_basis,
 )
 from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, links, shift_site, site_index
 from dualqed.spectrum import flux_sector_basis
 
-from conftest import GEOMETRIES_2D, GEOMETRIES_3D, gauss_residuals, integer_image_mask
+from conftest import GEOMETRIES_2D, GEOMETRIES_3D, gauss_residuals, integer_image_mask, product_basis
 
 # --- the dense reference: local matrices and their kron embedding -------------
 

@@ -37,7 +37,7 @@ from dualqed.lattice import (
     sites,
 )
 
-from conftest import GEOMETRIES, GEOMETRIES_2D, GEOMETRIES_3D, entry_test, geometry_id
+from conftest import GEOMETRIES, GEOMETRIES_2D, GEOMETRIES_3D, LOOP_OPERATORS, entry_test, geometry_id
 
 
 def expected_counts(lat: Lattice) -> dict:
@@ -197,6 +197,50 @@ def test_operator_registry_round_trip(tmp_path):
     assert np.array_equal(rebuilt, divergence_matrix(lat).toarray())
     with pytest.raises(ValueError):
         operator_map(lat, "no_such_operator")
+
+
+DIFFERENTIAL_GEOMETRIES = [Lattice(d, n, bc) for d in (2, 3) for n in range(1, 6) for bc in ("open", "periodic")]
+_INDEX_MAPS = ("axis_indicator_matrix", "direction_sum_matrix")
+
+
+def _built_map(lat: Lattice, name: str):
+    return lattice._OPERATORS[name][0](lat) if name in lattice._OPERATORS else getattr(lattice, name)(lat)
+
+
+@pytest.mark.parametrize("lat", DIFFERENTIAL_GEOMETRIES, ids=geometry_id)
+def test_maps_match_the_loop_builders(lat):
+    """Every registry operator, the axis indicator and the direction sum,
+    built by index arithmetic, equal their loop-built references (conftest)
+    array by array: indptr, indices and data with their dtypes, and shape."""
+    assert set(LOOP_OPERATORS) == set(lattice._OPERATORS) | set(_INDEX_MAPS)
+    assert (lat.n_links, lat.n_plaqs, lat.n_cubes) == (len(links(lat)), len(plaquettes(lat)), len(cubes(lat)))
+    for name, reference in LOOP_OPERATORS.items():
+        if name == "cube_flux" and lat.dim == 2:
+            continue
+        built, want = _built_map(lat, name), reference(lat)
+        want.sum_duplicates()  # as `cached` stores every matrix
+        assert (built.shape, built.dtype) == (want.shape, want.dtype), name
+        for part in ("indptr", "indices", "data"):
+            got, ref = getattr(built, part), getattr(want, part)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, part)
+
+
+def test_maps_read_no_cell_enumeration():
+    """Building every map of a fresh lattice leaves the tuple enumerations
+    uncomputed: the maps and counts come from index arithmetic alone."""
+    enumerations = (sites, links, plaquettes, cubes)
+    for fn in vars(lattice).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for lat in (Lattice(2, 3, "open"), Lattice(2, 3, "periodic"), Lattice(3, 2, "open"), Lattice(3, 2, "periodic")):
+        for name in lattice._OPERATORS:
+            if name != "cube_flux" or lat.dim == 3:
+                _built_map(lat, name)
+        for name in _INDEX_MAPS:
+            _built_map(lat, name)
+        for kind in ("site", "link", "plaquette", "cube"):
+            lat.n_cells(kind)
+    assert [fn.cache_info().currsize for fn in enumerations] == [0] * len(enumerations)
 
 
 def _arrays(obj):

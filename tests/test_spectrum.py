@@ -22,7 +22,7 @@ from dualqed.spectrum import (
     lowest_eigenvalues,
 )
 
-from conftest import GEOMETRIES, in_flux_class
+from conftest import GEOMETRIES, in_flux_class, product_basis
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -285,6 +285,26 @@ def test_block_path_breaks_ties_by_block_label():
     assert np.abs(vecs[4:]).max() == 0 and np.abs(vecs[:2, 0]).max() > 0 and np.abs(vecs[2:4, 1]).max() > 0
 
 
+def test_block_path_solves_the_dense_blocks_it_assembled(monkeypatch):
+    """Each chosen block reaches the solver as the dense block the batched
+    step built, equal entry by entry to the sparse block of its states."""
+    H = _sector_matrix(Lattice(2, 2, "periodic"), "electric", 2)  # the eigensolve benchmark matrix
+    solve, blocks = spectrum._eigenpairs, []
+
+    def spied(block, k, seed):
+        blocks.append(block)
+        return solve(block, k, seed)
+
+    monkeypatch.setattr(spectrum, "_eigenpairs", spied)
+    lowest_eigenvalues(H, 3)
+    n_blocks, labels = connected_components(H, directed=False)
+    components = [H[labels == label][:, labels == label].toarray() for label in range(n_blocks)]
+    assert 0 < len(blocks) < n_blocks
+    for block in blocks:
+        assert isinstance(block, np.ndarray)
+        assert any(np.array_equal(block, component) for component in components)
+
+
 # the sector cases of the labeller oracle; 3D has no flux sector
 LABEL_CASES = [
     pytest.param(lat, formulation, id=f"{lat.label()}-{formulation}")
@@ -392,7 +412,7 @@ def test_flux_sector_matches_per_state_class_test(lat, matter, cutoff, charges):
 
     spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter, n_max=2)
     q = np.zeros(lat.n_sites, dtype=np.int64) if charges is None else np.array(charges, dtype=np.int64)
-    full = hilbert.product_basis(spec)
+    full = product_basis(spec)
     rho = hilbert.charge_diagonals(full) + q[:, None]
     flux = np.vstack([hilbert.gauge_level_diagonals(full), hilbert.global_level_diagonals(full)])
     offsets = dualmap.flux_offset_map(lat) @ rho
