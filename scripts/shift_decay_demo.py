@@ -18,7 +18,7 @@ from collections import defaultdict
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from dualqed.helmholtz import link_shift_table
-from dualqed.lattice import Lattice, plaquettes
+from dualqed.lattice import Lattice, cell_coordinates
 
 
 def main() -> int:
@@ -32,9 +32,10 @@ def main() -> int:
         center = (N // 2, N // 2)
         table = link_shift_table(lat, center, 0)
         by_distance: dict[int, float] = defaultdict(float)
-        for idx, corner in enumerate(plaquettes(lat)):
+        _, corners = cell_coordinates(lat, "plaquette")
+        for corner, shift in zip(corners.T.tolist(), table.shifts):
             d = max(abs(corner[0] - center[0]), abs(corner[1] - center[1]))
-            by_distance[d] = max(by_distance[d], abs(float(table.shifts[idx])))
+            by_distance[d] = max(by_distance[d], abs(float(shift)))
         print(f"\nN={N}, link at {center} direction 0 ({lat.n_plaqs} plaquettes)")
         for d in sorted(by_distance):
             print(f"  distance {d}: max |shift| = {by_distance[d]:.6f}")

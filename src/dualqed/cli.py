@@ -82,7 +82,7 @@ def _cap_loaded_blas(threads: int) -> None:
                 fn(threads)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def write_text(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -100,8 +100,8 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _emit_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def emit_json(path: str | None, payload: dict) -> None:
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _integer(value, name: str) -> int:
@@ -208,7 +208,7 @@ def _cmd_greens(args) -> int:
                 lines.append(f"{r},{c},{table.exact[r][c]}")
             else:
                 lines.append(f"{r},{c},{float(table.values[r, c])!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     meta = {
         "kind": table.kind,
         "dim": lat.dim,
@@ -220,13 +220,13 @@ def _cmd_greens(args) -> int:
         "cell_space": "plaquette" if table.kind == "plaq_obc" else "site",
     }
     if args.out not in (None, "-"):
-        _emit_json(args.out + ".meta.json", meta)
+        emit_json(args.out + ".meta.json", meta)
     return 0
 
 
 def _cmd_shifts(args) -> int:
     from . import helmholtz
-    from .lattice import link_index, plaquettes
+    from .lattice import cell_coordinates, cell_index
 
     lat = _lattice(args)
     site = _parse_site(args.site, lat.dim)
@@ -234,22 +234,19 @@ def _cmd_shifts(args) -> int:
     if not 0 <= direction < lat.dim:
         raise ConfigError(f"direction must be in [0, {lat.dim})")
     try:
-        link_index(lat, site, direction)
+        cell_index(lat, "link", direction, site)
     except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
     try:
         table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    plaqs = plaquettes(lat)
+    normals, corners = cell_coordinates(lat, "plaquette")
     entries = []
-    for idx, value in enumerate(table.shifts):
-        if lat.dim == 2:
-            label = {"corner": list(plaqs[idx])}
-        else:
-            corner, normal = plaqs[idx]
-            label = {"corner": list(corner), "normal": normal}
-        entry = {**label, "value": float(value)}
+    for idx, (normal, corner, value) in enumerate(zip(normals.tolist(), corners.T.tolist(), table.shifts)):
+        entry = {"corner": corner, "value": float(value)}
+        if lat.dim == 3:
+            entry["normal"] = normal
         if table.exact_shifts is not None:
             entry["exact"] = str(table.exact_shifts[idx])
         entries.append(entry)
@@ -273,7 +270,7 @@ def _cmd_shifts(args) -> int:
         "global_shifts": globals_part,
         "reconstruction_residual": float(residual),
     }
-    _emit_json(args.out, payload)
+    emit_json(args.out, payload)
     return 0
 
 
@@ -284,7 +281,7 @@ def _cmd_dof(args) -> int:
     rep = dualmap.dof_report(lat)
     rep.pop("lattice", None)
     payload = {"physical_dof": rep["original_physical"], **rep}
-    _emit_json(args.out, payload)
+    emit_json(args.out, payload)
     if not rep["match"]:
         raise CheckFailure("dual and original degree-of-freedom counts disagree")
     return 0
@@ -303,7 +300,7 @@ def _cmd_checks(args) -> int:
         "checks": results,
         "all_passed": all(c["passed"] for c in results),
     }
-    _emit_json(args.out, payload)
+    emit_json(args.out, payload)
     if not payload["all_passed"]:
         raise CheckFailure("linear-map identity checks failed" if args.maps_only else "invariant suite failed")
     return 0
@@ -358,7 +355,7 @@ def _cmd_build(args) -> int:
         "nonzeros": int(H.nnz),
         "hermiticity_defect": float(hilbert.hermiticity_defect(H)),
     }
-    _emit_json(args.out, payload)
+    emit_json(args.out, payload)
     return 0
 
 
@@ -384,7 +381,7 @@ def _cmd_spectrum(args) -> int:
         "seed": args.seed,
         **rep.as_dict(),
     }
-    _emit_json(args.out, payload)
+    emit_json(args.out, payload)
     return 0
 
 
@@ -409,7 +406,7 @@ def _cmd_compare(args) -> int:
         raise ConfigError(str(exc)) from exc
     except spx.ResidualError as exc:
         raise CheckFailure(str(exc)) from exc
-    _emit_json(args.out, rep)
+    emit_json(args.out, rep)
     if not rep["passed"]:
         raise CheckFailure(
             f"comparison exceeded tolerance: final max difference {rep['final_max_difference']:.3e}"
@@ -425,7 +422,7 @@ def _cmd_dump_op(args) -> int:
     names = lx.operator_names()
     if args.name not in names:
         raise ConfigError(f"unknown operator {args.name!r}; choose from {sorted(names)}")
-    _write_text(args.out, lx.operator_map(lat, args.name).coo_csv())
+    write_text(args.out, lx.operator_map(lat, args.name).coo_csv())
     return 0
 
 

@@ -36,13 +36,11 @@ from .lattice import (
     Lattice,
     axis_indicator_matrix,
     cached,
+    cell_coordinates,
+    cell_index,
     cube_flux_matrix,
     curl_plaq_to_link_matrix,
     divergence_matrix,
-    link_index,
-    shift_site,
-    site_index,
-    sites,
 )
 
 
@@ -144,12 +142,10 @@ def constraint_set(lat: Lattice) -> ConstraintSet:
             rows.append(vec)
             kinds.append("cube_flux")
         if lat.periodic:
-            # normal-i plaquettes fill [i N^3, (i + 1) N^3), corners row-major
-            n3 = lat.N**3
-            on_slice = np.indices((lat.N,) * 3).reshape(3, n3) == 0
+            normals, corners = cell_coordinates(lat, "plaquette")
             for i in range(3):
                 vec = np.zeros(width, dtype=np.int64)
-                vec[i * n3 : (i + 1) * n3] = on_slice[i]
+                vec[:n_plaq] = (normals == i) & (corners[i] == 0)
                 rows.append(vec)
                 kinds.append(f"slice_sum_{i}")
     if rows:
@@ -205,47 +201,22 @@ def dof_report(lat: Lattice) -> dict:
 def integer_tree_flow_matrix(lat: Lattice) -> np.ndarray:
     """Integer right-inverse of the divergence on neutral charge vectors.
 
-    Column x is a link field carrying one unit of charge from the first site
-    to site x along a spanning tree, so ``div(T @ rho) == rho`` exactly for
-    any integer rho with zero total — a particular integer solution of the
-    lattice Gauss equation.
+    Column x is a link field carrying one unit of charge from the origin to
+    site x along a staircase spanning tree: first along axis 0, then axis 1,
+    then axis 2, always in the + direction.  Every link of the path points
+    toward x and holds -1, so the column's divergence is e_x - e_origin and
+    ``div(T @ rho) == rho`` exactly for any integer rho with zero total — a
+    particular integer solution of the lattice Gauss equation.
     """
-    all_sites = sites(lat)
-    n = len(all_sites)
-    parent: dict[int, tuple[int, int, int] | None] = {0: None}
-    order = [0]
-    queue = [0]
-    while queue:
-        s = queue.pop(0)
-        x = all_sites[s]
-        for axis in range(lat.dim):
-            for step in (+1, -1):
-                nb = shift_site(lat, x, axis, step)
-                if nb is None:
-                    continue
-                t = site_index(lat, nb)
-                if t in parent:
-                    continue
-                # link always stored at the lower endpoint of the step;
-                # root-ward unit flow needs +1 when the link's tail is the child
-                if step == +1:
-                    ell, sign = link_index(lat, x, axis), -1
-                else:
-                    ell, sign = link_index(lat, nb, axis), +1
-                parent[t] = (s, ell, sign)
-                order.append(t)
-                queue.append(t)
-    if len(order) != n:
-        raise RuntimeError("site graph is disconnected")  # pragma: no cover
-    T = np.zeros((lat.n_links, n), dtype=np.int64)
-    for x_idx in range(1, n):
-        t = x_idx
-        while parent[t] is not None:
-            s, ell, sign = parent[t]
-            # unit flow from x toward the root: +1 when the link points
-            # child -> parent, i.e. against the BFS step direction
-            T[ell, x_idx] += sign
-            t = s
+    _, x = cell_coordinates(lat, "site")
+    T = np.zeros((lat.n_links, lat.n_sites), dtype=np.int64)
+    axes = np.arange(lat.dim)[:, None]
+    for i in range(lat.dim):
+        # the leg along axis i: x_j for j < i, every step 0..x_i - 1 at i, 0 beyond
+        site, step = np.nonzero(x[i][:, None] > np.arange(lat.sites_per_side))
+        y = np.where(axes < i, x[:, site], 0)
+        y[i] = step
+        T[cell_index(lat, "link", i, y), site] = -1
     return T
 
 

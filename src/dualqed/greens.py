@@ -25,12 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational
-from .lattice import (
-    FieldVector,
-    Lattice,
-    cached,
-    laplacian_matrix,
-)
+from .lattice import FieldVector, Lattice, cached, cell_coordinates, laplacian_matrix
 
 # Dense-table cutoff: above this many cells, poisson_solve falls back to
 # conjugate gradients instead of materializing (and caching) an n x n table.
@@ -102,9 +97,8 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
         return GreensTable(lat, kind, rational.to_float(G), "zero_row_sum", exact=tuple(map(tuple, G)))
     if lat.periodic:
         kernel = _fourier_site_kernel(lat)
-        coords = np.indices((lat.N,) * lat.dim).reshape(lat.dim, -1).T
-        disp = (coords[:, None, :] - coords[None, :, :]) % lat.N
-        vals = kernel[tuple(disp[..., ax] for ax in range(lat.dim))]
+        _, x = cell_coordinates(lat, "site")
+        vals = kernel[tuple((x[:, :, None] - x[:, None, :]) % lat.N)]
         return GreensTable(lat, kind, vals, "zero_row_sum")
     if n > DENSE_LIMIT:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} sites; use poisson_solve")
@@ -130,38 +124,6 @@ def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes")
     G = np.linalg.inv(A.toarray().astype(float))
     return GreensTable(lat, "plaq_obc", G, "true_inverse")
-
-
-@cached
-def greens_plaquette_grid(lat: Lattice, exact: bool = False) -> GreensTable:
-    """Zero-row-sum Green's table on the periodic plaquette grid.
-
-    Each same-orientation plaquette family of a periodic lattice tiles its
-    own torus with the site-grid geometry, so the table is the site table
-    (block-repeated per orientation in 3D).  Used by the transverse-potential
-    solve on periodic lattices.
-    """
-    if not lat.periodic:
-        raise ValueError("the plaquette-grid table is a periodic object; see plaq_obc")
-    base = greens_sites(lat, exact=exact)
-    if lat.dim == 2:
-        return GreensTable(lat, "plaq_grid", base.values, "zero_row_sum", exact=base.exact)
-    blocks = [base.values] * 3
-    vals = np.block(
-        [
-            [blocks[i] if i == j else np.zeros_like(base.values) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    exact_mat = None
-    if base.exact is not None:
-        n = lat.n_sites
-        zero = Fraction(0)
-        exact_mat = tuple(
-            tuple(base.exact[r % n][c % n] if r // n == c // n else zero for c in range(3 * n))
-            for r in range(3 * n)
-        )
-    return GreensTable(lat, "plaq_grid", vals, "zero_row_sum", exact=exact_mat)
 
 
 def greens_table(lat: Lattice, kind: str, exact: bool = False) -> GreensTable:
@@ -193,28 +155,20 @@ def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVe
             raise NeutralityError(
                 f"site source must be neutral: total charge {total:g}"
             )
-        if lat.n_sites <= DENSE_LIMIT:
-            G = greens_sites(lat)
-            return FieldVector(lat, "site", G.values @ rhs.values)
-        import scipy.sparse.linalg as spla  # loaded only where CG runs
-
-        A = (-laplacian_matrix(lat, "site")).astype(float).tocsr()
-        b = rhs.values - rhs.values.mean()
-        x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10 * lat.n_sites)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradients did not converge (info={info})")
-        return FieldVector(lat, "site", x - x.mean())
-    if kind in ("plaq_obc", "modified"):
+        cells, table, b = "site", greens_sites, rhs.values - rhs.values.mean()
+    elif kind in ("plaq_obc", "modified"):
         if rhs.kind != "plaquette":
             raise ValueError("plaq_obc Poisson solve needs a plaquette field")
-        if lat.n_plaqs <= DENSE_LIMIT:
-            G = greens_plaquettes_obc(lat)
-            return FieldVector(lat, "plaquette", G.values @ rhs.values)
-        import scipy.sparse.linalg as spla  # loaded only where CG runs
+        cells, table, b = "plaquette", greens_plaquettes_obc, rhs.values
+    else:
+        raise ValueError(f"unknown Poisson kind {kind!r}")
+    n = lat.n_cells(cells)
+    if n <= DENSE_LIMIT:
+        return FieldVector(lat, cells, table(lat).values @ rhs.values)
+    import scipy.sparse.linalg as spla  # loaded only where CG runs
 
-        A = (-laplacian_matrix(lat, "plaquette")).astype(float).tocsr()
-        x, info = spla.cg(A, rhs.values, rtol=1e-12, atol=0.0, maxiter=10 * lat.n_plaqs)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradients did not converge (info={info})")
-        return FieldVector(lat, "plaquette", x)
-    raise ValueError(f"unknown Poisson kind {kind!r}")
+    A = (-laplacian_matrix(lat, cells)).astype(float).tocsr()
+    x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10 * n)
+    if info != 0:
+        raise RuntimeError(f"conjugate gradients did not converge (info={info})")
+    return FieldVector(lat, cells, x - x.mean() if cells == "site" else x)

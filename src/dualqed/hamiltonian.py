@@ -45,14 +45,7 @@ import scipy.sparse as sp
 
 from . import dualmap, hilbert
 from .greens import greens_sites
-from .lattice import (
-    Lattice,
-    curl_link_to_plaq_matrix,
-    links,
-    shift_site,
-    site_index,
-    site_parity,
-)
+from .lattice import Lattice, curl_link_to_plaq_matrix, link_sites, site_parity
 
 
 @dataclass
@@ -127,8 +120,8 @@ def _sector_hamiltonian(
     loop = -1.0 / (2.0 * params.g2)
     terms = [(loop, row, None) for row in _stencil_rows(loop_rows)]
     if spec.matter != "none" and params.t != 0.0:
-        for (x, i), row in zip(links(lat), _stencil_rows(hop_rows)):
-            hop = (site_index(lat, x), site_index(lat, shift_site(lat, x, i, +1)))
+        base, head = link_sites(lat)
+        for hop, row in zip(zip(base.tolist(), head.tolist()), _stencil_rows(hop_rows)):
             terms.append((params.t, row, hop))
     rows, cols, vals = _mirrored_triplets(basis, diag, terms)
     H = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()

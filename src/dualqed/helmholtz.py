@@ -9,7 +9,9 @@ periodic lattices — a uniform piece living on the noncontractible loops):
 The plaquette potential has three layers:
 
 - ``L_plaq``: Green's function applied to the circulation of F.  Periodic
-  lattices use the zero-row-sum grid table.  Open lattices use the Coulomb
+  lattices apply the zero-row-sum site table to each orientation block of
+  plaquettes: each same-normal family tiles its own torus with the site-grid
+  geometry and numbering.  Open lattices use the Coulomb
   kernel D+ of `dualmap.modified_greens`: there the embedding is the
   backward curl, so D = C C^T is the curl-curl normal system, whose
   pseudo-inverse solves it where it is consistent.  In 2D that is the true
@@ -38,7 +40,6 @@ so that reconstruction stays a linear identity.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,17 +47,17 @@ import numpy as np
 
 from . import rational
 from .dualmap import dual_embedding, flux_and_winding_map, modified_greens
-from .greens import greens_plaquette_grid, greens_sites
+from .greens import greens_sites
 from .lattice import (
     FieldVector,
     Lattice,
     cached,
+    cell_coordinates,
+    cell_index,
     curl_link_to_plaq_matrix,
     direction_sum_matrix,
     divergence_matrix,
     gradient_matrix,
-    link_index,
-    plaquettes,
 )
 
 
@@ -103,25 +104,19 @@ def _ramp_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
     N = lat.N
     sq, cu = Fraction(1, N**2), Fraction(1, N**3)
     rows = []
-    for plaq in plaquettes(lat):
+    normals, corners = cell_coordinates(lat, "plaquette")
+    for normal, y in zip(normals.tolist(), corners.T.tolist()):
         row = [Fraction(0)] * lat.dim
-        if lat.dim == 2:
-            y = plaq
+        if lat.dim == 2 or (normal == 2 and y[2] == 0):
             row[0] = y[1] * sq
             row[1] = -y[0] * sq
-        else:
-            y, normal = plaq
-            if normal == 2:
-                if y[2] == 0:
-                    row[0] = y[1] * sq
-                    row[1] = -y[0] * sq
-            elif normal == 1:
-                row[0] = -y[2] * cu
-                if y[1] == 0:
-                    row[2] = y[0] * sq
-            else:  # normal == 0
-                row[1] = y[2] * cu
-                row[2] = -y[1] * cu
+        elif normal == 1:
+            row[0] = -y[2] * cu
+            if y[1] == 0:
+                row[2] = y[0] * sq
+        elif normal == 0:
+            row[1] = y[2] * cu
+            row[2] = -y[1] * cu
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -143,17 +138,25 @@ def ramp_matrix(lat: Lattice) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _potential_solver_matrix(lat: Lattice) -> np.ndarray:
-    """Dense matrix mapping a plaquette circulation to L_plaq."""
-    if lat.periodic:
-        return greens_plaquette_grid(lat).values
-    return modified_greens(lat)
+def _solve_potential(lat: Lattice, circulation: np.ndarray) -> np.ndarray:
+    """L_plaq of a plaquette circulation (one field or a matrix of field
+    columns).  Periodic: the site table applied to each orientation block,
+    since each same-normal plaquette family tiles its own torus like the
+    sites do; the blocks sit side by side as the columns of one product."""
+    if not lat.periodic:
+        return modified_greens(lat) @ circulation
+    G, n = greens_sites(lat).values, lat.n_sites
+    blocks = np.stack(np.split(circulation, lat.n_plaqs // n), axis=1)  # (n, orientation[, field])
+    L = (G @ blocks.reshape(n, -1)).reshape(blocks.shape)
+    return np.moveaxis(L, 1, 0).reshape(circulation.shape)
 
 
-def _potential_solver_exact(lat: Lattice) -> Sequence[Sequence[Fraction]]:
-    if lat.periodic:
-        return greens_plaquette_grid(lat, exact=True).exact
-    return modified_greens(lat, exact=True)
+def _solve_potential_exact(lat: Lattice, circulation: list[Fraction]) -> list[Fraction]:
+    """`_solve_potential` of one circulation in Fractions."""
+    if not lat.periodic:
+        return rational.matvec(modified_greens(lat, exact=True), circulation)
+    G, n = greens_sites(lat, exact=True).exact, lat.n_sites
+    return [v for o in range(0, lat.n_plaqs, n) for v in rational.matvec(G, circulation[o : o + n])]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,7 @@ def _dual_coordinates(lat: Lattice, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     solver·circulation + ramp·S on plaquettes and S / N on the axis lines,
     with S the direction sums.  X is one field or a matrix of field columns.
     """
-    L = _potential_solver_matrix(lat) @ (curl_link_to_plaq_matrix(lat) @ X)
+    L = _solve_potential(lat, curl_link_to_plaq_matrix(lat) @ X)
     if not lat.periodic:
         return L, None
     S = direction_sum_matrix(lat) @ X
@@ -177,7 +180,7 @@ def _dual_coordinates(lat: Lattice, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _dual_coordinates_exact(lat: Lattice, F: np.ndarray) -> tuple[list[Fraction], list[Fraction] | None]:
     """`_dual_coordinates` of one integer link field in Fractions."""
     circulation = [Fraction(int(v)) for v in curl_link_to_plaq_matrix(lat) @ F]
-    L = rational.matvec(_potential_solver_exact(lat), circulation)
+    L = _solve_potential_exact(lat, circulation)
     if not lat.periodic:
         return L, None
     S = [int(v) for v in direction_sum_matrix(lat) @ F]
@@ -257,7 +260,7 @@ def link_shift_table(
     ``link`` of `dual_coordinate_map`.  With ``exact`` the same formula also
     runs in Fractions on the rational Green's tables.
     """
-    n = link_index(lat, site, direction)
+    n = int(cell_index(lat, "link", direction, site))
     unit = np.zeros(lat.n_links)
     unit[n] = 1.0
     shifts, loops = _dual_coordinates(lat, unit)

@@ -2,40 +2,44 @@
 
 Geometry conventions used across the package:
 
-- Coordinates are 0-based tuples ``x = (x_1, ..., x_d)`` with ``d`` in {2, 3}.
-  Cells are indexed row-major (C order, last coordinate fastest).
+- A cell is named by its coordinates ``x = (x_1, ..., x_d)`` (0-based,
+  ``d`` in {2, 3}) and, for links and 3D plaquettes, its orientation.
 - ``N`` counts *elementary plaquettes/cubes per side*: a periodic lattice has
   ``N`` sites per side, an open one ``N + 1`` (its outermost sites bound the
   last cell).
-- A link ``(x, i)`` points from site ``x`` to ``x + e_i``; links are ordered
-  by (direction, site index).
+- A link ``(x, i)`` points from site ``x`` to ``x + e_i``.
 - A 2D plaquette is labeled by its lower-left corner.  A 3D plaquette
   ``(x, i)`` has normal ``i`` and spans the (j, k) plane with (i, j, k) a
-  cyclic permutation of (0, 1, 2); plaquettes are ordered by (normal, corner).
+  cyclic permutation of (0, 1, 2).
 - A cube is labeled by its corner nearest the origin.
 - Open boundaries are implemented by *deleting* every term of a periodic
   stencil that refers to an absent cell; no ghost layers.
 
+Cells have one numbering.  The cells of one kind and orientation fill a
+regular coordinate grid; the grids of a kind follow one another in
+orientation order, and a cell's index is its grid's offset plus its
+row-major place (last coordinate fastest) in the grid.  So links are ordered
+by (direction, base site) and 3D plaquettes by (normal, corner).
+`cell_index` maps coordinates to indices and `cell_coordinates` lists every
+cell's coordinates in index order.
+
 Forward difference (gradient) maps sites to links, backward difference
 (divergence) maps links to sites, and the two curls map links to plaquettes
 and back.  All operator matrices are integer CSR and cached per lattice.
-Each is built from its own stencil by index arithmetic on coordinate grids
-(`_stencil`), never from another operator or from the tuple enumerations,
-which remain for callers that walk cells one by one.
+Each is built from its own stencil by index arithmetic on the coordinate
+grids (`_stencil`), never from another operator.
 Every cached result is read-only: `cached` freezes its arrays once, when
-it is computed, and cached lookup tables are mapping proxies, so a write
-into a shared result raises instead of corrupting every later caller.
+it is computed, so a write into a shared result raises instead of
+corrupting every later caller.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +55,7 @@ def _freeze(obj):
     matrices (sorted first, so scipy never sorts them in place later), and
     the same inside tuple items and dataclass fields.  Scalars hold no array
     and return at once, and tuples are told apart before the slower sparse
-    and dataclass tests: the cell enumerations are tuples of many ints."""
+    and dataclass tests: the exact tables are tuples of many Fractions."""
     if isinstance(obj, _SCALARS):
         return obj
     if isinstance(obj, np.ndarray):
@@ -143,107 +147,6 @@ def _cyclic(i: int) -> tuple[int, int]:
     return (i + 1) % 3, (i + 2) % 3
 
 
-# ---------------------------------------------------------------------------
-# Cell enumerations.  Each returns a tuple (index -> label); the *_index maps
-# invert them, as read-only mappings.  Cached: Lattice is frozen and hashable.
-# ---------------------------------------------------------------------------
-
-
-@cached
-def sites(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    s = lat.sites_per_side
-    return tuple(itertools.product(range(s), repeat=lat.dim))
-
-
-@cached
-def _site_index(lat: Lattice) -> MappingProxyType:
-    return MappingProxyType({x: i for i, x in enumerate(sites(lat))})
-
-
-def site_index(lat: Lattice, x: tuple[int, ...]) -> int:
-    if lat.periodic:
-        x = tuple(c % lat.N for c in x)
-    return _site_index(lat)[x]
-
-
-@cached
-def links(lat: Lattice) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All links (base site, direction), ordered by (direction, site)."""
-    out = []
-    for i in range(lat.dim):
-        for x in sites(lat):
-            if lat.periodic or x[i] < lat.N:
-                out.append((x, i))
-    return tuple(out)
-
-
-@cached
-def _link_index(lat: Lattice) -> MappingProxyType:
-    return MappingProxyType({lk: n for n, lk in enumerate(links(lat))})
-
-
-def link_index(lat: Lattice, x: tuple[int, ...], i: int) -> int:
-    if lat.periodic:
-        x = tuple(c % lat.N for c in x)
-    return _link_index(lat)[(x, i)]
-
-
-@cached
-def plaquettes(lat: Lattice) -> tuple[tuple, ...]:
-    """2D: corner tuples.  3D: (corner, normal) pairs ordered by (normal, corner)."""
-    if lat.dim == 2:
-        return tuple(itertools.product(range(lat.N), repeat=2))
-    out = []
-    for i in range(3):
-        j, k = _cyclic(i)
-        ranges = []
-        for ax in range(3):
-            if ax == i:
-                ranges.append(range(lat.sites_per_side if not lat.periodic else lat.N))
-            else:
-                ranges.append(range(lat.N))
-        for x in itertools.product(*ranges):
-            out.append((x, i))
-    return tuple(out)
-
-
-@cached
-def _plaq_index(lat: Lattice) -> MappingProxyType:
-    return MappingProxyType({p: n for n, p in enumerate(plaquettes(lat))})
-
-
-def plaquette_index(lat: Lattice, x: tuple[int, ...], normal: int | None = None) -> int:
-    if lat.dim == 2:
-        if lat.periodic:
-            x = tuple(c % lat.N for c in x)
-        return _plaq_index(lat)[x]
-    if normal is None:
-        raise ValueError("3D plaquettes need a normal direction")
-    if lat.periodic:
-        x = tuple(c % lat.N for c in x)
-    return _plaq_index(lat)[(x, normal)]
-
-
-@cached
-def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    if lat.dim == 2:
-        return ()
-    side = lat.N
-    return tuple(itertools.product(range(side), repeat=3))
-
-
-def shift_site(lat: Lattice, x: tuple[int, ...], axis: int, step: int):
-    """Site x + step*e_axis, or None if it falls off an open lattice."""
-    y = list(x)
-    y[axis] += step
-    if lat.periodic:
-        y[axis] %= lat.N
-        return tuple(y)
-    if 0 <= y[axis] <= lat.N:
-        return tuple(y)
-    return None
-
-
 def global_loop_links(lat: Lattice, direction: int) -> list[int]:
     """Link indices of the noncontractible axis line in `direction`.
 
@@ -258,7 +161,18 @@ def global_loop_links(lat: Lattice, direction: int) -> list[int]:
 
 def site_parity(lat: Lattice) -> np.ndarray:
     """Staggered sign (-1)^(x_1 + ... + x_d) per site."""
-    return np.array([(-1) ** (sum(x) % 2) for x in sites(lat)], dtype=np.int64)
+    _, x = cell_coordinates(lat, "site")
+    return 1 - 2 * (x.sum(axis=0) % 2)
+
+
+@cached
+def link_sites(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Site indices (base, head) of every link, in link order: link (x, i)
+    runs from x to x + e_i.  A periodic N = 1 link starts and ends at its
+    one site."""
+    direction, x = cell_coordinates(lat, "link")
+    head = x + np.eye(lat.dim, dtype=np.int64)[:, direction]
+    return _cell_indices(lat, "site", None, x), _cell_indices(lat, "site", None, head)
 
 
 @cached
@@ -277,21 +191,10 @@ def direction_sum_matrix(lat: Lattice) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Index arithmetic.  The cells of one kind and orientation (the direction of
-# a link, the normal of a 3D plaquette) fill a regular grid; the grids of a
-# kind follow one another in orientation order, so a cell's index is its
-# grid's offset plus its row-major place in the grid.  The operator matrices
-# are built from these grids, not from the cell enumerations above.
+# Index arithmetic on the coordinate grids (the numbering of the module
+# docstring).  The orientation of a cell is the direction of a link or the
+# normal of a 3D plaquette, and None for every other cell.
 # ---------------------------------------------------------------------------
-
-
-def plaquette_grid_shape(lat: Lattice, normal: int | None = None) -> tuple[int, ...]:
-    """Shape of the regular grid on which same-orientation plaquettes live."""
-    if lat.dim == 2:
-        return (lat.N, lat.N)
-    shape = [lat.N] * 3
-    shape[normal] = lat.sites_per_side
-    return tuple(shape)
 
 
 def _orientations(lat: Lattice, kind: CellKind):
@@ -299,12 +202,14 @@ def _orientations(lat: Lattice, kind: CellKind):
 
 
 def _grid_shape(lat: Lattice, kind: CellKind, orientation: int | None) -> tuple[int, ...]:
+    """N places along each axis a cell spans, sites_per_side along the others."""
+    if kind == "cube" and lat.dim == 2:
+        return (0, 0)  # a 2D lattice has no cubes
     if kind == "plaquette":
-        return plaquette_grid_shape(lat, orientation)
-    shape = [lat.sites_per_side if kind != "cube" else lat.N] * lat.dim
-    if kind == "link":
-        shape[orientation] = lat.N
-    return tuple(shape)
+        spanned = (0, 1) if lat.dim == 2 else _cyclic(orientation)
+    else:
+        spanned = {"site": (), "link": (orientation,), "cube": (0, 1, 2)}[kind]
+    return tuple(lat.N if ax in spanned else lat.sites_per_side for ax in range(lat.dim))
 
 
 def _cell_indices(lat: Lattice, kind: CellKind, orientation: int | None, x: np.ndarray) -> np.ndarray:
@@ -317,6 +222,29 @@ def _cell_indices(lat: Lattice, kind: CellKind, orientation: int | None, x: np.n
         return offset + np.ravel_multi_index(x, shape, mode="wrap")
     inside = ((x >= 0) & (x < np.array(shape)[:, None])).all(axis=0)
     return np.where(inside, offset + np.ravel_multi_index(x, shape, mode="clip"), -1)
+
+
+def cell_index(lat: Lattice, kind: CellKind, orientation: int | None, x) -> np.ndarray:
+    """Index of the cell of `kind` and `orientation` at coordinates x: one
+    cell as a length-dim sequence, or many as the columns of a (dim, n)
+    array.  Coordinates wrap mod N on a torus; a cell absent from an open
+    lattice raises KeyError.  Any integer is a coordinate, even one past
+    int64: it is wrapped, or clamped to just off an open lattice, first."""
+    x = np.asarray(x)
+    x = (x % lat.N if lat.periodic else np.clip(x, -1, lat.N + 1)).astype(np.int64)
+    index = _cell_indices(lat, kind, orientation, x.reshape(lat.dim, -1))
+    if (index < 0).any():
+        raise KeyError(f"no {kind} at {x.tolist()} (orientation {orientation}) on {lat.label()}")
+    return index.reshape(x.shape[1:])
+
+
+def cell_coordinates(lat: Lattice, kind: CellKind) -> tuple[np.ndarray, np.ndarray]:
+    """(orientation, x) of every cell of `kind` in index order: x is the
+    (dim, n) coordinate array, orientation one int per cell (0 for kinds
+    without one).  The inverse of `cell_index`."""
+    grids = [np.indices(_grid_shape(lat, kind, o)).reshape(lat.dim, -1) for o in _orientations(lat, kind)]
+    orientation = np.repeat(np.arange(len(grids)), [x.shape[1] for x in grids])
+    return orientation, np.concatenate(grids, axis=1)
 
 
 def _unit_shifts(lat: Lattice) -> np.ndarray:

@@ -1,24 +1,15 @@
-"""Shared fixtures, the loop-built reference operators, the product-space
-basis, and the acceptance-summary reporter."""
+"""Shared fixtures, the tuple cell enumerations and the loop-built reference
+operators, the product-space basis, and the acceptance-summary reporter."""
+
+import itertools
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dualqed import checks, dualmap, hilbert
-from dualqed.lattice import (
-    Lattice,
-    _cyclic,
-    cubes,
-    divergence_matrix,
-    link_index,
-    links,
-    plaquette_index,
-    plaquettes,
-    shift_site,
-    site_index,
-    sites,
-)
+from dualqed.lattice import Lattice, _cyclic, cached, divergence_matrix
 
 # geometries small enough for exhaustive/dense checks
 GEOMETRIES_2D = [Lattice(2, n, bc) for n in (1, 2, 3) for bc in ("open", "periodic")]
@@ -84,10 +75,156 @@ def entry_test(*names: str, geometries=GEOMETRIES, draws: int | None = None):
     return test
 
 
+# --- cell enumerations ----------------------------------------------------------
+# The cells as first numbered: itertools enumerations of coordinate tuples and
+# their {cell: index} maps.  `lattice` names cells by index arithmetic on
+# coordinate grids alone; these are the independent oracle the tests read.
+# Each enumeration returns a tuple (index -> label); the *_index maps invert
+# them, as read-only mappings.  Cached: Lattice is frozen and hashable.
+
+
+@cached
+def sites(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    s = lat.sites_per_side
+    return tuple(itertools.product(range(s), repeat=lat.dim))
+
+
+@cached
+def _site_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({x: i for i, x in enumerate(sites(lat))})
+
+
+def site_index(lat: Lattice, x: tuple[int, ...]) -> int:
+    if lat.periodic:
+        x = tuple(c % lat.N for c in x)
+    return _site_index(lat)[x]
+
+
+@cached
+def links(lat: Lattice) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All links (base site, direction), ordered by (direction, site)."""
+    out = []
+    for i in range(lat.dim):
+        for x in sites(lat):
+            if lat.periodic or x[i] < lat.N:
+                out.append((x, i))
+    return tuple(out)
+
+
+@cached
+def _link_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({lk: n for n, lk in enumerate(links(lat))})
+
+
+def link_index(lat: Lattice, x: tuple[int, ...], i: int) -> int:
+    if lat.periodic:
+        x = tuple(c % lat.N for c in x)
+    return _link_index(lat)[(x, i)]
+
+
+@cached
+def plaquettes(lat: Lattice) -> tuple[tuple, ...]:
+    """2D: corner tuples.  3D: (corner, normal) pairs ordered by (normal, corner)."""
+    if lat.dim == 2:
+        return tuple(itertools.product(range(lat.N), repeat=2))
+    out = []
+    for i in range(3):
+        j, k = _cyclic(i)
+        ranges = []
+        for ax in range(3):
+            if ax == i:
+                ranges.append(range(lat.sites_per_side if not lat.periodic else lat.N))
+            else:
+                ranges.append(range(lat.N))
+        for x in itertools.product(*ranges):
+            out.append((x, i))
+    return tuple(out)
+
+
+@cached
+def _plaq_index(lat: Lattice) -> MappingProxyType:
+    return MappingProxyType({p: n for n, p in enumerate(plaquettes(lat))})
+
+
+def plaquette_index(lat: Lattice, x: tuple[int, ...], normal: int | None = None) -> int:
+    if lat.dim == 2:
+        if lat.periodic:
+            x = tuple(c % lat.N for c in x)
+        return _plaq_index(lat)[x]
+    if normal is None:
+        raise ValueError("3D plaquettes need a normal direction")
+    if lat.periodic:
+        x = tuple(c % lat.N for c in x)
+    return _plaq_index(lat)[(x, normal)]
+
+
+@cached
+def cubes(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    if lat.dim == 2:
+        return ()
+    side = lat.N
+    return tuple(itertools.product(range(side), repeat=3))
+
+
+def shift_site(lat: Lattice, x: tuple[int, ...], axis: int, step: int):
+    """Site x + step*e_axis, or None if it falls off an open lattice."""
+    y = list(x)
+    y[axis] += step
+    if lat.periodic:
+        y[axis] %= lat.N
+        return tuple(y)
+    if 0 <= y[axis] <= lat.N:
+        return tuple(y)
+    return None
+
+
+def bfs_tree_flow_matrix(lat: Lattice) -> np.ndarray:
+    """The integer Gauss solution as first written: a breadth-first spanning
+    tree over the tuple enumerations, column x the unit flow from x to the
+    root.  `dualmap.integer_tree_flow_matrix` walks a staircase instead."""
+    all_sites = sites(lat)
+    n = len(all_sites)
+    parent: dict[int, tuple[int, int, int] | None] = {0: None}
+    order = [0]
+    queue = [0]
+    while queue:
+        s = queue.pop(0)
+        x = all_sites[s]
+        for axis in range(lat.dim):
+            for step in (+1, -1):
+                nb = shift_site(lat, x, axis, step)
+                if nb is None:
+                    continue
+                t = site_index(lat, nb)
+                if t in parent:
+                    continue
+                # link always stored at the lower endpoint of the step;
+                # root-ward unit flow needs +1 when the link's tail is the child
+                if step == +1:
+                    ell, sign = link_index(lat, x, axis), -1
+                else:
+                    ell, sign = link_index(lat, nb, axis), +1
+                parent[t] = (s, ell, sign)
+                order.append(t)
+                queue.append(t)
+    if len(order) != n:
+        raise RuntimeError("site graph is disconnected")  # pragma: no cover
+    T = np.zeros((lat.n_links, n), dtype=np.int64)
+    for x_idx in range(1, n):
+        t = x_idx
+        while parent[t] is not None:
+            s, ell, sign = parent[t]
+            # unit flow from x toward the root: +1 when the link points
+            # child -> parent, i.e. against the BFS step direction
+            T[ell, x_idx] += sign
+            t = s
+    return T
+
+
 # --- reference operators ------------------------------------------------------
 # The lattice maps as first written: one Python loop per cell over the tuple
-# enumerations and their index maps.  `lattice` builds the same matrices by
-# index arithmetic on coordinate grids; test_lattice compares the two.
+# enumerations and their index maps above.  `lattice` builds the same matrices
+# by index arithmetic on coordinate grids; test_lattice compares the two.
 
 
 def _loop_csr(rows, cols, vals, shape) -> sp.csr_matrix:

@@ -550,9 +550,10 @@ def test_schema_refuses_the_non_integral_config_values():
     "argv, message",
     [
         (["--N", "1", "--site", "1,1"], "no such link"),
+        (["--N", "1", "--site", f"{2**70},0"], "no such link"),
         (["--N", "15", "--site", "0,0", "--exact"], "exact rational mode supports up to 200 cells, got 225"),
     ],
-    ids=["missing-link", "exact-cap"],
+    ids=["missing-link", "link-past-int64", "exact-cap"],
 )
 def test_shifts_config_errors_name_their_cause(argv, message, capsys):
     """Only a missing link reads as one; the exact-size cap passes its own message."""

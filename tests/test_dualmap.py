@@ -22,7 +22,16 @@ from dualqed.dualmap import (
 )
 from dualqed.lattice import Lattice, axis_indicator_matrix, curl_link_to_plaq_matrix, divergence_matrix
 
-from conftest import GEOMETRIES, GEOMETRIES_2D, assert_entries_hold, entry_test, geometry_id, in_flux_class
+from conftest import (
+    GEOMETRIES,
+    GEOMETRIES_2D,
+    assert_entries_hold,
+    bfs_tree_flow_matrix,
+    entry_test,
+    geometry_id,
+    in_flux_class,
+    integer_image_mask,
+)
 
 
 def closed_form_dof(lat: Lattice) -> int:
@@ -120,6 +129,19 @@ def test_tree_flow_solves_gauss_equation(lat):
     want = np.eye(lat.n_sites, dtype=np.int64)
     want[0, :] -= 1
     assert np.array_equal(prod, want)
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_staircase_tree_offsets_share_the_bfs_tree_classes(lat):
+    """The staircase tree and the breadth-first tree (conftest) differ by a
+    divergence-free integer field per column, so their flux offsets differ
+    by vectors of the class lattice D·Z^n.  The trees are the same unless a
+    breadth-first path wraps around a torus, which needs N >= 3."""
+    T, bfs = integer_tree_flow_matrix(lat), bfs_tree_flow_matrix(lat)
+    assert not (divergence_matrix(lat) @ (T - bfs)).any()
+    fw = flux_and_winding_map(lat).toarray().astype(np.int64)
+    assert integer_image_mask(_flux_class_snf(lat), fw @ (T - bfs)).all()
+    assert np.array_equal(T, bfs) == (not lat.periodic or lat.N < 3)
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)

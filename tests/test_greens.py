@@ -14,9 +14,9 @@ from dualqed.greens import (
     greens_table,
     poisson_solve,
 )
-from dualqed.lattice import FieldVector, Lattice, laplacian_matrix, site_index, sites
+from dualqed.lattice import FieldVector, Lattice, laplacian_matrix
 
-from conftest import assert_entries_hold
+from conftest import assert_entries_hold, site_index, sites
 
 
 def test_four_cycle_frozen_row():

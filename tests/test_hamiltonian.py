@@ -16,9 +16,9 @@ from dualqed.hamiltonian import (
     h_original,
 )
 from dualqed.hilbert import HilbertSpec
-from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, links, shift_site, site_index, site_parity
+from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, site_parity
 
-from conftest import GEOMETRIES_2D, gauss_residuals, product_basis
+from conftest import GEOMETRIES_2D, gauss_residuals, links, product_basis, shift_site, site_index
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from dualqed.helmholtz import (
     dual_coordinate_map,
@@ -18,7 +19,7 @@ from dualqed.helmholtz import (
     transverse_projector,
 )
 from dualqed import rational
-from dualqed.greens import greens_plaquette_grid, greens_plaquettes_obc, greens_sites
+from dualqed.greens import greens_plaquettes_obc, greens_sites
 from dualqed.lattice import (
     FieldVector,
     Lattice,
@@ -28,12 +29,9 @@ from dualqed.lattice import (
     direction_sum_matrix,
     divergence_matrix,
     gradient_matrix,
-    links,
-    plaquette_index,
-    plaquettes,
 )
 
-from conftest import GEOMETRIES, assert_entries_hold, entry_test, geometry_id
+from conftest import GEOMETRIES, assert_entries_hold, entry_test, geometry_id, links, plaquette_index, plaquettes
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
@@ -196,8 +194,8 @@ def _oracle_ramp(lat):
 
 
 def _oracle_solver(lat):
-    if lat.periodic:
-        return greens_plaquette_grid(lat).values
+    if lat.periodic:  # the site table on each same-normal plaquette torus
+        return block_diag(*[greens_sites(lat).values] * (lat.n_plaqs // lat.n_sites))
     if lat.dim == 2:
         return greens_plaquettes_obc(lat).values
     C = curl_link_to_plaq_matrix(lat).toarray().astype(float)

@@ -25,10 +25,19 @@ from dualqed.hilbert import (
     global_level_diagonals,
     hermiticity_defect,
 )
-from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, links, shift_site, site_index
+from dualqed.lattice import Lattice, curl_link_to_plaq_matrix
 from dualqed.spectrum import flux_sector_basis
 
-from conftest import GEOMETRIES_2D, GEOMETRIES_3D, gauss_residuals, integer_image_mask, product_basis
+from conftest import (
+    GEOMETRIES_2D,
+    GEOMETRIES_3D,
+    gauss_residuals,
+    integer_image_mask,
+    links,
+    product_basis,
+    shift_site,
+    site_index,
+)
 
 # --- the dense reference: local matrices and their kron embedding -------------
 

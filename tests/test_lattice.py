@@ -1,8 +1,10 @@
-"""Cell enumerations, field containers, and the integer calculus operators."""
+"""Cell numbering, field containers, and the integer calculus operators."""
 
 import dataclasses
+import importlib
 import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from dualqed.lattice import (
     FieldVector,
     Lattice,
     axis_indicator_matrix,
+    cell_coordinates,
+    cell_index,
     cube_flux_matrix,
-    cubes,
     curl_link_to_plaq,
     curl_link_to_plaq_matrix,
     curl_plaq_to_link_matrix,
@@ -26,18 +29,30 @@ from dualqed.lattice import (
     gradient,
     gradient_matrix,
     laplacian_matrix,
-    link_index,
-    links,
+    link_sites,
     operator_map,
     operator_names,
+    site_parity,
+)
+
+from conftest import (
+    GEOMETRIES,
+    GEOMETRIES_2D,
+    GEOMETRIES_3D,
+    LOOP_OPERATORS,
+    cubes,
+    entry_test,
+    geometry_id,
+    link_index,
+    links,
     plaquette_index,
     plaquettes,
+    shift_site,
     site_index,
-    site_parity,
     sites,
 )
 
-from conftest import GEOMETRIES, GEOMETRIES_2D, GEOMETRIES_3D, LOOP_OPERATORS, entry_test, geometry_id
+KINDS = ("site", "link", "plaquette", "cube")
 
 
 def expected_counts(lat: Lattice) -> dict:
@@ -68,6 +83,80 @@ def test_cell_counts_match_closed_forms(lat):
     if lat.dim == 3:
         assert len(cubes(lat)) == want["cubes"]
     assert lat.n_global_loops == want["globals"]
+
+
+def _oracle_cells(lat: Lattice, kind: str) -> list:
+    """(coordinates, orientation) of every cell in the conftest enumeration's
+    order, orientation 0 where the kind has none."""
+    if kind == "link" or (kind == "plaquette" and lat.dim == 3):
+        return list({"link": links, "plaquette": plaquettes}[kind](lat))
+    return [(x, 0) for x in {"site": sites, "plaquette": plaquettes, "cube": cubes}[kind](lat)]
+
+
+def _oracle_index(lat: Lattice, kind: str, orientation: int, x: tuple) -> int:
+    """The conftest lookup of one cell: its index, or KeyError if absent."""
+    if kind == "site":
+        return site_index(lat, x)
+    if kind == "link":
+        return link_index(lat, x, orientation)
+    if kind == "plaquette":
+        return plaquette_index(lat, x, orientation if lat.dim == 3 else None)
+    if lat.periodic:
+        x = tuple(c % lat.N for c in x)
+    return {c: n for n, c in enumerate(cubes(lat))}[x]
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_cell_coordinates_follow_the_oracle_and_invert_cell_index(lat):
+    """Every kind lists its cells in the enumeration order, and `cell_index`
+    of each orientation's coordinates gives back their positions."""
+    for kind in KINDS:
+        orientation, x = cell_coordinates(lat, kind)
+        assert orientation.dtype == x.dtype == np.int64
+        assert x.shape == (lat.dim, lat.n_cells(kind)) and orientation.shape == (lat.n_cells(kind),)
+        assert list(zip(map(tuple, x.T.tolist()), orientation.tolist())) == _oracle_cells(lat, kind)
+        for o in np.unique(orientation).tolist():
+            same = orientation == o
+            assert np.array_equal(cell_index(lat, kind, o, x[:, same]), np.flatnonzero(same)), (kind, o)
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_cell_index_wraps_on_tori_and_refuses_absent_open_cells(lat):
+    """On every coordinate of a box one cell wider than the lattice, and on
+    two past int64, one cell at a time and in one batch, `cell_index` agrees
+    with the oracle lookup: the same index (wrapped mod N on a torus), or
+    KeyError for a cell absent from an open lattice."""
+    box = list(itertools.product(range(-1, lat.N + 2), repeat=lat.dim))
+    box += [(2**70 * lat.N + 1,) * lat.dim, (-(2**70),) * lat.dim]  # past int64
+    for kind in KINDS[: lat.dim + 1]:
+        for o in range(lat.dim if kind == "link" or (kind == "plaquette" and lat.dim == 3) else 1):
+            want = []
+            for x in box:
+                try:
+                    want.append(_oracle_index(lat, kind, o, x))
+                except KeyError:
+                    want.append(None)
+                    with pytest.raises(KeyError):
+                        cell_index(lat, kind, o, x)
+                    continue
+                assert cell_index(lat, kind, o, x).ndim == 0
+                assert int(cell_index(lat, kind, o, x)) == want[-1], (kind, o, x)
+            assert lat.periodic == (None not in want)
+            if lat.periodic:
+                assert cell_index(lat, kind, o, np.array(box).T).tolist() == want
+            else:
+                with pytest.raises(KeyError):
+                    cell_index(lat, kind, o, np.array(box).T)
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_link_sites_are_the_oracle_link_ends(lat):
+    """Link (x, i) runs from site x to site x + e_i; a periodic N = 1 link
+    starts and ends at its one site."""
+    base, head = link_sites(lat)
+    want = [(site_index(lat, x), site_index(lat, shift_site(lat, x, i, +1))) for x, i in links(lat)]
+    assert list(zip(base.tolist(), head.tolist())) == want
+    assert np.array_equal(base, head) == (lat.periodic and lat.N == 1)
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
@@ -127,6 +216,7 @@ def test_plaquette_laplacian_composite_identity_3d_periodic():
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_site_parity_alternates(lat):
     parity = site_parity(lat)
+    assert parity.dtype == np.int64
     for idx, x in enumerate(sites(lat)):
         assert parity[idx] == (-1) ** (sum(x) % 2)
 
@@ -226,21 +316,15 @@ def test_maps_match_the_loop_builders(lat):
 
 
 def test_maps_read_no_cell_enumeration():
-    """Building every map of a fresh lattice leaves the tuple enumerations
-    uncomputed: the maps and counts come from index arithmetic alone."""
-    enumerations = (sites, links, plaquettes, cubes)
-    for fn in vars(lattice).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-    for lat in (Lattice(2, 3, "open"), Lattice(2, 3, "periodic"), Lattice(3, 2, "open"), Lattice(3, 2, "periodic")):
-        for name in lattice._OPERATORS:
-            if name != "cube_flux" or lat.dim == 3:
-                _built_map(lat, name)
-        for name in _INDEX_MAPS:
-            _built_map(lat, name)
-        for kind in ("site", "link", "plaquette", "cube"):
-            lat.n_cells(kind)
-    assert [fn.cache_info().currsize for fn in enumerations] == [0] * len(enumerations)
+    """No module of the package keeps a tuple enumeration, index lookup or
+    site shifter: cells are named by the coordinate grids alone, and the
+    enumerations live on in conftest as the tests' oracle."""
+    import dualqed
+
+    removed = ("sites", "links", "plaquettes", "cubes", "site_index", "link_index", "plaquette_index", "shift_site")
+    modules = [dualqed] + [importlib.import_module(f"dualqed.{m.name}") for m in pkgutil.iter_modules(dualqed.__path__)]
+    assert len(modules) > 10
+    assert [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)] == []
 
 
 def _arrays(obj):

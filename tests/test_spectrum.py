@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from dualqed import hilbert, spectrum
+from dualqed import dualmap, hilbert, spectrum
 from dualqed.hamiltonian import ModelParams, h_dual_thetam, h_original
 from dualqed.hilbert import HilbertSpec
 from dualqed.lattice import Lattice
@@ -22,7 +22,7 @@ from dualqed.spectrum import (
     lowest_eigenvalues,
 )
 
-from conftest import GEOMETRIES, in_flux_class, product_basis
+from conftest import GEOMETRIES, GEOMETRIES_2D, bfs_tree_flow_matrix, in_flux_class, product_basis
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -424,6 +424,29 @@ def test_flux_sector_matches_per_state_class_test(lat, matter, cutoff, charges):
     got = flux_sector_basis(spec, None if charges is None else np.array(charges), match_class=True)
     assert got.indices.tolist() == want
     assert 0 < len(want) < full.dim
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES_2D, ids=lambda lat: lat.label())
+def test_flux_sector_is_the_one_the_bfs_tree_offsets_select(lat, monkeypatch):
+    """Every matter kind at c = 1, 2 that the guard admits: the flux sector
+    is, row by row, the sector built from the offsets of the breadth-first
+    spanning tree (conftest) in place of the staircase tree."""
+    fw = dualmap.flux_and_winding_map(lat).toarray().astype(np.int64)
+    built = 0
+    for matter in hilbert.MATTER_KINDS:
+        for cutoff in (1, 2):
+            spec = HilbertSpec(lat, "plaqs_M", cutoff=cutoff, matter=matter)
+            try:
+                basis = flux_sector_basis(spec)
+            except hilbert.MemoryGuardError:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(dualmap, "flux_offset_map", lambda lat: fw @ bfs_tree_flow_matrix(lat))
+                ref = flux_sector_basis(spec)
+            assert np.array_equal(basis.indices, ref.indices), (matter, cutoff)
+            assert np.array_equal(basis.configs, ref.configs), (matter, cutoff)
+            built += 1
+    assert built
 
 
 # ---------------------------------------------------------------------------
