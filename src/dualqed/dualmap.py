@@ -244,13 +244,12 @@ def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     lattice iff (W·v)_i is divisible by d_i, or vanishes where d_i = 0.
 
     W is the unimodular U of the Smith form, rows with d_i = 1 (no condition)
-    dropped and congruence rows reduced modulo d_i.
+    dropped and congruence rows reduced modulo d_i.  The reduction runs on
+    Python ints: an entry of U can overflow int64, a reduced row does not.
     """
     u, d, _ = _flux_class_snf(lat)
     n_cols = len(d[0]) if d else 0
-    moduli = np.array([abs(d[i][i]) if i < n_cols else 0 for i in range(len(u))], dtype=np.int64)
-    keep = moduli != 1
-    w, moduli = np.array(u, dtype=np.int64)[keep], moduli[keep]
-    congruent = moduli > 0
-    w[congruent] %= moduli[congruent, None]
-    return w, moduli
+    moduli = [abs(d[i][i]) if i < n_cols else 0 for i in range(len(u))]
+    kept = [([x % m for x in row] if m else row, m) for row, m in zip(u, moduli) if m != 1]
+    w = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), len(u))
+    return w, np.array([m for _, m in kept], dtype=np.int64)

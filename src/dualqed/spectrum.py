@@ -29,16 +29,17 @@ does every connected matrix.
 ``links_E`` space gets the Gauss sector and ``h_original``, a ``plaqs_M``
 space the charge-neutral, flux-class matched sector and ``h_dual_thetam``,
 each built directly on the sector's integer configurations, with the static
-charges of the ``ModelParams``.  The ``build`` and ``spectrum`` commands and
-every comparison cell call it.
+charges of the ``ModelParams``.  The ``build`` and ``spectrum`` commands call
+it, and a comparison once per formulation.
 
 ``compare_formulations`` is the equivalence harness: over a cutoff schedule
 it solves both formulations' sectors and reports per-level eigenvalue
-differences with convergence diagnostics.  Its (formulation,
-cutoff) cells run one at a time, so a comparison needs no more memory than
-its largest cell.  Sector matching matters: the flux-variable Hilbert space
-splits into integer cosets of the flux-class lattice, only one of which (per
-charge configuration) corresponds to integer electric fields.
+differences with convergence diagnostics.  It builds each formulation once,
+at the top cutoff, and feeds every lower cell the nested principal
+submatrix on the states within that cutoff, so a comparison needs no more
+memory than its largest cell.  Sector matching matters: the flux-variable
+Hilbert space splits into integer cosets of the flux-class lattice, only one
+of which (per charge configuration) corresponds to integer electric fields.
 ``flux_sector_basis`` enumerates that coset directly from the exact
 congruences (U·v) mod d of the Smith form of the class lattice, together
 with charge neutrality; ``sector="charge"`` keeps the plain charge-neutral
@@ -372,17 +373,8 @@ class CompareConfig:
         }
 
 
-def _cell_spectrum(config: CompareConfig, formulation: str, cutoff: int, k: int, seed: int) -> SpectrumReport:
-    electric = formulation == "original"
-    spec = HilbertSpec(
-        config.lattice,
-        "links_E" if electric else "plaqs_M",
-        cutoff=cutoff if electric else config.cutoff_ratio * cutoff,
-        matter=config.matter,
-        n_max=config.n_max,
-        max_dim=config.max_dim,
-    )
-    _, H, sector = sector_hamiltonian(spec, config.params, match_class=config.sector == "physical")
+def _cell_spectrum(H: sp.csr_matrix, sector: str, cutoff: int, k: int, seed: int) -> SpectrumReport:
+    """One (formulation, cutoff) cell's report; the benchmark's tracer times each cell by this name."""
     return lowest_eigenvalues(H, k, seed=seed, sector=sector, cutoff=cutoff)
 
 
@@ -397,18 +389,33 @@ def compare_formulations(
     Returns a JSON-ready report: config echo, per-cutoff eigenvalues and
     per-level |difference|, clustered level views, per-level monotonicity of
     the differences across the schedule, and log-ratio convergence slopes.
-    The (formulation, cutoff) cells run one at a time in schedule order; each
-    cell keeps only its small report, so the peak memory of a comparison is
-    that of its largest cell.
+    Each formulation's sector and Hamiltonian are built once, at the top
+    cutoff of the schedule.  Every term is diagonal or a unit rotor step, so
+    the cell at a lower cutoff c is the principal submatrix on the states
+    whose rotor levels all lie within c, in the same order: the distinct
+    cutoffs are walked downward, each narrowing the previous matrix and
+    dropping it.  Each cell keeps only its small report, so a comparison
+    holds no more than its largest cell, the top one.
     """
     schedule = tuple(int(c) for c in schedule)
     if not schedule or any(c < 1 for c in schedule):
         raise ValueError("schedule must hold positive cutoffs")
-    results = {
-        (form, cutoff): _cell_spectrum(config, form, cutoff, k, seed)
-        for cutoff in schedule
-        for form in ("original", "flux")
-    }
+    cutoffs = sorted(set(schedule), reverse=True)
+    results = {}
+    for form, kind, ratio in (("original", "links_E", 1), ("flux", "plaqs_M", config.cutoff_ratio)):
+        spec = HilbertSpec(
+            config.lattice, kind, ratio * cutoffs[0], matter=config.matter, n_max=config.n_max, max_dim=config.max_dim
+        )
+        basis, H, sector = sector_hamiltonian(spec, config.params, match_class=config.sector == "physical")
+        # each state's largest |level| over the gauge and global rotors, all cut at spec.cutoff
+        level = np.abs(basis.configs[:, spec.n_matter :] - spec.cutoff).max(axis=1, initial=0)
+        del basis
+        for cutoff in cutoffs:
+            keep = level <= ratio * cutoff
+            if not keep.all():
+                H, level = H[keep][:, keep], level[keep]
+            results[form, cutoff] = _cell_spectrum(H, sector, cutoff, k, seed)
+        del H
 
     rows = []
     for cutoff in schedule:

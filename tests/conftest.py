@@ -1,5 +1,6 @@
 """Shared fixtures, the tuple cell enumerations and the loop-built reference
-operators, the product-space basis, and the acceptance-summary reporter."""
+operators, the product-space basis, the per-cell comparison path, and the
+acceptance-summary reporter."""
 
 import itertools
 from types import MappingProxyType
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualqed import checks, dualmap, hilbert
+from dualqed import checks, dualmap, hilbert, spectrum
 from dualqed.lattice import Lattice, _cyclic, cached, divergence_matrix
 
 # geometries small enough for exhaustive/dense checks
@@ -385,6 +386,29 @@ def product_basis(spec: hilbert.HilbertSpec) -> hilbert.BasisMap:
         )
     indices = np.arange(spec.total_dim, dtype=np.int64)
     return hilbert.BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
+
+
+# --- one comparison cell ----------------------------------------------------------
+# A comparison cell as first computed: its own sector and Hamiltonian built at
+# its own cutoff, then solved.  `spectrum.compare_formulations` builds each
+# formulation once and narrows it cutoff by cutoff; the tests read this path as
+# the oracle of every cell.
+
+
+def cell_spectrum(
+    config: spectrum.CompareConfig, formulation: str, cutoff: int, k: int, seed: int
+) -> spectrum.SpectrumReport:
+    electric = formulation == "original"
+    spec = hilbert.HilbertSpec(
+        config.lattice,
+        "links_E" if electric else "plaqs_M",
+        cutoff=cutoff if electric else config.cutoff_ratio * cutoff,
+        matter=config.matter,
+        n_max=config.n_max,
+        max_dim=config.max_dim,
+    )
+    _, H, sector = spectrum.sector_hamiltonian(spec, config.params, match_class=config.sector == "physical")
+    return spectrum.lowest_eigenvalues(H, k, seed=seed, sector=sector, cutoff=cutoff)
 
 
 # --- acceptance report -------------------------------------------------------

@@ -197,6 +197,23 @@ def test_flux_class_congruences_decide_membership(lat, rng):
         assert held == in_flux_class(lat, v)
 
 
+@pytest.mark.parametrize("lat", [Lattice(2, 6, "periodic"), Lattice(2, 8, "open")], ids=geometry_id)
+def test_flux_class_congruences_fit_where_the_smith_u_overflows(lat, rng):
+    """U of the Smith form holds entries past int64 here; its kept rows,
+    reduced modulo d first, lie in 0 <= w < d, and every class-lattice
+    vector D·z passes every congruence in Python-int arithmetic."""
+    assert max(abs(x) for row in _flux_class_snf(lat)[0] for x in row) >= 2**63
+    w, d = flux_class_congruences(lat)
+    congruent = d > 0
+    assert np.all((w[congruent] >= 0) & (w[congruent] < d[congruent, None]))
+    D = d_matrix(lat).toarray()
+    rows = [[int(x) for x in row] for row in w]
+    for _ in range(10):
+        v = [int(x) for x in D @ rng.integers(-3, 4, D.shape[1])]
+        rest = [sum(a * b for a, b in zip(row, v)) for row in rows]
+        assert all(r % m == 0 if m else r == 0 for r, m in zip(rest, d.tolist()))
+
+
 def test_winding_map_counts_axis_crossings():
     lat = Lattice(2, 2, "periodic")
     w = winding_map(lat).toarray()

@@ -22,7 +22,7 @@ from dualqed.spectrum import (
     lowest_eigenvalues,
 )
 
-from conftest import GEOMETRIES, GEOMETRIES_2D, bfs_tree_flow_matrix, in_flux_class, product_basis
+from conftest import GEOMETRIES, GEOMETRIES_2D, bfs_tree_flow_matrix, cell_spectrum, in_flux_class, product_basis
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -596,7 +596,7 @@ def test_every_caller_reports_the_directly_built_sector(lat, formulation, matter
     assert json.loads(out.read_text())["eigenvalues"] == list(direct.eigenvalues)
 
     cfg = CompareConfig(lat, params, matter=matter, max_dim=CALLER_GUARD)
-    cell = spectrum._cell_spectrum(cfg, "original" if kind == "links_E" else "flux", cutoff, k, 0)
+    cell = cell_spectrum(cfg, "original" if kind == "links_E" else "flux", cutoff, k, 0)
     assert (cell.dimension, cell.eigenvalues) == (basis.dim, direct.eigenvalues)
 
 
@@ -610,15 +610,88 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_compare_peak_memory_is_that_of_its_largest_cell():
-    """Cells run one at a time and keep only their reports, so a comparison
-    never holds two cells' sectors and matrices at once."""
+    """Each formulation's lower cells are narrowed from the top one, the
+    larger matrix dropped at every step, and cells keep only their reports:
+    a comparison holds no more than its largest cell built on its own."""
     cfg = CompareConfig(
         Lattice(2, 2, "periodic"), ModelParams(g2=1.3, t=0.9, m=0.4), matter="staggered_fermion", cutoff_ratio=1
     )
     compare_formulations(cfg, 3, (1, 2))  # fill the lattice caches first
     cells = [(form, cutoff) for cutoff in (1, 2) for form in ("original", "flux")]
-    largest = max(_traced_peak(spectrum._cell_spectrum, cfg, form, cutoff, 3, 0) for form, cutoff in cells)
+    largest = max(_traced_peak(cell_spectrum, cfg, form, cutoff, 3, 0) for form, cutoff in cells)
     assert _traced_peak(compare_formulations, cfg, 3, (1, 2)) <= 1.1 * largest
+
+
+NESTED_CASES = [
+    pytest.param(lat, matter, sector, ratio, id=f"{lat.label()}-{matter}-{sector}-r{ratio}")
+    for lat in GEOMETRIES_2D
+    for matter in hilbert.MATTER_KINDS
+    for sector in ("physical", "charge")
+    for ratio in (1, 4)
+]
+
+
+@pytest.mark.parametrize("lat,matter,sector,ratio", NESTED_CASES)
+def test_nested_cells_equal_the_per_cell_oracle(lat, matter, sector, ratio, monkeypatch):
+    """Every cell narrowed from the top cutoff's Hamiltonian is, in indptr,
+    indices, data and dtype, the one built at its own cutoff, and every row
+    equals the reports of the per-cell oracle.  A schedule the guard refuses
+    on a cell of its own is refused by the comparison too."""
+    cfg = CompareConfig(
+        lat, ModelParams(g2=1.3, t=0.9, m=0.4), matter=matter, sector=sector, cutoff_ratio=ratio, max_dim=CALLER_GUARD
+    )
+    direct = {}
+    for form, kind, scale in (("original", "links_E", 1), ("flux", "plaqs_M", ratio)):
+        for cutoff in (1, 2):
+            spec = HilbertSpec(lat, kind, scale * cutoff, matter=matter, max_dim=CALLER_GUARD)
+            try:
+                direct[form, cutoff] = spectrum.sector_hamiltonian(spec, cfg.params, cfg.sector == "physical")[1:]
+            except hilbert.MemoryGuardError:
+                pass
+    if not direct:
+        pytest.skip("every cell refused by the guard")
+    k = min(2, *(H.shape[0] for H, _ in direct.values()))
+    oracle = {cell: cell_spectrum(cfg, *cell, k, 5).as_dict() for cell in direct}
+    cells = []
+    real_cell = spectrum._cell_spectrum
+
+    def recording_cell(H, label, cutoff, *args):
+        cells.append((H, label, cutoff))
+        return real_cell(H, label, cutoff, *args)
+
+    monkeypatch.setattr(spectrum, "_cell_spectrum", recording_cell)
+    for schedule in ((1, 2), (2, 1, 2), (1,)):
+        cells.clear()
+        if any((form, c) not in direct for c in schedule for form in ("original", "flux")):
+            with pytest.raises(hilbert.MemoryGuardError):
+                compare_formulations(cfg, k=k, schedule=schedule, seed=5)
+            continue
+        rep = compare_formulations(cfg, k=k, schedule=schedule, seed=5)
+        descending = sorted(set(schedule), reverse=True)
+        assert [c for _, _, c in cells] == descending * 2
+        for form, (H, label, cutoff) in zip(["original"] * len(descending) + ["flux"] * len(descending), cells):
+            D, direct_label = direct[form, cutoff]
+            assert (label, H.dtype) == (direct_label, D.dtype)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(H, part), getattr(D, part)), (form, cutoff, part)
+        assert [row["cutoff"] for row in rep["cutoffs"]] == list(schedule)
+        for row in rep["cutoffs"]:
+            for form in ("original", "flux"):
+                assert row[form] == oracle[form, row["cutoff"]]
+
+
+@pytest.mark.parametrize("schedule", [(1,), (1, 2), (2, 1, 2), (3, 1, 2, 2)])
+def test_compare_builds_each_formulation_once(schedule, monkeypatch):
+    built = []
+    real_build = spectrum.sector_hamiltonian
+
+    def counting_build(spec, *args, **kwargs):
+        built.append((spec.gauge_kind, spec.cutoff))
+        return real_build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sector_hamiltonian", counting_build)
+    compare_formulations(_ratio4_config(), k=3, schedule=schedule)
+    assert built == [("links_E", max(schedule)), ("plaqs_M", 4 * max(schedule))]
 
 
 def test_comparison_report_shape_and_schema():
