@@ -205,7 +205,7 @@ def _cmd_greens(args) -> int:
     for r in range(n):
         for c in range(n):
             if args.exact and table.exact is not None:
-                lines.append(f"{r},{c},{table.exact[r][c]}")
+                lines.append(f"{r},{c},{table.exact[r, c]}")
             else:
                 lines.append(f"{r},{c},{float(table.values[r, c])!r}")
     write_text(args.out, "\n".join(lines) + "\n")

@@ -108,15 +108,14 @@ def modified_greens(lat: Lattice, exact: bool = False):
     which is invertible, and D+ is its Green's table (`greens_plaquettes_obc`);
     elsewhere the pseudo-inverse annuls the constraint kernel of D.  The
     open-boundary potential solve of `helmholtz` reads the same matrix.
-    ``exact=True`` gives the Fraction matrix as row tuples.
+    ``exact=True`` gives the Fraction matrix as an object array.
     """
     if lat.dim == 2 and not lat.periodic:
         table = greens_plaquettes_obc(lat, exact=exact)
         return table.exact if exact else table.values
-    D = d_matrix(lat).toarray()
     if exact:
-        return tuple(map(tuple, rational.pseudo_inverse_symmetric(D)))  # shared: immutable
-    return np.linalg.pinv(D.astype(float))
+        return rational.pseudo_inverse_symmetric(d_matrix(lat))
+    return np.linalg.pinv(d_matrix(lat).toarray().astype(float))
 
 
 @cached
@@ -232,10 +231,10 @@ def flux_offset_map(lat: Lattice) -> np.ndarray:
 
 
 @cached
-def _flux_class_snf(lat: Lattice):
-    """Smith form (U, D, V) of the flux-class lattice D·Z^n, as tuples of row
-    tuples: the cached result is shared, so it must not be mutable."""
-    return tuple(tuple(map(tuple, m)) for m in rational.smith_normal_form(d_matrix(lat).toarray()))
+def _flux_class_snf(lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smith form (U, D, V) of the flux-class lattice D·Z^n, object arrays of
+    Python ints."""
+    return rational.smith_normal_form(d_matrix(lat))
 
 
 @cached
@@ -248,8 +247,10 @@ def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     Python ints: an entry of U can overflow int64, a reduced row does not.
     """
     u, d, _ = _flux_class_snf(lat)
-    n_cols = len(d[0]) if d else 0
-    moduli = [abs(d[i][i]) if i < n_cols else 0 for i in range(len(u))]
-    kept = [([x % m for x in row] if m else row, m) for row, m in zip(u, moduli) if m != 1]
-    w = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), len(u))
-    return w, np.array([m for _, m in kept], dtype=np.int64)
+    moduli = np.zeros(len(u), dtype=object)
+    moduli[: min(d.shape)] = np.abs(d.diagonal())
+    kept = moduli != 1
+    w, moduli = u[kept], moduli[kept]
+    congruent = moduli != 0
+    w[congruent] %= moduli[congruent, None]
+    return w.astype(np.int64), moduli.astype(np.int64)

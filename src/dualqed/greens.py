@@ -14,13 +14,13 @@ Three table kinds, each a dense symmetric matrix G[x, y]:
 
 Every kind also exists in exact rational arithmetic for small lattices
 (`exact=True`), produced by Fraction elimination rather than floating
-pseudo-inverses; the float `values` then round the exact entries.
+pseudo-inverses: the table is an object array of int / Fraction entries, and
+the float `values` are its ``astype(float)``, each entry rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,15 +44,16 @@ class NeutralityError(ValueError):
 class GreensTable:
     """Dense Green's table with its defining normalization.
 
-    `exact` carries the Fraction matrix, as row tuples, when built in
-    rational mode: tables are cached and shared, so it must not be mutable.
+    `exact` carries the Fraction matrix, a 2-D object array of int /
+    Fraction entries, when built in rational mode.  Tables are cached and
+    shared, so `cached` leaves both arrays read-only.
     """
 
     lattice: Lattice
     kind: str  # 'site_pbc' | 'site_obc' | 'plaq_obc'
     values: np.ndarray
     normalization: str  # 'zero_row_sum' | 'true_inverse'
-    exact: tuple[tuple[Fraction, ...], ...] | None = None
+    exact: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -88,13 +89,11 @@ def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
 def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
     """Green's table for the site Laplacian (kind site_pbc / site_obc)."""
     n = lat.n_sites
-    kind = "site_pbc" if lat.periodic else "site_obc"
+    kind = _resolve_kind(lat, "site")
     if exact:
         _check_exact_size(n)
-        A = (-laplacian_matrix(lat, "site")).toarray()
-        ker = [[Fraction(1)] * n]
-        G = rational.pseudo_inverse_symmetric(A, kernel=ker)
-        return GreensTable(lat, kind, rational.to_float(G), "zero_row_sum", exact=tuple(map(tuple, G)))
+        G = rational.pseudo_inverse_symmetric(-laplacian_matrix(lat, "site"), kernel=[[1] * n])
+        return GreensTable(lat, kind, G.astype(float), "zero_row_sum", exact=G)
     if lat.periodic:
         kernel = _fourier_site_kernel(lat)
         _, x = cell_coordinates(lat, "site")
@@ -112,30 +111,40 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
 @cached
 def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
     """True inverse of the modified open-boundary plaquette Laplacian."""
-    if lat.periodic:
-        raise ValueError("plaq_obc tables are an open-boundary object")
+    _resolve_kind(lat, "plaq_obc")  # raises on a periodic lattice
     n = lat.n_plaqs
     A = -laplacian_matrix(lat, "plaquette")
     if exact:
         _check_exact_size(n)
-        G = rational.invert(A.toarray())
-        return GreensTable(lat, "plaq_obc", rational.to_float(G), "true_inverse", exact=tuple(map(tuple, G)))
+        G = rational.invert(A)
+        return GreensTable(lat, "plaq_obc", G.astype(float), "true_inverse", exact=G)
     if n > DENSE_LIMIT:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes")
     G = np.linalg.inv(A.toarray().astype(float))
     return GreensTable(lat, "plaq_obc", G, "true_inverse")
 
 
+def _resolve_kind(lat: Lattice, kind: str) -> str:
+    """The table kind `kind` names on `lat`: ``site`` follows the boundary and
+    ``modified`` is ``plaq_obc``.  A kind the lattice does not yield, or an
+    unknown one, raises ValueError."""
+    if kind in ("site_pbc", "site_obc", "site"):
+        resolved = "site_pbc" if lat.periodic else "site_obc"
+        if kind not in ("site", resolved):
+            raise ValueError(f"lattice {lat.label()} yields {resolved}, not {kind}")
+        return resolved
+    if kind in ("plaq_obc", "modified"):
+        if lat.periodic:
+            raise ValueError("plaq_obc tables are an open-boundary object")
+        return "plaq_obc"
+    raise ValueError(f"unknown Green's kind {kind!r}")
+
+
 def greens_table(lat: Lattice, kind: str, exact: bool = False) -> GreensTable:
     """Kind-dispatching accessor: site_pbc, site_obc, plaq_obc (alias modified)."""
-    if kind in ("site_pbc", "site_obc", "site"):
-        table = greens_sites(lat, exact=exact)
-        if kind != "site" and table.kind != kind:
-            raise ValueError(f"lattice {lat.label()} yields {table.kind}, not {kind}")
-        return table
-    if kind in ("plaq_obc", "modified"):
+    if _resolve_kind(lat, kind) == "plaq_obc":
         return greens_plaquettes_obc(lat, exact=exact)
-    raise ValueError(f"unknown Green's kind {kind!r}")
+    return greens_sites(lat, exact=exact)
 
 
 def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVector:
@@ -143,10 +152,15 @@ def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVe
 
     site kinds: requires a neutral source (NeutralityError otherwise) and
     returns the zero-mean potential with -lap f = rhs.  plaq_obc: inverts the
-    modified plaquette Laplacian, no neutrality involved.  Falls back to
+    modified plaquette Laplacian, no neutrality involved.  The kind is
+    checked against the lattice first, as in `greens_table`.  Falls back to
     conjugate gradients above the dense-table limit.
     """
-    if kind in ("site", "site_pbc", "site_obc"):
+    if _resolve_kind(lat, kind) == "plaq_obc":
+        if rhs.kind != "plaquette":
+            raise ValueError("plaq_obc Poisson solve needs a plaquette field")
+        cells, table, b = "plaquette", greens_plaquettes_obc, rhs.values
+    else:
         if rhs.kind != "site":
             raise ValueError(f"site Poisson solve needs a site field, got {rhs.kind}")
         total = float(np.sum(rhs.values))
@@ -156,12 +170,6 @@ def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVe
                 f"site source must be neutral: total charge {total:g}"
             )
         cells, table, b = "site", greens_sites, rhs.values - rhs.values.mean()
-    elif kind in ("plaq_obc", "modified"):
-        if rhs.kind != "plaquette":
-            raise ValueError("plaq_obc Poisson solve needs a plaquette field")
-        cells, table, b = "plaquette", greens_plaquettes_obc, rhs.values
-    else:
-        raise ValueError(f"unknown Poisson kind {kind!r}")
     n = lat.n_cells(cells)
     if n <= DENSE_LIMIT:
         return FieldVector(lat, cells, table(lat).values @ rhs.values)

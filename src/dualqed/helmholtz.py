@@ -28,8 +28,9 @@ The plaquette potential has three layers:
 The potential and the global loop values are one linear map of F, the
 dual-coordinate map T (`dual_coordinate_map`): solver·circulation +
 ramp·direction sums on plaquettes, direction sums / N on the axis lines.
-That formula is written once in float (`_dual_coordinates`) and once in
-Fractions (`_dual_coordinates_exact`); the ramp is defined once, exactly.
+That formula is written once (`_dual_coordinates`): the exact lane is the
+float formula run on object arrays of Fractions, from the exact Green's
+tables and the exact ramp, whose ``astype(float)`` is the float ramp.
 
 The *shift table* of a link is T's column for that link, the formula
 applied to its unit indicator field: the response pattern through which
@@ -45,7 +46,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rational
 from .dualmap import dual_embedding, flux_and_winding_map, modified_greens
 from .greens import greens_sites
 from .lattice import (
@@ -83,8 +83,8 @@ class ShiftTable:
     link: int
     shifts: np.ndarray  # combined plaquette shifts (L_plaq + L_const)
     global_shifts: np.ndarray | None  # one per direction (periodic only)
-    exact_shifts: tuple[Fraction, ...] | None = None
-    exact_global: tuple[Fraction, ...] | None = None
+    exact_shifts: np.ndarray | None = None  # object arrays of int / Fraction
+    exact_global: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +93,25 @@ class ShiftTable:
 
 
 @cached
-def _ramp_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
-    """n_plaqs x dim Fractions: column i is the plaquette ramp sourced by S_i.
+def ramp_matrix(lat: Lattice, exact: bool = False) -> np.ndarray:
+    """n_plaqs x dim: column i is the plaquette ramp sourced by S_i, so
+    multiplying by the direction sums S yields L_const.
 
-    Entries are integer multiples of 1/N^2 and 1/N^3; open lattices have no
-    ramp and get zeros.
+    Entries are integer multiples of 1/N^2 and 1/N^3, Fractions in the exact
+    table; open lattices have no ramp and get zeros.  The float table is the
+    exact one cast entry by entry: ``float`` of a Fraction is correctly
+    rounded, as is the float quotient y / N^k of two exactly representable
+    integers, so each entry equals that quotient bit for bit.
     """
+    if not exact:
+        return ramp_matrix(lat, exact=True).astype(float)
+    R = np.zeros((lat.n_plaqs, lat.dim), dtype=object)
     if not lat.periodic:
-        return ((Fraction(0),) * lat.dim,) * lat.n_plaqs
+        return R
     N = lat.N
     sq, cu = Fraction(1, N**2), Fraction(1, N**3)
-    rows = []
     normals, corners = cell_coordinates(lat, "plaquette")
-    for normal, y in zip(normals.tolist(), corners.T.tolist()):
-        row = [Fraction(0)] * lat.dim
+    for row, normal, y in zip(R, normals.tolist(), corners.T.tolist()):
         if lat.dim == 2 or (normal == 2 and y[2] == 0):
             row[0] = y[1] * sq
             row[1] = -y[0] * sq
@@ -117,46 +122,7 @@ def _ramp_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
         elif normal == 0:
             row[1] = y[2] * cu
             row[2] = -y[1] * cu
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@cached
-def ramp_matrix(lat: Lattice) -> np.ndarray:
-    """Float `_ramp_exact`: multiplying by the direction sums S yields L_const.
-
-    ``float`` of a Fraction is correctly rounded, as is the float quotient
-    y / N^k of two exactly representable integers, so each entry equals
-    that quotient bit for bit.
-    """
-    rows = [[float(v) for v in row] for row in _ramp_exact(lat)]
-    return np.array(rows).reshape(lat.n_plaqs, lat.dim)
-
-
-# ---------------------------------------------------------------------------
-# Transverse potential solvers
-# ---------------------------------------------------------------------------
-
-
-def _solve_potential(lat: Lattice, circulation: np.ndarray) -> np.ndarray:
-    """L_plaq of a plaquette circulation (one field or a matrix of field
-    columns).  Periodic: the site table applied to each orientation block,
-    since each same-normal plaquette family tiles its own torus like the
-    sites do; the blocks sit side by side as the columns of one product."""
-    if not lat.periodic:
-        return modified_greens(lat) @ circulation
-    G, n = greens_sites(lat).values, lat.n_sites
-    blocks = np.stack(np.split(circulation, lat.n_plaqs // n), axis=1)  # (n, orientation[, field])
-    L = (G @ blocks.reshape(n, -1)).reshape(blocks.shape)
-    return np.moveaxis(L, 1, 0).reshape(circulation.shape)
-
-
-def _solve_potential_exact(lat: Lattice, circulation: list[Fraction]) -> list[Fraction]:
-    """`_solve_potential` of one circulation in Fractions."""
-    if not lat.periodic:
-        return rational.matvec(modified_greens(lat, exact=True), circulation)
-    G, n = greens_sites(lat, exact=True).exact, lat.n_sites
-    return [v for o in range(0, lat.n_plaqs, n) for v in rational.matvec(G, circulation[o : o + n])]
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +130,36 @@ def _solve_potential_exact(lat: Lattice, circulation: list[Fraction]) -> list[Fr
 # ---------------------------------------------------------------------------
 
 
-def _dual_coordinates(lat: Lattice, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_potential(lat: Lattice, circulation: np.ndarray, exact: bool = False) -> np.ndarray:
+    """L_plaq of a plaquette circulation (one field or a matrix of field
+    columns), from the float or the exact Green's tables.  Periodic: the
+    site table applied to each orientation block, since each same-normal
+    plaquette family tiles its own torus like the sites do; the blocks sit
+    side by side as the columns of one product."""
+    if not lat.periodic:
+        return (modified_greens(lat, exact=True) if exact else modified_greens(lat)) @ circulation
+    G = greens_sites(lat, exact=True).exact if exact else greens_sites(lat).values
+    n = lat.n_sites
+    blocks = np.stack(np.split(circulation, lat.n_plaqs // n), axis=1)  # (n, orientation[, field])
+    L = (G @ blocks.reshape(n, -1)).reshape(blocks.shape)
+    return np.moveaxis(L, 1, 0).reshape(circulation.shape)
+
+
+def _dual_coordinates(lat: Lattice, X: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Plaquette and (periodic only) global coordinates of the link field(s) X.
 
     solver·circulation + ramp·S on plaquettes and S / N on the axis lines,
     with S the direction sums.  X is one field or a matrix of field columns.
+    With ``exact`` X must be integer, and the same products run on the
+    Fraction tables as object arrays.
     """
-    L = _solve_potential(lat, curl_link_to_plaq_matrix(lat) @ X)
+    if exact and X.dtype.kind not in "iu":
+        raise TypeError(f"exact dual coordinates need an integer link field, got {X.dtype}")
+    L = _solve_potential(lat, curl_link_to_plaq_matrix(lat) @ X, exact)
     if not lat.periodic:
         return L, None
     S = direction_sum_matrix(lat) @ X
-    return L + ramp_matrix(lat) @ S, S / lat.N
-
-
-def _dual_coordinates_exact(lat: Lattice, F: np.ndarray) -> tuple[list[Fraction], list[Fraction] | None]:
-    """`_dual_coordinates` of one integer link field in Fractions."""
-    circulation = [Fraction(int(v)) for v in curl_link_to_plaq_matrix(lat) @ F]
-    L = _solve_potential_exact(lat, circulation)
-    if not lat.periodic:
-        return L, None
-    S = [int(v) for v in direction_sum_matrix(lat) @ F]
-    L = [v + sum(r * s for r, s in zip(row, S)) for v, row in zip(L, _ramp_exact(lat))]
-    return L, [Fraction(s, lat.N) for s in S]
+    return L + ramp_matrix(lat, exact=exact) @ S, S / (Fraction(lat.N) if exact else lat.N)
 
 
 @cached
@@ -258,7 +232,7 @@ def link_shift_table(
 
     The dual-coordinate formula applied to the link's unit field: column
     ``link`` of `dual_coordinate_map`.  With ``exact`` the same formula also
-    runs in Fractions on the rational Green's tables.
+    runs on the integer unit field and the rational Green's tables.
     """
     n = int(cell_index(lat, "link", direction, site))
     unit = np.zeros(lat.n_links)
@@ -266,16 +240,13 @@ def link_shift_table(
     shifts, loops = _dual_coordinates(lat, unit)
     table = ShiftTable(lat, tuple(site), direction, n, shifts, loops)
     if exact:
-        shifts, loops = _dual_coordinates_exact(lat, unit.astype(np.int64))
-        table.exact_shifts = tuple(shifts)
-        table.exact_global = None if loops is None else tuple(loops)
+        table.exact_shifts, table.exact_global = _dual_coordinates(lat, unit.astype(np.int64), exact=True)
         _check_exact_float_agreement(table)
     return table
 
 
 def _check_exact_float_agreement(table: ShiftTable):
-    approx = np.array([float(v) for v in table.exact_shifts])
-    if np.abs(approx - table.shifts).max() > 1e-9:
+    if np.abs(table.exact_shifts.astype(float) - table.shifts).max() > 1e-9:
         raise AssertionError(
             "exact and floating shift tables disagree; Green's tables are inconsistent"
         )

@@ -86,11 +86,11 @@ class HilbertSpec:
     global_cutoff: int | None = None
     max_dim: int = DEFAULT_MAX_DIM
 
-    # filled in __post_init__
-    dims: list[int] = field(default_factory=list, repr=False)
-    n_matter: int = field(default=0, repr=False)
-    n_gauge: int = field(default=0, repr=False)
-    n_globals: int = field(default=0, repr=False)
+    # derived in __post_init__, not constructor parameters
+    dims: list[int] = field(init=False, repr=False)
+    n_matter: int = field(init=False, repr=False)
+    n_gauge: int = field(init=False, repr=False)
+    n_globals: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.gauge_kind not in GAUGE_KINDS:

@@ -39,7 +39,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,17 +46,14 @@ import scipy.sparse as sp
 CellKind = str  # 'site' | 'link' | 'plaquette' | 'cube'
 
 _BOUNDARY_KINDS = ("periodic", "open")
-_SCALARS = (int, float, str, Fraction)
 
 
 def _freeze(obj):
     """Mark the arrays of a result read-only: ndarrays, the arrays of sparse
     matrices (sorted first, so scipy never sorts them in place later), and
-    the same inside tuple items and dataclass fields.  Scalars hold no array
-    and return at once, and tuples are told apart before the slower sparse
-    and dataclass tests: the exact tables are tuples of many Fractions."""
-    if isinstance(obj, _SCALARS):
-        return obj
+    the same inside tuple items and dataclass fields.  Exact tables are
+    object arrays of immutable int / Fraction entries, so a read-only array
+    freezes them whole."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
     elif isinstance(obj, tuple):

@@ -25,11 +25,13 @@ Dumas, Giorgi & Pernet, ACM TOMS 35(3) 19, 2008).  When the bounds miss
 tried, then `_eliminate`, which also takes over when a row is not in the
 kernel; no count is returned without the certificate or the elimination.
 
-The dense routines -- `invert`, `pseudo_inverse_symmetric` and products --
-serve the exact Green's and shift tables on desk-size lattices, and the
-integer Smith normal form gives the congruences of the flux-class lattice
-(`dualmap.flux_class_congruences`).  They work on lists of rows holding
-:class:`fractions.Fraction` (or int) entries.
+The dense routines -- `invert` and `pseudo_inverse_symmetric` -- serve the
+exact Green's and shift tables on desk-size lattices, and the integer Smith
+normal form gives the congruences of the flux-class lattice
+(`dualmap.flux_class_congruences`).  They take and return 2-D numpy object
+arrays of int / :class:`fractions.Fraction` entries (`exact_array`), so
+products, transposes and sums are numpy's ``@``, ``.T`` and ``+``: an exact
+formula is its float twin run on object arrays.
 
 Float input raises TypeError: a silent float->Fraction conversion would
 launder rounding error into "exact" results.
@@ -45,19 +47,20 @@ from math import gcd, lcm
 import numpy as np
 import scipy.sparse as sp
 
-RationalMatrix = list[list[Fraction]]
 
+def exact_array(mat) -> np.ndarray:
+    """A 2-D object array of the int / Fraction entries of a numpy, scipy
+    sparse or nested-list matrix.
 
-def _as_rows(mat) -> RationalMatrix:
-    """Coerce a numpy / scipy / nested-list matrix to Fraction rows.
-
-    Float entries raise TypeError (`_exact_entry`), in object arrays too.
+    Float entries raise TypeError (`_exact_entry`), in object arrays and
+    sparse input too; rows of unequal length raise ValueError.
     """
     if sp.issparse(mat):
         mat = mat.toarray()
-    if isinstance(mat, np.ndarray):
-        mat = mat.tolist()
-    return [[Fraction(_exact_entry(v)) for v in row] for row in mat]
+    arr = np.array(mat, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError("exact routines need a matrix with rows of equal length")
+    return np.frompyfunc(_exact_entry, 1, 1)(arr)
 
 
 def _exact_entry(v) -> int | Fraction:
@@ -68,58 +71,29 @@ def _exact_entry(v) -> int | Fraction:
     raise TypeError(f"exact routines need integer/Fraction entries, got {type(v).__name__}")
 
 
-def identity(n: int) -> RationalMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for p in range(k):
-            aip = ai[p]
-            if aip == 0:
-                continue
-            bp = b[p]
-            for j in range(m):
-                if bp[j]:
-                    oi[j] += aip * bp[j]
-    return out
-
-
-def matvec(a: RationalMatrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
-
-
-def transpose(a: RationalMatrix) -> RationalMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def invert(mat) -> RationalMatrix:
+def invert(mat) -> np.ndarray:
     """Exact inverse by Gauss-Jordan elimination with nonzero pivoting.
 
-    Raises ValueError on a singular input.
+    Each step updates only the rows with a nonzero in the pivot column, and
+    only in the pivot row's nonzero columns.  Raises ValueError on a
+    singular input.
     """
-    a = _as_rows(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    a = exact_array(mat)
+    n = a.shape[0]
+    if a.shape != (n, n):
         raise ValueError("invert needs a square matrix")
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
+    aug = np.hstack([a, np.identity(n, dtype=object)])
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
+        nz = np.flatnonzero(aug[col:, col])
+        if not nz.size:
             raise ValueError("matrix is singular over the rationals")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        aug[[col, col + nz[0]]] = aug[[col + nz[0], col]]
+        aug[col] = aug[col] / Fraction(aug[col, col])
+        rows = np.flatnonzero(aug[:, col])
+        rows = rows[rows != col]
+        cols = np.flatnonzero(aug[col])
+        aug[np.ix_(rows, cols)] -= np.multiply.outer(aug[rows, col], aug[col, cols])
+    return aug[:, n:]
 
 
 def _primitive(entries: dict[int, int | Fraction]) -> dict[int, int]:
@@ -153,11 +127,8 @@ def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:
                 row[j] = row.get(j, 0) + v  # a non-canonical CSR may repeat a column
             rows.append(_primitive({j: v for j, v in row.items() if v}))
         return rows, csr.shape[1]
-    n_cols = mat.shape[1] if isinstance(mat, np.ndarray) else len(mat[0]) if len(mat) else 0
-    rows = _as_rows(mat)
-    if any(len(row) != n_cols for row in rows):
-        raise ValueError("rows of unequal length")
-    return [_primitive({j: v for j, v in enumerate(row) if v}) for row in rows], n_cols
+    arr = exact_array(mat)
+    return [_primitive({j: v for j, v in enumerate(row) if v}) for row in arr.tolist()], arr.shape[1]
 
 
 def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
@@ -353,99 +324,69 @@ def kernel_dimension(mat, kernel_rows) -> int:
     return n_cols - len(_eliminate(rows))
 
 
-def pseudo_inverse_symmetric(mat, kernel: list[list[Fraction]] | None = None) -> RationalMatrix:
+def pseudo_inverse_symmetric(mat, kernel=None) -> np.ndarray:
     """Exact Moore-Penrose inverse of a symmetric rational matrix.
 
     Uses the kernel-projector identity A+ = (A + P)^{-1} - P where P is the
     orthogonal projector onto ker A: A + P is invertible, acts as A on the
     range and as the identity on the kernel, and both summands commute with
-    the splitting.  `kernel` may supply a known basis; otherwise it is
-    computed.
+    the splitting.  `kernel` may supply a known basis, one vector per row;
+    otherwise it is computed.
     """
-    a = _as_rows(mat)
-    n = len(a)
+    a = exact_array(mat)
     if kernel is None:
         kernel = nullspace(a)
-    if not kernel:
+    if not len(kernel):
         return invert(a)
-    k = transpose([list(v) for v in kernel])  # n x m, columns span the kernel
-    ktk = matmul(transpose(k), k)
-    proj = matmul(matmul(k, invert(ktk)), transpose(k))
-    shifted = [[a[i][j] + proj[i][j] for j in range(n)] for i in range(n)]
-    inv = invert(shifted)
-    return [[inv[i][j] - proj[i][j] for j in range(n)] for i in range(n)]
+    k = exact_array(kernel).T  # n x m, columns span the kernel
+    proj = k @ invert(k.T @ k) @ k.T
+    return invert(a + proj) - proj
 
 
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix: returns (U, D, V) with U·A·V = D.
 
     U and V are unimodular, D is diagonal with d_1 | d_2 | ... | d_r and zeros
     after the rank.  Used to decide membership of a vector in the integer
     column lattice of A: v lies in A·Z^m  iff  (U·v)_i is divisible by d_i for
-    i <= r and vanishes beyond.  Classic pivot-shrinking elimination on Python
-    ints; sizes here are tiny.
+    i <= r and vanishes beyond.  Classic pivot-shrinking elimination on
+    object arrays of Python ints, which do not overflow; sizes here are tiny.
     """
-    a0 = _as_rows(mat)
-    if any(v.denominator != 1 for row in a0 for v in row):
+    a = exact_array(mat)
+    if any(v.denominator != 1 for v in a.flat):
         raise TypeError("smith_normal_form needs integer entries")
-    rows = len(a0)
-    cols = len(a0[0]) if rows else 0
-    a = [[int(v) for v in row] for row in a0]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    a = np.frompyfunc(int, 1, 1)(a)
+    rows, cols = a.shape
+    u, v = np.identity(rows, dtype=object), np.identity(cols, dtype=object)
     t = 0
     while t < min(rows, cols):
-        # Bring the smallest-magnitude nonzero of the trailing block to (t, t).
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # Bring the first smallest-magnitude nonzero of the trailing block to (t, t).
+        block = np.abs(a[t:, t:])
+        nz = np.flatnonzero(block)
+        if not nz.size:
             break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        u[t], u[bi] = u[bi], u[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        for row in v:
-            row[t], row[bj] = row[bj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // piv
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                if a[i][t]:
-                    dirty = True  # nonzero remainder became the new smallest entry
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // piv
-                for row in a:
-                    row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
+        bi, bj = divmod(int(nz[np.argmin(block.flat[nz])]), cols - t)
+        a[[t, t + bi]] = a[[t + bi, t]]
+        u[[t, t + bi]] = u[[t + bi, t]]
+        a[:, [t, t + bj]] = a[:, [t + bj, t]]
+        v[:, [t, t + bj]] = v[:, [t + bj, t]]
+        if a[t, t] < 0:
+            a[t], u[t] = -a[t], -u[t]
+        piv = a[t, t]
+        q = a[t + 1 :, t] // piv
+        a[t + 1 :] -= np.multiply.outer(q, a[t])
+        u[t + 1 :] -= np.multiply.outer(q, u[t])
+        q = a[t, t + 1 :] // piv
+        a[:, t + 1 :] -= np.multiply.outer(a[:, t], q)
+        v[:, t + 1 :] -= np.multiply.outer(v[:, t], q)
+        if a[t + 1 :, t].any() or a[t, t + 1 :].any():
+            continue  # a nonzero remainder became the new smallest entry
         # Pivot must divide the whole trailing block for the divisor chain.
-        stray = next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % piv),
-            None,
-        )
-        if stray is not None:
-            i = stray[0]
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
-            u[t] = [x + y for x, y in zip(u[t], u[i])]
+        stray = np.flatnonzero(a[t + 1 :, t + 1 :] % piv)
+        if stray.size:
+            i = t + 1 + int(stray[0]) // (cols - t - 1)
+            a[t] += a[i]
+            u[t] += u[i]
             continue
         t += 1
     return u, a, v
-
-
-def to_float(mat: RationalMatrix) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in mat], dtype=float)

@@ -1,21 +1,36 @@
 """Shared fixtures, the tuple cell enumerations and the loop-built reference
-operators, the product-space basis, the per-cell comparison path, and the
-acceptance-summary reporter."""
+operators, the list-based exact algebra, the product-space basis, the
+per-cell comparison path, and the acceptance-summary reporter."""
 
 import itertools
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualqed import checks, dualmap, hilbert, spectrum
-from dualqed.lattice import Lattice, _cyclic, cached, divergence_matrix
+from dualqed import checks, dualmap, hilbert, rational, spectrum
+from dualqed.greens import EXACT_LIMIT
+from dualqed.lattice import (
+    Lattice,
+    _cyclic,
+    cached,
+    cell_coordinates,
+    curl_link_to_plaq_matrix,
+    direction_sum_matrix,
+    divergence_matrix,
+    laplacian_matrix,
+)
 
 # geometries small enough for exhaustive/dense checks
 GEOMETRIES_2D = [Lattice(2, n, bc) for n in (1, 2, 3) for bc in ("open", "periodic")]
 GEOMETRIES_3D = [Lattice(3, n, bc) for n in (1, 2) for bc in ("open", "periodic")]
 GEOMETRIES = GEOMETRIES_2D + GEOMETRIES_3D
+# those whose cells all fit the exact-rational lane
+EXACT_GEOMETRIES = [
+    lat for lat in GEOMETRIES if max(lat.n_sites, lat.n_plaqs + lat.n_global_loops) <= EXACT_LIMIT
+]
 
 
 def geometry_id(lat: Lattice) -> str:
@@ -50,10 +65,10 @@ def integer_image_mask(snf, vecs: np.ndarray) -> np.ndarray:
     object for Python ints).
     """
     assert vecs.dtype.kind in "iO", "integer image membership needs integer entries"
-    u, d, _ = snf
-    n_cols = len(d[0]) if d else 0
-    w = np.array(u, dtype=vecs.dtype) @ vecs
-    divisors = np.array([d[i][i] if i < n_cols else 0 for i in range(len(u))], dtype=vecs.dtype)
+    u, d, _ = (np.array(m, dtype=object) for m in snf)
+    w = u.astype(vecs.dtype) @ vecs
+    divisors = np.zeros(len(u), dtype=vecs.dtype)
+    divisors[: min(d.shape)] = d.diagonal()
     pivots = divisors != 0
     return np.all(w[~pivots] == 0, axis=0) & np.all(w[pivots] % divisors[pivots, None] == 0, axis=0)
 
@@ -372,6 +387,240 @@ LOOP_OPERATORS = {
     "axis_indicator_matrix": loop_axis_indicator,
     "direction_sum_matrix": loop_direction_sum,
 }
+
+
+# --- list-based exact algebra ---------------------------------------------------
+# The exact lane as first written: Fraction matrices as lists of rows with
+# their own products, Gauss-Jordan inverse, kernel-projector pseudo-inverse
+# and Smith form, and the dual-coordinate formula rewritten in Fractions.
+# `rational` now runs the float formulas on numpy object arrays; the tests
+# read these as the oracle of every exact table.
+
+RationalMatrix = list[list[Fraction]]
+
+
+def _as_rows(mat) -> RationalMatrix:
+    """Coerce a numpy / scipy / nested-list matrix to Fraction rows.
+
+    Float entries raise TypeError (`_exact_entry`), in object arrays too.
+    """
+    if sp.issparse(mat):
+        mat = mat.toarray()
+    if isinstance(mat, np.ndarray):
+        mat = mat.tolist()
+    return [[Fraction(rational._exact_entry(v)) for v in row] for row in mat]
+
+
+def identity(n: int) -> RationalMatrix:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    n, k, m = len(a), len(b), len(b[0])
+    assert len(a[0]) == k
+    out = [[Fraction(0)] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for p in range(k):
+            aip = ai[p]
+            if aip == 0:
+                continue
+            bp = b[p]
+            for j in range(m):
+                if bp[j]:
+                    oi[j] += aip * bp[j]
+    return out
+
+
+def matvec(a: RationalMatrix, v: list[Fraction]) -> list[Fraction]:
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
+
+
+def transpose(a: RationalMatrix) -> RationalMatrix:
+    return [list(col) for col in zip(*a)]
+
+
+def list_invert(mat) -> RationalMatrix:
+    """Exact inverse by Gauss-Jordan elimination with nonzero pivoting.
+
+    Raises ValueError on a singular input.
+    """
+    a = _as_rows(mat)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("invert needs a square matrix")
+    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular over the rationals")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def list_pseudo_inverse_symmetric(mat, kernel: list[list[Fraction]] | None = None) -> RationalMatrix:
+    """Exact Moore-Penrose inverse of a symmetric rational matrix.
+
+    Uses the kernel-projector identity A+ = (A + P)^{-1} - P where P is the
+    orthogonal projector onto ker A: A + P is invertible, acts as A on the
+    range and as the identity on the kernel, and both summands commute with
+    the splitting.  `kernel` may supply a known basis; otherwise it is
+    computed.
+    """
+    a = _as_rows(mat)
+    n = len(a)
+    if kernel is None:
+        kernel = rational.nullspace(a)
+    if not kernel:
+        return list_invert(a)
+    k = transpose([list(v) for v in kernel])  # n x m, columns span the kernel
+    ktk = matmul(transpose(k), k)
+    proj = matmul(matmul(k, list_invert(ktk)), transpose(k))
+    shifted = [[a[i][j] + proj[i][j] for j in range(n)] for i in range(n)]
+    inv = list_invert(shifted)
+    return [[inv[i][j] - proj[i][j] for j in range(n)] for i in range(n)]
+
+
+def list_smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form of an integer matrix: returns (U, D, V) with U·A·V = D,
+    by pivot-shrinking elimination on lists of Python ints."""
+    a0 = _as_rows(mat)
+    if any(v.denominator != 1 for row in a0 for v in row):
+        raise TypeError("smith_normal_form needs integer entries")
+    rows = len(a0)
+    cols = len(a0[0]) if rows else 0
+    a = [[int(v) for v in row] for row in a0]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    t = 0
+    while t < min(rows, cols):
+        # Bring the smallest-magnitude nonzero of the trailing block to (t, t).
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        u[t], u[bi] = u[bi], u[t]
+        for row in a:
+            row[t], row[bj] = row[bj], row[t]
+        for row in v:
+            row[t], row[bj] = row[bj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        piv = a[t][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                q = a[i][t] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if a[i][t]:
+                    dirty = True  # nonzero remainder became the new smallest entry
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                q = a[t][j] // piv
+                for row in a:
+                    row[j] -= q * row[t]
+                for row in v:
+                    row[j] -= q * row[t]
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # Pivot must divide the whole trailing block for the divisor chain.
+        stray = next(
+            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % piv),
+            None,
+        )
+        if stray is not None:
+            i = stray[0]
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+            continue
+        t += 1
+    return u, a, v
+
+
+# The exact Green's tables and Coulomb kernel from the list algebra, built as
+# `greens` and `dualmap` build theirs.
+
+
+@cached
+def list_greens_sites(lat: Lattice) -> RationalMatrix:
+    A = (-laplacian_matrix(lat, "site")).toarray()
+    return list_pseudo_inverse_symmetric(A, kernel=[[Fraction(1)] * lat.n_sites])
+
+
+@cached
+def list_greens_plaquettes_obc(lat: Lattice) -> RationalMatrix:
+    return list_invert((-laplacian_matrix(lat, "plaquette")).toarray())
+
+
+@cached
+def list_modified_greens(lat: Lattice) -> RationalMatrix:
+    if lat.dim == 2 and not lat.periodic:
+        return list_greens_plaquettes_obc(lat)
+    return list_pseudo_inverse_symmetric(dualmap.d_matrix(lat).toarray())
+
+
+@cached
+def _ramp_exact(lat: Lattice) -> tuple[tuple[Fraction, ...], ...]:
+    """n_plaqs x dim Fractions: column i is the plaquette ramp sourced by S_i.
+
+    Entries are integer multiples of 1/N^2 and 1/N^3; open lattices have no
+    ramp and get zeros.
+    """
+    if not lat.periodic:
+        return ((Fraction(0),) * lat.dim,) * lat.n_plaqs
+    N = lat.N
+    sq, cu = Fraction(1, N**2), Fraction(1, N**3)
+    rows = []
+    normals, corners = cell_coordinates(lat, "plaquette")
+    for normal, y in zip(normals.tolist(), corners.T.tolist()):
+        row = [Fraction(0)] * lat.dim
+        if lat.dim == 2 or (normal == 2 and y[2] == 0):
+            row[0] = y[1] * sq
+            row[1] = -y[0] * sq
+        elif normal == 1:
+            row[0] = -y[2] * cu
+            if y[1] == 0:
+                row[2] = y[0] * sq
+        elif normal == 0:
+            row[1] = y[2] * cu
+            row[2] = -y[1] * cu
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _solve_potential_exact(lat: Lattice, circulation: list[Fraction]) -> list[Fraction]:
+    """L_plaq of one circulation in Fractions."""
+    if not lat.periodic:
+        return matvec(list_modified_greens(lat), circulation)
+    G, n = list_greens_sites(lat), lat.n_sites
+    return [v for o in range(0, lat.n_plaqs, n) for v in matvec(G, circulation[o : o + n])]
+
+
+def list_dual_coordinates(lat: Lattice, F: np.ndarray) -> tuple[list[Fraction], list[Fraction] | None]:
+    """The dual coordinates of one integer link field in Fractions."""
+    circulation = [Fraction(int(v)) for v in curl_link_to_plaq_matrix(lat) @ F]
+    L = _solve_potential_exact(lat, circulation)
+    if not lat.periodic:
+        return L, None
+    S = [int(v) for v in direction_sum_matrix(lat) @ F]
+    L = [v + sum(r * s for r, s in zip(row, S)) for v, row in zip(L, _ramp_exact(lat))]
+    return L, [Fraction(s, lat.N) for s in S]
 
 
 # --- the product space -----------------------------------------------------------

@@ -16,7 +16,15 @@ from dualqed.greens import (
 )
 from dualqed.lattice import FieldVector, Lattice, laplacian_matrix
 
-from conftest import assert_entries_hold, site_index, sites
+from conftest import (
+    EXACT_GEOMETRIES,
+    assert_entries_hold,
+    geometry_id,
+    list_greens_plaquettes_obc,
+    list_greens_sites,
+    site_index,
+    sites,
+)
 
 
 def test_four_cycle_frozen_row():
@@ -119,6 +127,15 @@ def test_exact_and_float_tables_agree():
         assert np.abs(t_float - as_float).max() < 1e-13
 
 
+@pytest.mark.parametrize("lat", EXACT_GEOMETRIES, ids=geometry_id)
+def test_exact_tables_equal_the_list_oracle(lat):
+    """The object-array tables equal the list-of-rows Fraction elimination
+    they replaced (conftest), entry for entry."""
+    assert greens_sites(lat, exact=True).exact.tolist() == list_greens_sites(lat)
+    if not lat.periodic:
+        assert greens_plaquettes_obc(lat, exact=True).exact.tolist() == list_greens_plaquettes_obc(lat)
+
+
 def test_translation_invariance_periodic():
     lat = Lattice(2, 3, "periodic")
     G = greens_sites(lat).values
@@ -190,3 +207,17 @@ def test_poisson_solve_rejects_charged_source():
     rho = np.ones(lat.n_sites)
     with pytest.raises(NeutralityError):
         poisson_solve(lat, FieldVector(lat, "site", rho))
+
+
+@pytest.mark.parametrize("N", [4, 65], ids=["dense", "above-dense-limit"])
+@pytest.mark.parametrize("kind, cells", [("site_obc", "site"), ("plaq_obc", "plaquette")])
+def test_poisson_solve_checks_its_kind_against_the_lattice(N, kind, cells):
+    """An open-boundary kind on a torus raises greens_table's ValueError before
+    any table or conjugate-gradient work, below and above the dense limit."""
+    lat = Lattice(2, N, "periodic")
+    with pytest.raises(ValueError) as table_error:
+        greens_table(lat, kind)
+    rho = np.zeros(lat.n_cells(cells))
+    with pytest.raises(ValueError) as solve_error:
+        poisson_solve(lat, FieldVector(lat, cells, rho), kind=kind)
+    assert str(solve_error.value) == str(table_error.value)

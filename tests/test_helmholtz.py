@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from dualqed.dualmap import modified_greens
 from dualqed.helmholtz import (
+    _dual_coordinates,
     dual_coordinate_map,
     helmholtz_decompose,
     link_shift_table,
@@ -18,7 +20,6 @@ from dualqed.helmholtz import (
     transverse_component_via_shifts,
     transverse_projector,
 )
-from dualqed import rational
 from dualqed.greens import greens_plaquettes_obc, greens_sites
 from dualqed.lattice import (
     FieldVector,
@@ -31,7 +32,17 @@ from dualqed.lattice import (
     gradient_matrix,
 )
 
-from conftest import GEOMETRIES, assert_entries_hold, entry_test, geometry_id, links, plaquette_index, plaquettes
+from conftest import (
+    EXACT_GEOMETRIES,
+    GEOMETRIES,
+    assert_entries_hold,
+    entry_test,
+    geometry_id,
+    links,
+    list_dual_coordinates,
+    plaquette_index,
+    plaquettes,
+)
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
@@ -260,16 +271,57 @@ def test_transverse_component_via_shifts_matches_per_link_loop(lat, rng):
 def test_every_exact_shift_table_reconstructs_the_exact_projection(lat):
     """curl(exact shifts) + axis·(exact globals) == (1 + grad G div) e_n in Fractions."""
     G = greens_sites(lat, exact=True).exact
-    grad = gradient_matrix(lat).toarray().tolist()
+    grad = gradient_matrix(lat).toarray()
     div = divergence_matrix(lat).toarray()
-    curl_back = curl_plaq_to_link_matrix(lat).toarray().tolist()
-    axis = axis_indicator_matrix(lat).toarray().tolist()
+    curl_back = curl_plaq_to_link_matrix(lat).toarray()
+    axis = axis_indicator_matrix(lat).toarray()
     for n, (x, i) in enumerate(links(lat)):
         table = link_shift_table(lat, x, i, exact=True)
-        recon = rational.matvec(curl_back, list(table.exact_shifts))
+        recon = curl_back @ table.exact_shifts
         if lat.periodic:
-            recon = [r + g for r, g in zip(recon, rational.matvec(axis, list(table.exact_global)))]
-        phi = rational.matvec(G, div[:, n].tolist())
-        target = rational.matvec(grad, phi)
+            recon = recon + axis @ table.exact_global
+        target = grad @ (G @ div[:, n])
         target[n] += 1
-        assert recon == target, (x, i)
+        assert recon.dtype == target.dtype == object
+        assert recon.tolist() == target.tolist(), (x, i)
+
+
+@pytest.mark.parametrize("lat", EXACT_GEOMETRIES, ids=geometry_id)
+def test_exact_shift_tables_equal_the_list_oracle(lat):
+    """Every link's exact shift table equals the Fraction-list formula and
+    Green's tables it replaced (conftest), entry for entry."""
+    for x, i in links(lat):
+        table = link_shift_table(lat, x, i, exact=True)
+        unit = np.zeros(lat.n_links, dtype=np.int64)
+        unit[table.link] = 1
+        shifts, loops = list_dual_coordinates(lat, unit)
+        assert table.exact_shifts.tolist() == shifts, (x, i)
+        assert (None if table.exact_global is None else table.exact_global.tolist()) == loops, (x, i)
+
+
+def holds_exact_entries(arr: np.ndarray) -> bool:
+    return arr.dtype == object and all(type(v) in (int, Fraction) for v in arr.flat)
+
+
+@pytest.mark.parametrize("lat", EXACT_GEOMETRIES, ids=geometry_id)
+def test_exact_tables_hold_no_float_and_refuse_writes(lat):
+    """Every entry of the exact tables and exact shift tables is an int or a
+    Fraction, and every cached exact array is read-only."""
+    shared = [greens_sites(lat, exact=True).exact, modified_greens(lat, exact=True), ramp_matrix(lat, exact=True)]
+    if not lat.periodic:
+        shared.append(greens_plaquettes_obc(lat, exact=True).exact)
+    for arr in shared:
+        assert holds_exact_entries(arr)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = Fraction(1, 3)
+    for x, i in links(lat):
+        table = link_shift_table(lat, x, i, exact=True)
+        assert holds_exact_entries(table.exact_shifts), (x, i)
+        assert table.exact_global is None or holds_exact_entries(table.exact_global), (x, i)
+
+
+def test_exact_dual_coordinates_refuse_a_float_field():
+    """An exact table times a float vector would silently return floats."""
+    lat = Lattice(2, 2, "periodic")
+    with pytest.raises(TypeError):
+        _dual_coordinates(lat, np.eye(lat.n_links), exact=True)

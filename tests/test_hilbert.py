@@ -158,6 +158,16 @@ def test_spec_dimensions_and_positions():
     assert dual.dims == [3] * 4 + [5] * 2
 
 
+@pytest.mark.parametrize(
+    "derived", [{"dims": [3] * 4}, {"n_matter": 4}, {"n_gauge": 4}, {"n_globals": 2}], ids=lambda d: next(iter(d))
+)
+def test_derived_spec_fields_are_not_parameters(derived):
+    """dims and the cell counts follow from the lattice and formulation;
+    passing one is an error rather than a value silently overwritten."""
+    with pytest.raises(TypeError):
+        HilbertSpec(Lattice(2, 2, "periodic"), "plaqs_M", cutoff=1, **derived)
+
+
 def test_dual_space_rejects_3d():
     with pytest.raises(ValueError):
         HilbertSpec(Lattice(3, 2, "open"), "plaqs_M", cutoff=1)

@@ -13,27 +13,40 @@ from hypothesis import strategies as st
 from dualqed import dualmap, rational
 from dualqed.lattice import cube_flux_matrix, divergence_matrix
 
-from conftest import GEOMETRIES, geometry_id, integer_image_mask
+from conftest import GEOMETRIES, geometry_id, integer_image_mask, list_invert, list_smith_normal_form
 
 
 def F(mat):
     return [[Fraction(v) for v in row] for row in mat]
 
 
+def test_exact_array_keeps_int_and_fraction_entries():
+    rows = [[1, 2], [3, Fraction(1, 2)]]
+    for mat in (rows, np.array(rows, dtype=object)):
+        A = rational.exact_array(mat)
+        assert A.dtype == object and A.shape == (2, 2)
+        assert [type(v) for v in A.flat] == [int, int, int, Fraction]
+    ints = rational.exact_array(sp.csr_matrix(np.array([[1, 0], [0, -2]])))
+    assert [type(v) for v in ints.flat] == [int] * 4  # Python ints, not numpy scalars
+    with pytest.raises(ValueError):
+        rational.exact_array([[1, 2], [3]])
+
+
 def test_identity_and_matmul():
-    A = F([[1, 2], [3, 4]])
-    eye = rational.identity(2)
-    assert rational.matmul(A, eye) == A
-    assert rational.matmul(eye, A) == A
-    B = F([[0, 1], [1, 0]])
-    assert rational.matmul(A, B) == F([[2, 1], [4, 3]])
+    A = rational.exact_array(F([[1, 2], [3, 4]]))
+    eye = np.identity(2, dtype=object)
+    assert np.array_equal(A @ eye, A)
+    assert np.array_equal(eye @ A, A)
+    B = rational.exact_array(F([[0, 1], [1, 0]]))
+    assert np.array_equal(A @ B, F([[2, 1], [4, 3]]))
 
 
 def test_invert_round_trip():
-    A = F([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    A = rational.exact_array(F([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
     Ainv = rational.invert(A)
-    assert rational.matmul(A, Ainv) == rational.identity(3)
-    assert rational.matmul(Ainv, A) == rational.identity(3)
+    assert np.array_equal(A @ Ainv, np.identity(3, dtype=object))
+    assert np.array_equal(Ainv @ A, np.identity(3, dtype=object))
+    assert all(type(v) is Fraction for v in Ainv.flat)
 
 
 def test_invert_rejects_singular():
@@ -58,7 +71,14 @@ def test_rank_rejects_floats():
 
 @pytest.mark.parametrize(
     "fn",
-    [rational.rank, rational.nullspace, rational.invert, rational.pseudo_inverse_symmetric, rational.smith_normal_form],
+    [
+        rational.exact_array,
+        rational.rank,
+        rational.nullspace,
+        rational.invert,
+        rational.pseudo_inverse_symmetric,
+        rational.smith_normal_form,
+    ],
     ids=lambda f: f.__name__,
 )
 @pytest.mark.parametrize(
@@ -299,10 +319,10 @@ def test_kernel_dimension_rejects_mismatched_widths():
 
 def test_pseudo_inverse_symmetric_zero_sum_kernel():
     # graph Laplacian of a triangle: kernel = constants
-    A = F([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    A = rational.exact_array(F([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
     ker = [[Fraction(1)] * 3]
     G = rational.pseudo_inverse_symmetric(A, kernel=ker)
-    AG = rational.matmul(A, G)
+    AG = A @ G
     # A G = I - J/3 on the zero-sum complement
     n = 3
     for i in range(n):
@@ -319,6 +339,8 @@ def test_pseudo_inverse_symmetric_zero_sum_kernel():
 
 def assert_valid_snf(A):
     U, D, V = rational.smith_normal_form(A)
+    # the list elimination it replaced (conftest) takes the same steps
+    assert [M.tolist() for M in (U, D, V)] == list(list_smith_normal_form(A))
     A_ = np.array(A, dtype=object)
     U_, D_, V_ = (np.array(M, dtype=object) for M in (U, D, V))
     assert np.array_equal(U_ @ A_ @ V_, D_)
@@ -368,6 +390,21 @@ def test_snf_property_random_integer_matrices(data):
         for _ in range(rows)
     ]
     assert_valid_snf(A)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_invert_equals_the_list_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    A = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    try:
+        want = list_invert(A)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rational.invert(A)
+        return
+    assert rational.invert(A).tolist() == want
 
 
 def brute_force_in_image(A, v, box=6):
