@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import rational
-from .greens import greens_plaquettes_obc
+from . import greens, rational
 from .lattice import (
     Lattice,
     axis_indicator_matrix,
@@ -104,18 +103,15 @@ def d_matrix(lat: Lattice) -> sp.csr_matrix:
 def modified_greens(lat: Lattice, exact: bool = False):
     """Coulomb kernel D+ on (flux, winding) vectors, the pseudo-inverse of D.
 
-    With 2D open boundaries D is minus the modified plaquette Laplacian,
-    which is invertible, and D+ is its Green's table (`greens_plaquettes_obc`);
-    elsewhere the pseudo-inverse annuls the constraint kernel of D.  The
-    open-boundary potential solve of `helmholtz` reads the same matrix.
-    ``exact=True`` gives the Fraction matrix as an object array.
+    `greens.pseudo_inverse` with the `constraint_set` rows as the kernel of
+    D, less the surplus first row on a 3D torus, whose cube rows sum to zero.
+    In 2D open there are no rows, and D+ is the modified plaquette Green's
+    table.  The open-boundary potential solve of `helmholtz` reads the same
+    matrix.  ``exact=True`` gives the Fraction matrix as an object array.
     """
-    if lat.dim == 2 and not lat.periodic:
-        table = greens_plaquettes_obc(lat, exact=exact)
-        return table.exact if exact else table.values
-    if exact:
-        return rational.pseudo_inverse_symmetric(d_matrix(lat))
-    return np.linalg.pinv(d_matrix(lat).toarray().astype(float))
+    cons = constraint_set(lat)
+    kernel = cons.matrix[cons.matrix.shape[0] - cons.n_independent :].toarray()
+    return greens.pseudo_inverse(d_matrix(lat), kernel, exact)
 
 
 @cached

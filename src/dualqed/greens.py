@@ -12,10 +12,11 @@ Three table kinds, each a dense symmetric matrix G[x, y]:
   open-boundary plaquette Laplacian, whose full -2*dim diagonal makes it
   nonsingular.  Rows do not sum to zero; -lap_mod G = 1 exactly.
 
-Every kind also exists in exact rational arithmetic for small lattices
-(`exact=True`), produced by Fraction elimination rather than floating
-pseudo-inverses: the table is an object array of int / Fraction entries, and
-the float `values` are its ``astype(float)``, each entry rounded once.
+Every table but the float torus one, and the dual Coulomb kernel D+, is one
+formula, `pseudo_inverse`.  Every kind also exists in exact rational
+arithmetic for small lattices (`exact=True`), the same formula on object
+arrays of int / Fraction entries; the float `values` are then its
+``astype(float)``, each entry rounded once.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class GreensTable:
         return self.values.shape[0]
 
 
-def _check_exact_size(n: int):
-    if n > EXACT_LIMIT:
-        raise ValueError(
-            f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; "
-            "use the floating-point tables instead"
-        )
-
-
 def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
     """g(r) = (1/N^d) sum_{k != 0} cos(2 pi k.r / N) / sum_i (2 - 2 cos(2 pi k_i / N)).
 
@@ -85,43 +78,61 @@ def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
     return np.fft.ifftn(inv).real
 
 
+def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric integer form A: (A + P)^-1 - P.
+
+    P = K^T (K K^T)^-1 K projects onto ker A, given as the independent rows
+    of `kernel` (none: the plain inverse).  A + P is invertible, acts as A
+    on the range and as the identity on the kernel, and both summands
+    commute with that splitting.  `form` is scipy sparse, `kernel` dense.
+    The float lane inverts with LAPACK; ``exact`` runs the same products on
+    Fraction object arrays (`rational.exact_array`, which refuses floats)
+    and inverts by Fraction elimination, up to `EXACT_LIMIT` rows.
+    """
+    if exact:
+        n = np.shape(form)[0]
+        if n > EXACT_LIMIT:
+            raise ValueError(
+                f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; "
+                "use the floating-point tables instead"
+            )
+        A, K, inverse = rational.exact_array(form), rational.exact_array(kernel), rational.invert
+    else:
+        A, K, inverse = form.toarray().astype(float), np.asarray(kernel, dtype=float), np.linalg.inv
+    if not len(K):
+        return inverse(A)
+    P = K.T @ inverse(K @ K.T) @ K
+    return inverse(A + P) - P
+
+
 @cached
 def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
-    """Green's table for the site Laplacian (kind site_pbc / site_obc)."""
+    """Green's table for the site Laplacian (kind site_pbc / site_obc):
+    the Fourier sum on a float torus, `pseudo_inverse` with the constants as
+    kernel otherwise."""
     n = lat.n_sites
     kind = _resolve_kind(lat, "site")
-    if exact:
-        _check_exact_size(n)
-        G = rational.pseudo_inverse_symmetric(-laplacian_matrix(lat, "site"), kernel=[[1] * n])
-        return GreensTable(lat, kind, G.astype(float), "zero_row_sum", exact=G)
-    if lat.periodic:
+    if lat.periodic and not exact:
         kernel = _fourier_site_kernel(lat)
         _, x = cell_coordinates(lat, "site")
         vals = kernel[tuple((x[:, :, None] - x[:, None, :]) % lat.N)]
         return GreensTable(lat, kind, vals, "zero_row_sum")
-    if n > DENSE_LIMIT:
+    if n > DENSE_LIMIT and not exact:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} sites; use poisson_solve")
-    A = (-laplacian_matrix(lat, "site")).toarray().astype(float)
-    w, V = np.linalg.eigh(A)
-    inv = np.where(w > 1e-9, 1.0 / np.where(w > 1e-9, w, 1.0), 0.0)
-    G = (V * inv) @ V.T
-    return GreensTable(lat, kind, G, "zero_row_sum")
+    G = pseudo_inverse(-laplacian_matrix(lat, "site"), np.ones((1, n), dtype=np.int64), exact)
+    return GreensTable(lat, kind, G.astype(float) if exact else G, "zero_row_sum", exact=G if exact else None)
 
 
 @cached
 def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
-    """True inverse of the modified open-boundary plaquette Laplacian."""
+    """True inverse of the modified open-boundary plaquette Laplacian:
+    `pseudo_inverse` with no kernel rows."""
     _resolve_kind(lat, "plaq_obc")  # raises on a periodic lattice
     n = lat.n_plaqs
-    A = -laplacian_matrix(lat, "plaquette")
-    if exact:
-        _check_exact_size(n)
-        G = rational.invert(A)
-        return GreensTable(lat, "plaq_obc", G.astype(float), "true_inverse", exact=G)
-    if n > DENSE_LIMIT:
+    if n > DENSE_LIMIT and not exact:
         raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes")
-    G = np.linalg.inv(A.toarray().astype(float))
-    return GreensTable(lat, "plaq_obc", G, "true_inverse")
+    G = pseudo_inverse(-laplacian_matrix(lat, "plaquette"), np.zeros((0, n), dtype=np.int64), exact)
+    return GreensTable(lat, "plaq_obc", G.astype(float) if exact else G, "true_inverse", exact=G if exact else None)
 
 
 def _resolve_kind(lat: Lattice, kind: str) -> str:

@@ -25,9 +25,10 @@ Dumas, Giorgi & Pernet, ACM TOMS 35(3) 19, 2008).  When the bounds miss
 tried, then `_eliminate`, which also takes over when a row is not in the
 kernel; no count is returned without the certificate or the elimination.
 
-The dense routines -- `invert` and `pseudo_inverse_symmetric` -- serve the
-exact Green's and shift tables on desk-size lattices, and the integer Smith
-normal form gives the congruences of the flux-class lattice
+The dense routines are `invert`, the inverse of the exact lane of
+`greens.pseudo_inverse` (the exact Green's tables, Coulomb kernel and shift
+tables on desk-size lattices), and the integer Smith normal form, which
+gives the congruences of the flux-class lattice
 (`dualmap.flux_class_congruences`).  They take and return 2-D numpy object
 arrays of int / :class:`fractions.Fraction` entries (`exact_array`), so
 products, transposes and sums are numpy's ``@``, ``.T`` and ``+``: an exact
@@ -322,25 +323,6 @@ def kernel_dimension(mat, kernel_rows) -> int:
             if upper == _rank_mod(kernel, n_cols, p):
                 return upper
     return n_cols - len(_eliminate(rows))
-
-
-def pseudo_inverse_symmetric(mat, kernel=None) -> np.ndarray:
-    """Exact Moore-Penrose inverse of a symmetric rational matrix.
-
-    Uses the kernel-projector identity A+ = (A + P)^{-1} - P where P is the
-    orthogonal projector onto ker A: A + P is invertible, acts as A on the
-    range and as the identity on the kernel, and both summands commute with
-    the splitting.  `kernel` may supply a known basis, one vector per row;
-    otherwise it is computed.
-    """
-    a = exact_array(mat)
-    if kernel is None:
-        kernel = nullspace(a)
-    if not len(kernel):
-        return invert(a)
-    k = exact_array(kernel).T  # n x m, columns span the kernel
-    proj = k @ invert(k.T @ k) @ k.T
-    return invert(a + proj) - proj
 
 
 def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -565,6 +565,24 @@ def test_shifts_config_errors_name_their_cause(argv, message, capsys):
     assert message in err["message"]
 
 
+def test_exact_shifts_past_the_cap_refuse_as_greens_does(capsys):
+    """D+ of the 3D open N=4 lattice has a row per plaquette, 240, past the
+    exact cap: shifts --exact exits 2 with the message greens --exact gives
+    for those 240 plaquettes, before any Fraction elimination."""
+    from dualqed import cli
+
+    lattice = ["--dim", "3", "--N", "4", "--bc", "open"]
+    errors = []
+    for argv in (
+        ["shifts", *lattice, "--site", "0,0,0", "--direction", "0", "--exact"],
+        ["greens", *lattice, "--kind", "plaq_obc", "--exact"],
+    ):
+        assert cli.main(argv) == 2
+        errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+    assert errors[0] == errors[1]
+    assert "exact rational mode supports up to 200 cells, got 240" in errors[0]["message"]
+
+
 def test_bad_thread_env_is_a_config_error():
     proc = run_cli(
         "dof", "--dim", 2, "--N", 2, "--bc", "open",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualqed import rational
+from dualqed import checks, greens, rational
 from dualqed.dualmap import (
     _flux_class_snf,
     constraint_set,
@@ -257,14 +257,13 @@ def _separate_loop_basis(lat):
 
 
 def _condensed_kernel(lat, exact=False):
-    """D+ A0 D+ with D = fw·emb and A0 = emb^T·emb built separately."""
+    """D+ A0 D+ with D = fw·emb and A0 = emb^T·emb built separately, and the
+    kernel of D from its exact nullspace rather than `constraint_set`."""
     emb = dual_embedding(lat).matrix
     D = (_separate_flux_and_winding(lat) @ emb).toarray()
     A0 = (emb.T @ emb).toarray()
-    if exact:
-        Dp = rational.pseudo_inverse_symmetric(D)
-        return Dp @ A0 @ Dp
-    Dp = np.linalg.pinv(D.astype(float))
+    kernel = np.array(rational.nullspace(D), dtype=object).reshape(-1, D.shape[1])
+    Dp = greens.pseudo_inverse(sp.csr_matrix(D), kernel, exact)
     return Dp @ A0 @ Dp
 
 
@@ -290,6 +289,34 @@ def test_modified_greens_matches_condensed_kernel(lat):
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_exact_modified_greens_matches_condensed_kernel(lat):
     assert np.array_equal(modified_greens(lat, exact=True), _condensed_kernel(lat, exact=True))
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_float_modified_greens_matches_the_exact_table(lat):
+    exact = modified_greens(lat, exact=True).astype(float)
+    assert np.abs(modified_greens(lat) - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("lat", FORM_GEOMETRIES, ids=geometry_id)
+def test_modified_greens_kernel_rows_are_independent_and_span_the_kernel(lat):
+    """The constraint rows modified_greens keeps are independent and as many
+    as the nullity of D, so P = K^T (K K^T)^-1 K projects onto ker D."""
+    cons = constraint_set(lat)
+    kept = cons.matrix[cons.matrix.shape[0] - cons.n_independent :]
+    assert rational.rank(kept) == kept.shape[0]
+    assert rational.kernel_dimension(d_matrix(lat), cons.matrix) == kept.shape[0]
+
+
+def test_float_modified_greens_is_a_pseudo_inverse_at_3d_n6_open():
+    """216 zero singular values of D: an SVD cutoff at rounding level inverted
+    one of them and gave entries near 1.4e12, failing three check entries."""
+    lat = Lattice(3, 6, "open")
+    D = d_matrix(lat).toarray().astype(float)
+    Dp = modified_greens(lat)
+    assert np.abs(D @ Dp @ D - D).max() <= 1e-12 * np.abs(D).max()
+    assert np.abs(Dp @ D @ Dp - Dp).max() <= 1e-12 * np.abs(Dp).max()
+    failed = [row["name"] for row in checks.run(lat, seed=0) if not row["passed"]]
+    assert failed == []
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES_2D, ids=geometry_id)

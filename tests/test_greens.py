@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dualqed import dualmap, greens
 from dualqed.greens import (
     DENSE_LIMIT,
     NeutralityError,
@@ -134,6 +135,27 @@ def test_exact_tables_equal_the_list_oracle(lat):
     assert greens_sites(lat, exact=True).exact.tolist() == list_greens_sites(lat)
     if not lat.periodic:
         assert greens_plaquettes_obc(lat, exact=True).exact.tolist() == list_greens_plaquettes_obc(lat)
+
+
+def test_every_dense_table_is_one_pseudo_inverse_call(monkeypatch):
+    """The site table (float open and exact), the plaq_obc table (float and
+    exact) and D+ (float and exact) each come out of `greens.pseudo_inverse`."""
+    formula, returned = greens.pseudo_inverse, []
+
+    def spy(form, kernel, exact=False):
+        returned.append(formula(form, kernel, exact))
+        return returned[-1]
+
+    monkeypatch.setattr(greens, "pseudo_inverse", spy)
+    lat = Lattice(3, 2, "open")
+    for exact in (False, True):
+        # the uncached builders, so every table is built here
+        site = greens_sites.__wrapped__(lat, exact)
+        plaq = greens_plaquettes_obc.__wrapped__(lat, exact)
+        tables = [site.exact, plaq.exact] if exact else [site.values, plaq.values]
+        tables.append(dualmap.modified_greens.__wrapped__(lat, exact))
+        assert all(t is r for t, r in zip(tables, returned[-3:], strict=True))
+    assert len(returned) == 6
 
 
 def test_translation_invariance_periodic():

@@ -209,8 +209,7 @@ def _oracle_solver(lat):
         return block_diag(*[greens_sites(lat).values] * (lat.n_plaqs // lat.n_sites))
     if lat.dim == 2:
         return greens_plaquettes_obc(lat).values
-    C = curl_link_to_plaq_matrix(lat).toarray().astype(float)
-    return np.linalg.pinv(C @ C.T)
+    return modified_greens(lat)
 
 
 def _oracle_shift_tables(lat):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualqed import dualmap, rational
+from dualqed import dualmap, greens, rational
 from dualqed.lattice import cube_flux_matrix, divergence_matrix
 
 from conftest import GEOMETRIES, geometry_id, integer_image_mask, list_invert, list_smith_normal_form
@@ -18,6 +18,11 @@ from conftest import GEOMETRIES, geometry_id, integer_image_mask, list_invert, l
 
 def F(mat):
     return [[Fraction(v) for v in row] for row in mat]
+
+
+def exact_pseudo_inverse(mat):
+    """The exact lane of `greens.pseudo_inverse`, with no kernel rows."""
+    return greens.pseudo_inverse(mat, np.zeros((0, np.shape(mat)[1]), dtype=np.int64), exact=True)
 
 
 def test_exact_array_keeps_int_and_fraction_entries():
@@ -76,7 +81,7 @@ def test_rank_rejects_floats():
         rational.rank,
         rational.nullspace,
         rational.invert,
-        rational.pseudo_inverse_symmetric,
+        exact_pseudo_inverse,
         rational.smith_normal_form,
     ],
     ids=lambda f: f.__name__,
@@ -321,7 +326,7 @@ def test_pseudo_inverse_symmetric_zero_sum_kernel():
     # graph Laplacian of a triangle: kernel = constants
     A = rational.exact_array(F([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
     ker = [[Fraction(1)] * 3]
-    G = rational.pseudo_inverse_symmetric(A, kernel=ker)
+    G = greens.pseudo_inverse(A, ker, exact=True)
     AG = A @ G
     # A G = I - J/3 on the zero-sum complement
     n = 3
