@@ -145,19 +145,24 @@ def _shift_pairing(lat, rng):
     return np.abs(via_shifts - helmholtz.transverse_projector(lat) @ F.values).max()
 
 
-def _constraints_are_kernel(mat, lat):
-    """Zero iff the constraint rows lie in ker ``mat`` and span it: the
-    largest entry of mat·C^T, else the gap between dim ker ``mat`` (certified
-    by `rational.kernel_dimension`) and the independent constraint count."""
+def _dual_kernel_count(lat, rng):
+    """Zero iff the constraint rows C lie in ker D and span it.
+
+    D = emb^T emb, so ker D = ker emb and dim ker D = n - rank(emb), counted
+    by exact elimination of the sparse incidence matrix emb.  The residual
+    is the first nonzero of: the largest entry of D - emb^T emb (the identity
+    the count rests on), the largest entry of D·C^T (rows off the kernel),
+    and |n - rank(emb) - n_independent| (rows short of the kernel)."""
+    D = dualmap.d_matrix(lat)
+    emb = dualmap.dual_embedding(lat).matrix
     cons = dualmap.constraint_set(lat)
-    off_kernel = np.abs((mat @ cons.matrix.T).toarray()).max(initial=0)
+    not_gram = np.abs((D - emb.T @ emb).data).max(initial=0)
+    if not_gram:
+        return not_gram
+    off_kernel = np.abs((D @ cons.matrix.T).data).max(initial=0)
     if off_kernel:
         return off_kernel
-    return abs(rational.kernel_dimension(mat, cons.matrix) - cons.n_independent)
-
-
-def _dual_kernel_count(lat, rng):
-    return _constraints_are_kernel(dualmap.d_matrix(lat), lat)
+    return abs(D.shape[1] - rational.rank(emb) - cons.n_independent)
 
 
 def _positive_semidefinite(lat, rng):

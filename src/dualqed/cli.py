@@ -422,7 +422,11 @@ def _cmd_dump_op(args) -> int:
     names = lx.operator_names()
     if args.name not in names:
         raise ConfigError(f"unknown operator {args.name!r}; choose from {sorted(names)}")
-    write_text(args.out, lx.operator_map(lat, args.name).coo_csv())
+    try:
+        op = lx.operator_map(lat, args.name)
+    except ValueError as exc:  # an operator the lattice lacks: cube flux in 2D
+        raise ConfigError(str(exc)) from exc
+    write_text(args.out, op.coo_csv())
     return 0
 
 

@@ -117,39 +117,27 @@ def modified_greens(lat: Lattice, exact: bool = False):
 @cached
 def constraint_set(lat: Lattice) -> ConstraintSet:
     """Constraints on dual variables: none (2D open), total flux (2D periodic),
-    cube fluxes (3D), plus zero-slice sums (3D periodic)."""
+    cube fluxes (3D), plus zero-slice sums (3D periodic).
+
+    One sparse integer matrix: the cube map's CSR rows, then one row of ones
+    per plaquette mask.  The winding columns hold no entry."""
     n_plaq = lat.n_plaqs
-    n_glob = lat.n_global_loops
-    width = n_plaq + n_glob
-    rows: list[np.ndarray] = []
-    kinds: list[str] = []
-    if lat.dim == 2:
-        if lat.periodic:
-            vec = np.zeros(width, dtype=np.int64)
-            vec[:n_plaq] = 1
-            rows.append(vec)
-            kinds.append("total_flux")
+    K = cube_flux_matrix(lat) if lat.dim == 3 else sp.csr_matrix((0, n_plaq), dtype=np.int64)
+    if not lat.periodic:
+        masks = {}
+    elif lat.dim == 2:
+        masks = {"total_flux": np.ones(n_plaq, dtype=bool)}
     else:
-        K = cube_flux_matrix(lat).toarray()
-        for r in range(K.shape[0]):
-            vec = np.zeros(width, dtype=np.int64)
-            vec[:n_plaq] = K[r]
-            rows.append(vec)
-            kinds.append("cube_flux")
-        if lat.periodic:
-            normals, corners = cell_coordinates(lat, "plaquette")
-            for i in range(3):
-                vec = np.zeros(width, dtype=np.int64)
-                vec[:n_plaq] = (normals == i) & (corners[i] == 0)
-                rows.append(vec)
-                kinds.append(f"slice_sum_{i}")
-    if rows:
-        mat = sp.csr_matrix(np.array(rows, dtype=np.int64))
-        n_indep = rational.rank(mat)
-    else:
-        mat = sp.csr_matrix((0, width), dtype=np.int64)
-        n_indep = 0
-    return ConstraintSet(lat, tuple(kinds), mat, n_indep)
+        normals, corners = cell_coordinates(lat, "plaquette")
+        masks = {f"slice_sum_{i}": (normals == i) & (corners[i] == 0) for i in range(3)}
+    sums = [np.flatnonzero(mask) for mask in masks.values()]
+    indptr = np.concatenate([K.indptr, K.nnz + np.cumsum([s.size for s in sums], dtype=np.int64)])
+    indices = np.concatenate([K.indices, *sums])
+    data = np.concatenate([K.data, np.ones(indices.size - K.nnz, dtype=np.int64)])
+    kinds = ("cube_flux",) * K.shape[0] + tuple(masks)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(len(kinds), n_plaq + lat.n_global_loops))
+    mat.eliminate_zeros()  # a cube's faces cancel in pairs on a one-cell torus
+    return ConstraintSet(lat, kinds, mat, rational.rank(mat))
 
 
 def dof_report(lat: Lattice) -> dict:

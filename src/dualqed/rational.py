@@ -1,29 +1,20 @@
 """Exact linear algebra over the rationals.
 
 `rank` and `nullspace` run one exact sparse integer elimination
-(`_eliminate`).  Their inputs are lattice maps and the constraint and
-energy forms built from them: up to thousands of rows with a handful of
-nonzeros each (the divergence has two per column).  Rows are stored as
-``{col: int}`` dicts.  Pivots are chosen Markowitz-style, least
+(`_eliminate`).  Their inputs are lattice maps and the constraint rows
+built from them: up to thousands of rows with a handful of nonzeros each
+(the divergence has two per column).  Rows are stored as ``{col: int}``
+dicts.  Pivots are chosen Markowitz-style, least
 (row nnz - 1)·(col nnz - 1), unit entries first, ties broken by (row, col),
 so results are deterministic.  Row updates are fraction-free and each
 updated row is divided by the gcd of its entries.  Incidence and curl
 matrices are totally unimodular, so fill and entry growth stay small.
 
-`kernel_dimension` counts the nullspace of the Laplacian-like dual form D,
-where fraction-free entries grow past a thousand bits, without that
-elimination.  The caller supplies integer rows known to span the kernel
-(the dual constraints), and the count is certified by two bounds that
-meet:
-- lower: an exact integer product shows the rows lie in the kernel, so
-  nullity_Q >= rank_Q(rows) >= rank_p(rows);
-- upper: rank_p(mat) <= rank_Q(mat) for any prime p, because a minor
-  nonzero mod p is nonzero over Z, so nullity_Q <= n - rank_p(mat).
-Ranks mod p come from dense int64 row reduction with p = 2^31 - 1 (after
-Dumas, Giorgi & Pernet, ACM TOMS 35(3) 19, 2008).  When the bounds miss
-(an unlucky prime, or rows that do not span the kernel) a second prime is
-tried, then `_eliminate`, which also takes over when a row is not in the
-kernel; no count is returned without the certificate or the elimination.
+The nullity of the dual form D is counted without eliminating D, whose
+fraction-free entries grow past a thousand bits.  D = emb^T emb
+(`dualmap.d_matrix`), so for rational x, Dx = 0 iff |emb x|^2 = 0 iff
+emb x = 0: dim ker D = n - rank(emb), and emb is a curl/axis incidence
+matrix that `rank` eliminates cheaply.
 
 The dense routines are `invert`, the inverse of the exact lane of
 `greens.pseudo_inverse` (the exact Green's tables, Coulomb kernel and shift
@@ -249,80 +240,6 @@ def nullspace(mat) -> list[list[Fraction]]:
             vec[k] = v
         basis.append(vec)
     return basis
-
-
-# Word-size primes of the modular rank, tried in order.  Entries reduced mod
-# p are below 2^31, so every product in an int64 row update is below 2^62.
-_PRIMES = (2**31 - 1, 2**31 - 19)
-
-
-def _rank_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> int:
-    """Rank over GF(p) of integer rows, by dense int64 row reduction.
-
-    The pivot of each column is the first remaining row with a nonzero
-    there; only the rows below that share the column are updated, and only
-    in the pivot row's nonzero columns, so banded lattice matrices stay
-    cheap.
-    """
-    a = np.zeros((len(rows), n_cols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        a[i, list(row)] = [v % p for v in row.values()]
-    r = 0
-    for j in range(n_cols):
-        if r == len(rows):
-            break
-        nz = np.flatnonzero(a[r:, j])
-        if not nz.size:
-            continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        below = r + nz[1:]
-        if below.size:
-            cols = j + np.flatnonzero(a[r, j:])
-            factors = a[below, j] * pow(int(a[r, j]), p - 2, p) % p
-            block = np.ix_(below, cols)
-            a[block] = (a[block] - np.outer(factors, a[r, cols])) % p
-        r += 1
-    return r
-
-
-def _annihilates(rows: list[dict[int, int]], kernel_rows: list[dict[int, int]]) -> bool:
-    """Whether the matrix with integer `rows` maps every row of
-    `kernel_rows` to zero, in exact integer arithmetic."""
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            by_col.setdefault(j, []).append((i, v))
-    for vec in kernel_rows:
-        image: dict[int, int] = {}
-        for j, w in vec.items():
-            for i, v in by_col.get(j, ()):
-                image[i] = image.get(i, 0) + v * w
-        if any(image.values()):
-            return False
-    return True
-
-
-def kernel_dimension(mat, kernel_rows) -> int:
-    """Exact dimension of the right nullspace of `mat`, certified by
-    integer rows expected to span it.
-
-    If `mat` maps every row K of `kernel_rows` to zero (exact integer
-    product), then rank_p(K) <= nullity_Q(mat) <= n - rank_p(mat) for each
-    prime p of `_PRIMES`, and the first p at which the two ends meet proves
-    the count.  Otherwise the count comes from `_eliminate`.  Entries may be
-    int or Fraction; float input raises TypeError.
-    """
-    rows, n_cols = _integer_rows(mat)
-    kernel, k_cols = _integer_rows(kernel_rows)
-    if kernel and k_cols != n_cols:
-        raise ValueError(f"kernel rows have {k_cols} columns, the matrix {n_cols}")
-    if _annihilates(rows, kernel):
-        for p in _PRIMES:
-            upper = n_cols - _rank_mod(rows, n_cols, p)
-            if upper == _rank_mod(kernel, n_cols, p):
-                return upper
-    return n_cols - len(_eliminate(rows))
 
 
 def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

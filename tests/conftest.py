@@ -1,6 +1,7 @@
-"""Shared fixtures, the tuple cell enumerations and the loop-built reference
-operators, the list-based exact algebra, the product-space basis, the
-per-cell comparison path, and the acceptance-summary reporter."""
+"""Shared fixtures, the tuple cell enumerations, the loop-built reference
+operators and constraint rows, the list-based exact algebra, the
+product-space basis, the per-cell comparison path, and the
+acceptance-summary reporter."""
 
 import itertools
 from fractions import Fraction
@@ -17,6 +18,7 @@ from dualqed.lattice import (
     _cyclic,
     cached,
     cell_coordinates,
+    cube_flux_matrix,
     curl_link_to_plaq_matrix,
     direction_sum_matrix,
     divergence_matrix,
@@ -387,6 +389,43 @@ LOOP_OPERATORS = {
     "axis_indicator_matrix": loop_axis_indicator,
     "direction_sum_matrix": loop_direction_sum,
 }
+
+
+def loop_constraint_set(lat: Lattice) -> dualmap.ConstraintSet:
+    """`dualmap.constraint_set` as first written: one dense row per
+    constraint, stacked into a dense array."""
+    n_plaq = lat.n_plaqs
+    n_glob = lat.n_global_loops
+    width = n_plaq + n_glob
+    rows: list[np.ndarray] = []
+    kinds: list[str] = []
+    if lat.dim == 2:
+        if lat.periodic:
+            vec = np.zeros(width, dtype=np.int64)
+            vec[:n_plaq] = 1
+            rows.append(vec)
+            kinds.append("total_flux")
+    else:
+        K = cube_flux_matrix(lat).toarray()
+        for r in range(K.shape[0]):
+            vec = np.zeros(width, dtype=np.int64)
+            vec[:n_plaq] = K[r]
+            rows.append(vec)
+            kinds.append("cube_flux")
+        if lat.periodic:
+            normals, corners = cell_coordinates(lat, "plaquette")
+            for i in range(3):
+                vec = np.zeros(width, dtype=np.int64)
+                vec[:n_plaq] = (normals == i) & (corners[i] == 0)
+                rows.append(vec)
+                kinds.append(f"slice_sum_{i}")
+    if rows:
+        mat = sp.csr_matrix(np.array(rows, dtype=np.int64))
+        n_indep = rational.rank(mat)
+    else:
+        mat = sp.csr_matrix((0, width), dtype=np.int64)
+        n_indep = 0
+    return dualmap.ConstraintSet(lat, tuple(kinds), mat, n_indep)
 
 
 # --- list-based exact algebra ---------------------------------------------------

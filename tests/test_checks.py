@@ -6,6 +6,7 @@ test geometries with the CLI's sample counts."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 
@@ -30,10 +31,28 @@ def test_every_entry_applies_somewhere_and_names_are_unique():
 
 KERNEL_CHECKS = ("dual_kernel_matches_constraint_count",)
 
-# Sizes the old exact nullspace took seconds to tens of seconds on.
+# Sizes the old exact nullspace took seconds to tens of seconds on, and 3D
+# tori where eliminating D itself would take seconds.
 test_kernel_checks_at_scale = entry_test(
-    *KERNEL_CHECKS, geometries=[Lattice(2, 16, "periodic"), Lattice(3, 4, "open"), Lattice(3, 4, "periodic")]
+    *KERNEL_CHECKS,
+    geometries=[
+        Lattice(2, 16, "periodic"),
+        Lattice(3, 4, "open"),
+        Lattice(3, 4, "periodic"),
+        Lattice(3, 6, "periodic"),
+        Lattice(3, 8, "periodic"),
+    ],
 )
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
+def test_dual_form_off_the_gram_matrix_fails_the_kernel_count(lat, rng, monkeypatch):
+    """The count n - rank(emb) holds only for D = emb^T emb: D + e0 e0^T,
+    whose kernel is smaller, must fail the entry."""
+    build = dualmap.d_matrix
+    bump = sp.csr_matrix(([1], ([0], [0])), shape=build(lat).shape, dtype=np.int64)
+    monkeypatch.setattr(dualmap, "d_matrix", lambda lat: (build(lat) + bump).tocsr())
+    assert checks.get("dual_kernel_matches_constraint_count").worst(lat, rng) > 0
 
 
 def _mutated_constraints(monkeypatch, mutate):

@@ -388,6 +388,12 @@ def test_unknown_operator_name_is_a_config_error():
     assert "nonsense" in stderr_error(proc)["message"]
 
 
+def test_operator_the_lattice_lacks_is_a_config_error():
+    proc = run_cli("dump-op", "--dim", 2, "--N", 2, "--bc", "open", "--name", "cube_flux")
+    assert proc.returncode == 2
+    assert stderr_error(proc) == {"error": "config", "message": "cube flux needs a 3D lattice"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Dual-variable maps: constraints, DOF audits, kernels, and flux classes."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,13 @@ from dualqed.dualmap import (
     modified_greens,
     winding_map,
 )
-from dualqed.lattice import Lattice, axis_indicator_matrix, curl_link_to_plaq_matrix, divergence_matrix
+from dualqed.lattice import (
+    Lattice,
+    axis_indicator_matrix,
+    cube_flux_matrix,
+    curl_link_to_plaq_matrix,
+    divergence_matrix,
+)
 
 from conftest import (
     EXACT_GEOMETRIES,
@@ -34,6 +41,7 @@ from conftest import (
     integer_image_mask,
     list_modified_greens,
     list_smith_normal_form,
+    loop_constraint_set,
 )
 
 
@@ -60,6 +68,29 @@ def test_constraint_kinds():
     assert sum(k.startswith("slice_sum") for k in kinds3) == 3
     open3 = constraint_set(Lattice(3, 2, "open")).kinds
     assert open3.count("cube_flux") == 8 and len(open3) == 8
+
+
+@pytest.mark.parametrize("lat", GEOMETRIES + [Lattice(3, 6, bc) for bc in ("open", "periodic")], ids=geometry_id)
+def test_constraint_set_equals_the_dense_row_oracle(lat):
+    """The sparse build holds the dense row loop's CSR entry by entry."""
+    got, want = constraint_set(lat), loop_constraint_set(lat)
+    assert (got.kinds, got.n_independent) == (want.kinds, want.n_independent)
+    assert got.matrix.shape == want.matrix.shape and got.matrix.dtype == want.matrix.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, name), getattr(want.matrix, name)), name
+
+
+def test_constraint_set_stays_sparse_at_3d_n12_open():
+    """10,368 nonzeros; the dense row loop peaked at 234 MB here."""
+    lat = Lattice(3, 12, "open")
+    cube_flux_matrix(lat)
+    tracemalloc.start()
+    try:
+        constraint_set.__wrapped__(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
@@ -300,11 +331,16 @@ def test_float_modified_greens_matches_the_exact_table(lat):
 @pytest.mark.parametrize("lat", FORM_GEOMETRIES, ids=geometry_id)
 def test_modified_greens_kernel_rows_are_independent_and_span_the_kernel(lat):
     """The constraint rows modified_greens keeps are independent and as many
-    as the nullity of D, so P = K^T (K K^T)^-1 K projects onto ker D."""
+    as the nullity of D, so P = K^T (K K^T)^-1 K projects onto ker D.  The
+    nullity is n - rank(emb), as the kernel entry counts it, and equals the
+    one that elimination of D itself gives."""
     cons = constraint_set(lat)
     kept = cons.matrix[cons.matrix.shape[0] - cons.n_independent :]
     assert rational.rank(kept) == kept.shape[0]
-    assert rational.kernel_dimension(d_matrix(lat), cons.matrix) == kept.shape[0]
+    D, emb = d_matrix(lat), dual_embedding(lat).matrix
+    assert (D != emb.T @ emb).nnz == 0
+    n = D.shape[1]
+    assert n - rational.rank(emb) == n - rational.rank(D) == kept.shape[0]
 
 
 def test_float_modified_greens_is_a_pseudo_inverse_at_3d_n6_open():

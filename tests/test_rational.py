@@ -217,7 +217,7 @@ def test_lattice_matrices_match_dense_oracle(name, lat):
     assert_matches_oracle(mat, mat.toarray().tolist())
 
 
-# --- certified modular kernel dimension ----------------------------------------
+# --- the dual kernel counted through the embedding ----------------------------
 
 KERNEL_FORMS = {"d_matrix": dualmap.d_matrix, "A0": energy_form}
 KERNEL_CASES = [(name, lat) for lat in GEOMETRIES for name in KERNEL_FORMS]
@@ -227,99 +227,14 @@ KERNEL_CASES = [(name, lat) for lat in GEOMETRIES for name in KERNEL_FORMS]
     "name,lat", KERNEL_CASES, ids=[f"{name}-{geometry_id(lat)}" for name, lat in KERNEL_CASES]
 )
 def test_kernel_dimension_matches_exact_elimination(name, lat):
+    """D = emb^T emb exactly, so n - rank(emb), the count of the kernel entry,
+    equals the nullity that elimination of D itself gives, and the number of
+    independent constraint rows."""
     mat = KERNEL_FORMS[name](lat)
-    cons = dualmap.constraint_set(lat)
-    dim = rational.kernel_dimension(mat, cons.matrix)
-    assert dim == mat.shape[1] - rational.rank(mat)
-    assert dim == cons.n_independent
-
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """Counts the calls of the exact elimination behind `kernel_dimension`."""
-    calls = []
-    eliminate = rational._eliminate
-
-    def counted(rows):
-        calls.append(len(rows))
-        return eliminate(rows)
-
-    monkeypatch.setattr(rational, "_eliminate", counted)
-    return calls
-
-
-P1, P2 = rational._PRIMES
-
-
-@pytest.mark.parametrize(
-    "mat,kernel,dim",
-    [
-        ([[P1, 1], [0, 1]], np.zeros((0, 2), dtype=np.int64), 0),
-        ([[1, 1, 0], [1, 1 + P1, 0]], [[0, 0, 1]], 1),
-        (sp.csr_matrix(np.array([[P1, 2], [0, 1]], dtype=np.int64)), np.zeros((0, 2), dtype=np.int64), 0),
-    ],
-    ids=["entry-p", "det-p", "sparse-2p"],
-)
-def test_unlucky_first_prime_is_certified_by_the_next(mat, kernel, dim, eliminations):
-    rows, n_cols = rational._integer_rows(mat)  # primitive rows: a lone entry p would become 1
-    assert n_cols - rational._rank_mod(rows, n_cols, P1) > dim  # the first prime drops rank
-    assert rational.kernel_dimension(mat, kernel) == dim
-    assert eliminations == []
-
-
-@pytest.mark.parametrize(
-    "mat,kernel,dim",
-    [
-        ([[1, 1, 0], [1, 1 + P1 * P2, 0]], [[0, 0, 1]], 1),  # every listed prime drops rank
-        ([[1, 0], [0, 0]], [[1, 0]], 1),  # the kernel row is not in the kernel
-        ([[1, 0, 0]], [[0, 1, 0]], 2),  # the kernel rows do not span the kernel
-    ],
-    ids=["no-prime-certifies", "row-off-kernel", "rows-short-of-kernel"],
-)
-def test_uncertified_count_falls_back_to_exact_elimination(mat, kernel, dim, eliminations):
-    assert rational.kernel_dimension(mat, kernel) == dim
-    assert len(eliminations) == 1
-
-
-@st.composite
-def matrices_with_kernel_rows(draw):
-    """An exact matrix with integer multiples of all, or of a random subset,
-    of its nullspace basis (so the certificate holds, or must not)."""
-    mat = draw(exact_matrices())
-    null = rational.nullspace(mat)
-    keep = [v for v in null if draw(st.booleans())] if draw(st.booleans()) else null
-    scale = draw(st.integers(1, 3))
-    kernel = [[scale * x for x in v] for v in keep]
-    return mat, np.array(kernel, dtype=object).reshape(len(kernel), mat.shape[1])
-
-
-@given(problem=matrices_with_kernel_rows())
-@example(problem=(np.zeros((0, 3), dtype=object), np.eye(3, dtype=np.int64)))
-@example(problem=(np.zeros((3, 0), dtype=object), np.zeros((0, 0), dtype=object)))
-@settings(max_examples=100, deadline=None)
-def test_kernel_dimension_matches_rank_on_random_matrices(problem):
-    mat, kernel = problem
-    assert rational.kernel_dimension(mat, kernel) == mat.shape[1] - rational.rank(mat)
-
-
-@pytest.mark.parametrize(
-    "mat,kernel",
-    [
-        (sp.csr_matrix(np.array([[1.0, -1.0]])), [[1, 1]]),
-        (np.array([[1.0, -1.0]]), [[1, 1]]),
-        ([[1, -1]], sp.csr_matrix(np.array([[1.0, 1.0]]))),
-        ([[1, -1]], [[1, 1.0]]),
-    ],
-    ids=["sparse-float-matrix", "dense-float-matrix", "sparse-float-kernel", "list-float-kernel"],
-)
-def test_kernel_dimension_rejects_floats(mat, kernel):
-    with pytest.raises(TypeError):
-        rational.kernel_dimension(mat, kernel)
-
-
-def test_kernel_dimension_rejects_mismatched_widths():
-    with pytest.raises(ValueError):
-        rational.kernel_dimension([[1, -1]], [[1, 1, 0]])
+    emb = dualmap.dual_embedding(lat).matrix
+    assert (mat != emb.T @ emb).nnz == 0
+    n = mat.shape[1]
+    assert n - rational.rank(emb) == n - rational.rank(mat) == dualmap.constraint_set(lat).n_independent
 
 
 def test_pseudo_inverse_symmetric_zero_sum_kernel():
