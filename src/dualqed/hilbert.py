@@ -356,6 +356,6 @@ def gauss_sector_basis(spec: HilbertSpec, static_charges: np.ndarray | None = No
 
 
 def hermiticity_defect(op: sp.spmatrix) -> float:
-    """Largest entry of op - op^T: the hermiticity defect of a real matrix."""
-    d = op - op.T
+    """Largest entry of |op - op^H|, op^H the conjugate transpose."""
+    d = op - op.conj(copy=False).T  # no copy for a real op
     return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())

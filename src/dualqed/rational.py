@@ -1,12 +1,11 @@
 """Exact linear algebra over the rationals.
 
-`rank` and `nullspace` run one exact sparse integer elimination
-(`_eliminate`).  Their inputs are lattice maps and the constraint rows
-built from them: up to thousands of rows with a handful of nonzeros each
-(the divergence has two per column).  Rows are stored as ``{col: int}``
-dicts.  Pivots are chosen Markowitz-style, least
-(row nnz - 1)·(col nnz - 1), unit entries first, ties broken by (row, col),
-so results are deterministic.  Row updates are fraction-free and each
+`rank` runs an exact sparse integer elimination (`_eliminate`).  Its
+inputs are lattice maps and the constraint rows built from them: up to
+thousands of rows with a handful of nonzeros each (the divergence has two
+per column).  Rows are stored as ``{col: int}`` dicts.  Pivots are chosen
+Markowitz-style, least (row nnz - 1)·(col nnz - 1), unit entries first,
+ties broken by (row, col), so results are deterministic.  Row updates are fraction-free and each
 updated row is divided by the gcd of its entries.  Incidence and curl
 matrices are totally unimodular, so fill and entry growth stay small.
 
@@ -213,33 +212,6 @@ def rank(mat) -> int:
     (`_eliminate`, Markowitz pivots, fraction-free row updates)."""
     rows, _ = _integer_rows(mat)
     return len(_eliminate(rows))
-
-
-def nullspace(mat) -> list[list[Fraction]]:
-    """Exact rational basis of the right nullspace, one vector per free column.
-
-    Runs the sparse integer elimination of `rank`; the vector of free column
-    f is 1 at f, 0 at the other free columns, and its pivot entries come
-    from back substitution in reverse pivot order.  Free columns are taken
-    in ascending order.
-    """
-    rows, n_cols = _integer_rows(mat)
-    pivots = _eliminate(rows)
-    pivot_cols = {j for j, _ in pivots}
-    basis = []
-    for f in range(n_cols):
-        if f in pivot_cols:
-            continue
-        x = {f: Fraction(1)}
-        for j, prow in reversed(pivots):
-            s = sum(v * x[k] for k, v in prow.items() if k in x)
-            if s:
-                x[j] = -s / prow[j]
-        vec = [Fraction(0)] * n_cols
-        for k, v in x.items():
-            vec[k] = v
-        basis.append(vec)
-    return basis
 
 
 def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,12 +18,11 @@ term changes the winding fluxes, so a pure-gauge sector is block diagonal:
 the 2x2 periodic Gauss sector at cutoff 2 has 1,333 states in 145 blocks.
 The blocks are the matrix's connected components, labelled in numpy by
 hook and shortcut (``_component_labels``) exactly as scipy's csgraph numbers
-them, without loading csgraph.  Those whose Gershgorin
-bound shows they hold none of the k lowest levels are dropped, one batched
-dense eigvalsh per block size finds the blocks that do, and only those are
-solved.  When the kept blocks' dense work sum n_b^3 reaches
-``DENSE_EIG_LIMIT``^3 the whole matrix goes to the solver above instead, as
-does every connected matrix.
+them, without loading csgraph.  They are visited in order of their
+Gershgorin lower bound, each solved by the rule above at its own size, until
+a block's bound lies above the k-th lowest level found, so no remaining
+block can hold one of the k lowest.  A connected matrix goes to the solver
+whole.
 
 ``sector_hamiltonian`` is the one place the formulation is chosen: a
 ``links_E`` space gets the Gauss sector and ``h_original``, a ``plaqs_M``
@@ -67,8 +66,7 @@ from .hamiltonian import ModelParams, h_dual_thetam, h_original
 from .hilbert import BasisMap, HilbertSpec
 from .lattice import Lattice
 
-# dense below, Lanczos at and above (measured crossover); a split matrix is
-# solved per block while its kept blocks' sum n_b^3 stays below its cube
+# dense below, Lanczos at and above (measured crossover), per connected block
 DENSE_EIG_LIMIT = 1000
 HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9  # relative to max(1, |H|), |H| the largest absolute row sum
@@ -155,67 +153,42 @@ def _block_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """``_eigenpairs`` of H, solved block by block when H splits.
 
-    H's connected components are its diagonal blocks.  A block whose
-    Gershgorin lower bound min(H_ii - sum_{j != i} |H_ij|) lies above tau, the
-    k-th smallest per-block min H_ii, holds none of the k lowest levels and is
-    dropped (row_abs holds the absolute row sums).  One block, or kept blocks
-    whose dense work sum n_b^3 is not below ``DENSE_EIG_LIMIT``^3, go to
-    ``_eigenpairs`` whole.  Otherwise one batched eigvalsh per block size
-    picks the k lowest levels (ties by value, block label, level), only the
-    blocks holding them are solved, each from the dense block that step
-    assembled, and their vectors are embedded in the full space.
+    H's connected components are its diagonal blocks.  They are visited in
+    order of their Gershgorin lower bound min(H_ii - sum_{j != i} |H_ij|)
+    (row_abs holds the absolute row sums), ties by block label, and each is
+    solved by ``_eigenpairs`` for its lowest min(k, n_b) pairs, so its own
+    size picks dense or Lanczos.  The visit stops at the first block whose
+    bound lies strictly above the k-th lowest level found so far: no level
+    of it or of a later block can be among the k lowest.  The k lowest pairs
+    (ties by value, block label, level) are embedded in the full space; the
+    method is "iterative" when any solved block used Lanczos.
     """
     n_blocks, labels = _component_labels(H)
     if n_blocks == 1:
         return _eigenpairs(H, k, seed)
     diag = H.diagonal().real
-    lowest_diag = np.full(n_blocks, np.inf)
-    np.minimum.at(lowest_diag, labels, diag)
     gershgorin = np.full(n_blocks, np.inf)
     np.minimum.at(gershgorin, labels, diag - (row_abs - np.abs(diag)))
-    tau = np.partition(lowest_diag, k - 1)[k - 1] if k <= n_blocks else np.inf
-    sizes = np.bincount(labels)
-    kept = np.flatnonzero(gershgorin <= tau)
-    if np.sum(sizes[kept].astype(float) ** 3) >= float(DENSE_EIG_LIMIT) ** 3:
-        return _eigenpairs(H, k, seed)
+    by_block = np.argsort(labels, kind="stable")  # states grouped by block, in index order
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    grouped = H[by_block][:, by_block]  # each block a contiguous diagonal slice
+    pairs, methods = [], set()  # pairs: the k lowest so far, (value, block label, level, vector, states)
+    for block in np.argsort(gershgorin, kind="stable"):
+        if len(pairs) == k and gershgorin[block] > pairs[-1][0]:
+            break
+        span = slice(starts[block], starts[block + 1])
+        states, sub = by_block[span], grouped[span, span]
+        vals, vecs, method = _eigenpairs(
+            sub.toarray() if states.size < DENSE_EIG_LIMIT else sub, min(k, states.size), seed
+        )
+        methods.add(method)
+        pairs += [(vals[level], block, level, vecs[:, level], states) for level in range(vals.size)]
+        pairs = sorted(pairs, key=lambda pair: pair[:3])[:k]
 
-    # states grouped by block, in index order; local[i] is i's place in its block
-    by_block = np.argsort(labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    local = np.empty(H.shape[0], dtype=np.int64)
-    local[by_block] = np.arange(H.shape[0]) - starts[labels[by_block]]
-    coo = H.tocoo()
-    values, owners, levels = [], [], []
-    stacks = {}  # block size -> (the kept blocks of that size, dense; each block's slot among them)
-    for size in np.unique(sizes[kept]):
-        group = kept[sizes[kept] == size]
-        slot = np.full(n_blocks, -1)
-        slot[group] = np.arange(group.size)
-        entry = slot[labels[coo.row]] >= 0
-        rows, cols = coo.row[entry], coo.col[entry]
-        dense = np.zeros((group.size, size, size), dtype=H.dtype)
-        np.add.at(dense, (slot[labels[rows]], local[rows], local[cols]), coo.data[entry])
-        stacks[size] = dense, slot
-        values.append(np.linalg.eigvalsh(dense).ravel())
-        owners.append(np.repeat(group, size))
-        levels.append(np.tile(np.arange(size), group.size))
-    values, owners, levels = map(np.concatenate, (values, owners, levels))
-    chosen = np.lexsort((levels, owners, values))[:k]
-
-    pairs = []  # (value, block label, level, vector)
-    for block in np.unique(owners[chosen]):
-        states = by_block[starts[block] : starts[block + 1]]
-        count = int(levels[chosen][owners[chosen] == block].max()) + 1
-        dense, slot = stacks[sizes[block]]
-        vals, vecs, _ = _eigenpairs(dense[slot[block]], count, seed)
-        for level in range(count):
-            vec = np.zeros(H.shape[0], dtype=vecs.dtype)
-            vec[states] = vecs[:, level]
-            pairs.append((vals[level], block, level, vec))
-    pairs.sort(key=lambda pair: pair[:3])
-    vals = np.array([pair[0] for pair in pairs])
-    vecs = np.stack([pair[3] for pair in pairs], axis=1)
-    return vals, vecs, "dense"
+    vecs = np.zeros((H.shape[0], k), dtype=np.result_type(*(pair[3] for pair in pairs)))
+    for column, (_, _, _, vec, states) in enumerate(pairs):
+        vecs[states, column] = vec
+    return np.array([pair[0] for pair in pairs]), vecs, "iterative" if "iterative" in methods else "dense"
 
 
 def lowest_eigenvalues(
@@ -228,11 +201,12 @@ def lowest_eigenvalues(
     """The k smallest eigenvalues of a hermitian matrix, sorted ascending.
 
     The solve runs in the matrix's dtype (float64 for every built model).
-    A matrix that splits into blocks is solved per block (``_block_eigenpairs``).
-    Otherwise, below ``DENSE_EIG_LIMIT`` only the k lowest pairs of the dense
-    matrix are computed, and at and above it restarted Lanczos runs from a
-    seed-determined start vector, so identical inputs give identical
-    reports.  Residual norms ``|Hv - lambda v|`` on the whole matrix are
+    A matrix that splits into blocks is solved per block (``_block_eigenpairs``),
+    a connected one whole.  A block or matrix below ``DENSE_EIG_LIMIT`` states
+    has only its k lowest pairs computed densely; at and above it restarted
+    Lanczos runs from a seed-determined start vector, so identical inputs
+    give identical reports.  The method is "iterative" when any solve used
+    Lanczos.  Residual norms ``|Hv - lambda v|`` on the whole matrix are
     reported per pair, and ``ResidualError`` is raised when one exceeds
     ``RESIDUAL_TOL * max(1, |H|)`` (``|H|`` the largest absolute row sum).
 

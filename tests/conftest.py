@@ -504,6 +504,33 @@ def list_invert(mat) -> RationalMatrix:
     return [row[n:] for row in aug]
 
 
+def exact_nullspace(mat) -> list[list[Fraction]]:
+    """Exact rational basis of the right nullspace, one vector per free column,
+    by back substitution on the pivots of `rational._eliminate`.
+
+    The vector of free column f is 1 at f and 0 at the other free columns;
+    its pivot entries are solved in reverse pivot order.  Free columns are
+    taken in ascending order.
+    """
+    rows, n_cols = rational._integer_rows(mat)
+    pivots = rational._eliminate(rows)
+    pivot_cols = {j for j, _ in pivots}
+    basis = []
+    for f in range(n_cols):
+        if f in pivot_cols:
+            continue
+        x = {f: Fraction(1)}
+        for j, prow in reversed(pivots):
+            s = sum(v * x[k] for k, v in prow.items() if k in x)
+            if s:
+                x[j] = -s / prow[j]
+        vec = [Fraction(0)] * n_cols
+        for k, v in x.items():
+            vec[k] = v
+        basis.append(vec)
+    return basis
+
+
 def list_pseudo_inverse_symmetric(mat, kernel: list[list[Fraction]] | None = None) -> RationalMatrix:
     """Exact Moore-Penrose inverse of a symmetric rational matrix.
 
@@ -516,7 +543,7 @@ def list_pseudo_inverse_symmetric(mat, kernel: list[list[Fraction]] | None = Non
     a = _as_rows(mat)
     n = len(a)
     if kernel is None:
-        kernel = rational.nullspace(a)
+        kernel = exact_nullspace(a)
     if not kernel:
         return list_invert(a)
     k = transpose([list(v) for v in kernel])  # n x m, columns span the kernel

@@ -36,6 +36,7 @@ from conftest import (
     assert_entries_hold,
     bfs_tree_flow_matrix,
     entry_test,
+    exact_nullspace,
     geometry_id,
     in_flux_class,
     integer_image_mask,
@@ -110,7 +111,7 @@ def test_constraints_annihilate_embedded_link_fields(lat, rng):
 def test_d_matrix_symmetric_and_kernel_size(lat, rng):
     assert_entries_hold(lat, rng, "interaction_matrix_symmetric", "dual_kernel_matches_constraint_count")
     D = d_matrix(lat).toarray()
-    for v in rational.nullspace(d_matrix(lat)):
+    for v in exact_nullspace(d_matrix(lat)):
         prod = [sum(Fraction(int(D[i][j])) * v[j] for j in range(len(v))) for i in range(len(D))]
         assert all(p == 0 for p in prod)
 
@@ -293,7 +294,7 @@ def _condensed_kernel(lat, exact=False):
     emb = dual_embedding(lat).matrix
     D = (_separate_flux_and_winding(lat) @ emb).toarray()
     A0 = (emb.T @ emb).toarray()
-    kernel = np.array(rational.nullspace(D), dtype=object).reshape(-1, D.shape[1])
+    kernel = np.array(exact_nullspace(D), dtype=object).reshape(-1, D.shape[1])
     Dp = greens.pseudo_inverse(sp.csr_matrix(D), kernel, exact)
     return Dp @ A0 @ Dp
 

@@ -335,6 +335,14 @@ def test_hermiticity_defect():
     assert hermiticity_defect(sym) == 0.0
 
 
+def test_hermiticity_defect_conjugates_complex_entries():
+    """The defect is measured against the conjugate transpose: a complex
+    hermitian matrix has none, a complex symmetric one does."""
+    hermitian = sp.csr_matrix(np.array([[1, 2j], [-2j, 3]]))
+    assert hermiticity_defect(hermitian) == 0.0
+    assert hermiticity_defect(sp.csr_matrix(np.array([[1, 2j], [2j, 3]]))) == 4.0
+
+
 # --- the sector builders against the product-space scan they replaced ---------
 
 

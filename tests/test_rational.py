@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from dualqed import dualmap, greens, rational
 from dualqed.lattice import cube_flux_matrix, divergence_matrix
 
-from conftest import GEOMETRIES, geometry_id, integer_image_mask, list_invert, list_smith_normal_form
+from conftest import (
+    GEOMETRIES,
+    exact_nullspace,
+    geometry_id,
+    integer_image_mask,
+    list_invert,
+    list_smith_normal_form,
+)
 
 
 def F(mat):
@@ -62,7 +69,7 @@ def test_invert_rejects_singular():
 def test_rank_and_nullspace():
     A = F([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rational.rank(A) == 2
-    null = rational.nullspace(A)
+    null = exact_nullspace(A)
     assert len(null) == 1
     v = null[0]
     for row in A:
@@ -79,7 +86,6 @@ def test_rank_rejects_floats():
     [
         rational.exact_array,
         rational.rank,
-        rational.nullspace,
         rational.invert,
         exact_pseudo_inverse,
         rational.smith_normal_form,
@@ -134,12 +140,12 @@ def bareiss_rank(mat) -> int:
 
 
 def assert_matches_oracle(mat, dense) -> None:
-    """rank equals the Bareiss oracle; nullspace has n - rank vectors, each
-    annihilated exactly."""
+    """rank equals the Bareiss oracle; the nullspace from the elimination's
+    pivots has n - rank vectors, each annihilated exactly."""
     r = rational.rank(mat)
     assert r == bareiss_rank(dense)
     n_cols = len(dense[0]) if dense else mat.shape[1]
-    null = rational.nullspace(mat)
+    null = exact_nullspace(mat)
     assert len(null) == n_cols - r
     for v in null:
         assert len(v) == n_cols and all(isinstance(x, Fraction) for x in v)

@@ -55,6 +55,19 @@ def test_input_validation():
         lowest_eigenvalues(ladder, 1)
 
 
+def test_complex_hermitian_input_is_solved():
+    """Hermitian means equal to the conjugate transpose: a complex hermitian
+    matrix is solved, whole or split, and a complex symmetric one is refused."""
+    pair = np.array([[1, 1j], [-1j, 2]])
+    for H in (pair, sp.block_diag([pair, pair + 0.5 * np.eye(2)], "csr")):
+        rep = lowest_eigenvalues(H, 2)
+        dense = H.toarray() if sp.issparse(H) else H
+        assert np.abs(np.array(rep.eigenvalues) - np.linalg.eigvalsh(dense)[:2]).max() <= 1e-12
+        assert max(rep.residuals) <= 1e-12
+    with pytest.raises(ValueError, match="not hermitian"):
+        lowest_eigenvalues(np.array([[1, 1j], [1j, 2]]), 1)
+
+
 def test_gauss_sector_pentadiagonal_hand_oracle():
     """Pure gauge, cutoff 2, single open plaquette: the sector is spanned by
     circulation multiples c in {-2..2}; the matrix is pentadiagonal in c with
@@ -224,10 +237,10 @@ def test_block_path_matches_dense_oracle(monkeypatch, lat, formulation, cutoff):
         pytest.skip("sector refused by the guard")
     n = H.shape[0]
     if n > 2 * spectrum.DENSE_EIG_LIMIT:
-        # 2D N=3 at cutoff 1, 5,571 states: over the dense budget, so it takes
-        # the whole-matrix path (test_connected_and_costly_matrices_...); a
-        # dense oracle of it takes about 15 s
-        pytest.skip("whole-matrix path; dense oracle too slow")
+        # 2D N=3 at cutoff 1, 5,571 states: a dense oracle of it takes about
+        # 15 s, so test_split_matrix_matches_the_whole_matrix_solve checks
+        # it against one Lanczos solve of the whole matrix instead
+        pytest.skip("dense oracle too slow")
     k = min(5, n)
     sizes = _spy_solver(monkeypatch)
     rep = lowest_eigenvalues(H, k, seed=3)
@@ -239,22 +252,18 @@ def test_block_path_matches_dense_oracle(monkeypatch, lat, formulation, cutoff):
     assert max(rep.residuals) <= spectrum.RESIDUAL_TOL
 
 
-def _benchmark_matrices():
-    """The flux_sector benchmark matrix, the compare_matched cells, and the
-    3x3 periodic pure-gauge sector at cutoff 1, whose 129 blocks hold
-    sum n_b^3 = 1.17e9 >= DENSE_EIG_LIMIT^3 of dense work."""
+def _connected_matrices():
+    """The flux_sector benchmark matrix and the compare_matched cells."""
     yield "flux_sector", _sector_matrix(Lattice(2, 2, "periodic"), "flux", 2, "staggered_fermion")
     for cutoff in (2, 4, 6, 8):
         yield f"electric c={cutoff}", _sector_matrix(ONE_PLAQ_OPEN, "electric", cutoff, "staggered_fermion")
         yield f"flux c={4 * cutoff}", _sector_matrix(ONE_PLAQ_OPEN, "flux", 4 * cutoff, "staggered_fermion")
-    yield "3x3 torus c=1", _sector_matrix(Lattice(2, 3, "periodic"), "electric", 1)
 
 
-def test_connected_and_costly_matrices_take_the_whole_matrix_path(monkeypatch):
-    """Connected matrices, and split ones whose kept blocks cost too much
-    dense work, are solved whole, so their reports are bit-identical to one
-    ``_eigenpairs`` call on the matrix."""
-    for name, H in _benchmark_matrices():
+def test_connected_matrices_take_the_whole_matrix_path(monkeypatch):
+    """A connected matrix is solved whole, so its report is bit-identical to
+    one ``_eigenpairs`` call on the matrix."""
+    for name, H in _connected_matrices():
         direct = _direct_report(H, 3, 7)
         sizes = _spy_solver(monkeypatch)
         rep = lowest_eigenvalues(H, 3, seed=7)
@@ -263,9 +272,55 @@ def test_connected_and_costly_matrices_take_the_whole_matrix_path(monkeypatch):
         assert rep == direct, name
 
 
+def test_split_matrix_matches_the_whole_matrix_solve(monkeypatch):
+    """The 3x3 periodic pure-gauge sector at cutoff 1 has 5,571 states in 129
+    blocks; solved per block, its levels are those of one Lanczos solve of
+    the whole matrix, with the same multiplicities.  Its first excited level
+    is four-fold across blocks: at k=5 the per-block solve finds every copy,
+    where one Krylov space over the whole matrix finds three."""
+    H = _sector_matrix(Lattice(2, 3, "periodic"), "electric", 1)
+    whole = _direct_report(H, 3, 7)
+    sizes = _spy_solver(monkeypatch)
+    rep = lowest_eigenvalues(H, 3, seed=7)
+    assert whole.method == "iterative" and max(sizes) < H.shape[0]
+    assert np.abs(np.array(rep.eigenvalues) - whole.eigenvalues).max() <= 1e-10
+    assert [m for _, m in cluster_levels(rep.eigenvalues)] == [m for _, m in cluster_levels(whole.eigenvalues)]
+    assert max(rep.residuals) <= spectrum.RESIDUAL_TOL * max(1.0, abs(H).sum(axis=1).max())
+    assert [m for _, m in cluster_levels(lowest_eigenvalues(H, 5, seed=7).eigenvalues)] == [1, 4]
+
+
+def test_many_small_blocks_are_each_solved_alone(monkeypatch):
+    """20 blocks of 400 states, all near the bottom of the spectrum: no solve
+    sees more than one block, and the levels are those of a dense solve of
+    each block."""
+    rng = np.random.default_rng(4)
+    blocks = [sp.diags([rng.random(400), np.full(399, 0.5), np.full(399, 0.5)], [0, 1, -1]) for _ in range(20)]
+    H = sp.block_diag(blocks, "csr")
+    sizes = _spy_solver(monkeypatch)
+    rep = lowest_eigenvalues(H, 5)
+    oracle = np.sort(np.concatenate([np.linalg.eigvalsh(block.toarray()) for block in blocks]))[:5]
+    assert max(sizes) == 400 and rep.method == "dense"
+    assert np.abs(np.array(rep.eigenvalues) - oracle).max() <= 1e-12
+
+
+def test_a_large_block_goes_to_lanczos_alone(monkeypatch):
+    """A block of DENSE_EIG_LIMIT states in a split matrix is solved by
+    Lanczos on that block only, and the report says so."""
+    n = spectrum.DENSE_EIG_LIMIT
+    large = sp.diags([np.arange(n, dtype=float), np.full(n - 1, 0.5), np.full(n - 1, 0.5)], [0, 1, -1])
+    small = sp.diags([[0.2, 0.7, 1.5], [0.5, 0.5], [0.5, 0.5]], [0, 1, -1])
+    H = sp.block_diag([small, large, small + sp.identity(3)], "csr")
+    sizes = _spy_solver(monkeypatch)
+    rep = lowest_eigenvalues(H, 4, seed=1)
+    oracle = np.linalg.eigvalsh(H.toarray())[:4]
+    assert n in sizes and max(sizes) == n and rep.method == "iterative"
+    assert np.abs(np.array(rep.eigenvalues) - oracle).max() <= 1e-9
+    assert max(rep.residuals) <= spectrum.RESIDUAL_TOL * n
+
+
 def test_block_path_drops_blocks_by_their_gershgorin_bound(monkeypatch):
-    """Only the blocks that hold one of the k lowest levels are solved, and
-    the blocks whose Gershgorin bound lies above tau never reach a solver."""
+    """Blocks are solved in Gershgorin order, and the blocks whose bound lies
+    above the k-th lowest level found never reach a solver."""
     low = sp.diags([[0.0, 1.0, 2.0], [0.5, 0.5], [0.5, 0.5]], [0, 1, -1])
     H = sp.block_diag([low + 10 * sp.identity(3), sp.identity(1) * 0.25, low, low + 100 * sp.identity(3)], "csr")
     sizes = _spy_solver(monkeypatch)
@@ -273,6 +328,18 @@ def test_block_path_drops_blocks_by_their_gershgorin_bound(monkeypatch):
     oracle = np.linalg.eigvalsh(H.toarray())[:2]
     assert sorted(sizes) == [1, 3] and rep.method == "dense"
     assert np.abs(np.array(rep.eigenvalues) - oracle).max() <= 1e-12
+
+
+def test_block_path_stops_once_k_one_state_blocks_are_solved(monkeypatch):
+    """A diagonal matrix with distinct entries is one-state blocks, each
+    asked for min(k, 1) pairs: exactly k are solved, the k lowest entries in
+    order, and each vector is the unit vector of its entry."""
+    diag = np.random.default_rng(5).permutation(np.arange(12.0))
+    sizes = _spy_solver(monkeypatch)
+    vals, vecs, method = spectrum._block_eigenpairs(sp.diags(diag).tocsr(), 4, 0, np.abs(diag))
+    assert sizes == [1, 1, 1, 1] and method == "dense"
+    assert vals.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert np.array_equal(np.abs(vecs), np.eye(12)[:, np.argsort(diag)[:4]])
 
 
 def test_block_path_breaks_ties_by_block_label():
@@ -286,8 +353,8 @@ def test_block_path_breaks_ties_by_block_label():
 
 
 def test_block_path_solves_the_dense_blocks_it_assembled(monkeypatch):
-    """Each chosen block reaches the solver as the dense block the batched
-    step built, equal entry by entry to the sparse block of its states."""
+    """Each solved block reaches the solver as a dense array, equal entry by
+    entry to the sparse block of its states."""
     H = _sector_matrix(Lattice(2, 2, "periodic"), "electric", 2)  # the eigensolve benchmark matrix
     solve, blocks = spectrum._eigenpairs, []
 
