@@ -81,13 +81,14 @@ def _fourier_site_kernel(lat: Lattice) -> np.ndarray:
 def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric integer form A: (A + P)^-1 - P.
 
-    P = K^T (K K^T)^-1 K projects onto ker A, given as the independent rows
-    of `kernel` (none: the plain inverse).  A + P is invertible, acts as A
-    on the range and as the identity on the kernel, and both summands
-    commute with that splitting.  `form` is scipy sparse, `kernel` dense.
-    The float lane inverts with LAPACK; ``exact`` runs the same products on
-    Fraction object arrays (`rational.exact_array`, which refuses floats)
-    and inverts by Fraction elimination, up to `EXACT_LIMIT` rows.
+    P = K^T (K K^T)^-1 K projects onto ker A, given as the independent rows of
+    `kernel` (none: the plain inverse).  A + P is invertible, acts as A on the
+    range and as the identity on the kernel, and both summands commute with
+    that splitting.  `form` is scipy sparse, `kernel` dense.  The float lane
+    inverts with LAPACK; ``exact`` runs the same products on Fraction object
+    arrays (`rational.exact_array`, which refuses floats) and inverts by
+    Fraction elimination, up to `EXACT_LIMIT` rows.  Sums are taken in place,
+    so the float lane holds three n x n arrays of its own at its peak.
     """
     if exact:
         n = np.shape(form)[0]
@@ -98,11 +99,14 @@ def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
             )
         A, K, inverse = rational.exact_array(form), rational.exact_array(kernel), rational.invert
     else:
-        A, K, inverse = form.toarray().astype(float), np.asarray(kernel, dtype=float), np.linalg.inv
+        A, K, inverse = form.astype(float).toarray(), np.asarray(kernel, dtype=float), np.linalg.inv
     if not len(K):
         return inverse(A)
     P = K.T @ inverse(K @ K.T) @ K
-    return inverse(A + P) - P
+    A += P
+    G = inverse(A)
+    G -= P
+    return G
 
 
 @cached

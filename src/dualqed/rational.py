@@ -84,7 +84,7 @@ def invert(mat) -> np.ndarray:
         rows = rows[rows != col]
         cols = np.flatnonzero(aug[col])
         aug[np.ix_(rows, cols)] -= np.multiply.outer(aug[rows, col], aug[col, cols])
-    return aug[:, n:]
+    return aug[:, n:].copy()  # not a view: the caller keeps no n x 2n array alive
 
 
 def _primitive(entries: dict[int, int | Fraction]) -> dict[int, int]:

@@ -1,17 +1,16 @@
 """Eigenvalue extraction and cross-formulation comparison.
 
 Two jobs live here.  ``lowest_eigenvalues`` turns a hermitian operator into a
-small sorted spectrum with per-pair residuals.  It works in the operator's
-own dtype, float64 for every model the builders make.  Below
-``DENSE_EIG_LIMIT`` states it asks a dense solver for the
-k lowest pairs only; at and above it, it runs restarted Lanczos (ARPACK,
-seeded start vector, no shift-invert).  ``scipy.sparse.linalg``, which holds
-ARPACK, is imported in that branch only, so a process that never runs
-Lanczos never loads it.  The limit is the crossover measured
-at one BLAS thread on 2D lattice sectors: the dense subset is faster up to
-683 states, Lanczos from 1,033 on.  Every residual ``|Hv - lambda v|`` must
-stay below ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the largest absolute
-row sum; a larger one raises ``ResidualError`` instead of being reported.
+small sorted spectrum with per-pair residuals, in the operator's own dtype
+(float64 for every built model).  Below ``DENSE_EIG_LIMIT`` states a dense
+solver finds the k lowest pairs only, overwriting in place the one copy of the
+matrix it builds in LAPACK's column order; at and above it, restarted Lanczos
+runs (ARPACK, seeded start vector, no shift-invert), and
+``scipy.sparse.linalg``, which holds ARPACK, is imported there only.  The
+limit is the crossover measured at one BLAS thread on 2D lattice sectors: the
+dense subset is faster up to 683 states, Lanczos from 1,033 on.  A residual
+``|Hv - lambda v|`` above ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the
+largest absolute row sum, raises ``ResidualError`` instead of being reported.
 
 A matrix that splits is solved block by block.  On a torus without matter no
 term changes the winding fluxes, so a pure-gauge sector is block diagonal:
@@ -99,13 +98,12 @@ class SpectrumReport:
         }
 
 
-def _eigenpairs(H: sp.csr_matrix | np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """The k lowest eigenpairs (ascending) and the method that found them.
-
-    H is a sparse matrix, or a dense block already assembled (``_block_eigenpairs``)."""
+def _eigenpairs(H: sp.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The k lowest eigenpairs of sparse H, ascending, and the method that found them;
+    a dense solve lets ``eigh`` overwrite the one column-order copy of H it builds."""
     n = H.shape[0]
     if n < DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = sla.eigh(H if isinstance(H, np.ndarray) else H.toarray(), subset_by_index=[0, k - 1])
+        vals, vecs = sla.eigh(H.toarray(order="F"), subset_by_index=[0, k - 1], overwrite_a=True)
         return vals, vecs, "dense"
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -178,9 +176,7 @@ def _block_eigenpairs(
             break
         span = slice(starts[block], starts[block + 1])
         states, sub = by_block[span], grouped[span, span]
-        vals, vecs, method = _eigenpairs(
-            sub.toarray() if states.size < DENSE_EIG_LIMIT else sub, min(k, states.size), seed
-        )
+        vals, vecs, method = _eigenpairs(sub, min(k, states.size), seed)
         methods.add(method)
         pairs += [(vals[level], block, level, vecs[:, level], states) for level in range(vals.size)]
         pairs = sorted(pairs, key=lambda pair: pair[:3])[:k]

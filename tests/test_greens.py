@@ -1,5 +1,6 @@
 """Green's tables: frozen values, an independent Fourier oracle, solvers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,21 @@ def test_every_dense_table_is_one_pseudo_inverse_call(monkeypatch):
         tables.append(dualmap.modified_greens.__wrapped__(lat, exact))
         assert all(t is r for t, r in zip(tables, returned[-3:], strict=True))
     assert len(returned) == 6
+
+
+def test_float_pseudo_inverse_peaks_at_three_dense_copies():
+    """A + P and the inverse minus P are formed in place: on the 961-site 2D
+    N=30 open site Laplacian the float lane holds A, P and G at its peak,
+    not a fourth n x n array for a sum."""
+    lat = Lattice(2, 30, "open")
+    form, kernel = -laplacian_matrix(lat, "site"), np.ones((1, lat.n_sites), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        greens.pseudo_inverse(form, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * lat.n_sites**2 * 8
 
 
 def test_translation_invariance_periodic():

@@ -61,6 +61,13 @@ def test_invert_round_trip():
     assert all(type(v) is Fraction for v in Ainv.flat)
 
 
+def test_invert_owns_its_result():
+    """The inverse is a fresh n x n array, not a view of the n x 2n augmented
+    matrix, so a cached exact table keeps only its own entries alive."""
+    Ainv = rational.invert(F([[2, 1], [1, 3]]))
+    assert Ainv.shape == (2, 2) and Ainv.base is None
+
+
 def test_invert_rejects_singular():
     with pytest.raises(ValueError):
         rational.invert(F([[1, 2], [2, 4]]))

@@ -353,8 +353,8 @@ def test_block_path_breaks_ties_by_block_label():
 
 
 def test_block_path_solves_the_dense_blocks_it_assembled(monkeypatch):
-    """Each solved block reaches the solver as a dense array, equal entry by
-    entry to the sparse block of its states."""
+    """Each solved block reaches the solver as a sparse matrix, equal entry by
+    entry to one connected component; the solver builds its dense copy."""
     H = _sector_matrix(Lattice(2, 2, "periodic"), "electric", 2)  # the eigensolve benchmark matrix
     solve, blocks = spectrum._eigenpairs, []
 
@@ -368,8 +368,37 @@ def test_block_path_solves_the_dense_blocks_it_assembled(monkeypatch):
     components = [H[labels == label][:, labels == label].toarray() for label in range(n_blocks)]
     assert 0 < len(blocks) < n_blocks
     for block in blocks:
-        assert isinstance(block, np.ndarray)
-        assert any(np.array_equal(block, component) for component in components)
+        assert sp.issparse(block)
+        assert any(np.array_equal(block.toarray(), component) for component in components)
+
+
+def test_dense_solve_holds_one_copy_of_the_matrix():
+    """A connected matrix below the dense limit is solved on the one
+    column-order copy the solver builds and ``eigh`` overwrites: no second
+    n x n array is held at the peak."""
+    n = 600
+    assert n < spectrum.DENSE_EIG_LIMIT
+    H = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")  # a connected chain
+    assert lowest_eigenvalues(H, 3).method == "dense"  # also loads what scipy imports lazily
+    assert _traced_peak(lowest_eigenvalues, H, 3) <= 1.5 * n**2 * 8
+
+
+@pytest.mark.parametrize(
+    "formulation,matter", [("flux", "staggered_fermion"), ("electric", "none")], ids=["connected", "split"]
+)
+def test_lowest_eigenvalues_leaves_its_input_unchanged(formulation, matter):
+    """The dense solve overwrites only the copy it builds: C- and F-order
+    dense, CSR and CSC inputs equal their saved copies after the call, on
+    the connected flux_sector and the split eigensolve benchmark matrices."""
+    H = _sector_matrix(Lattice(2, 2, "periodic"), formulation, 2, matter)
+    dense = H.toarray()
+    for given in (dense, np.asfortranarray(dense), H.tocsr(), H.tocsc()):
+        saved = given.copy()
+        lowest_eigenvalues(given, 3)
+        if sp.issparse(given):
+            assert given.format == saved.format and (given != saved).nnz == 0
+        else:
+            assert np.array_equal(given, saved)
 
 
 # the sector cases of the labeller oracle; 3D has no flux sector
