@@ -7,7 +7,7 @@ spectra at desk scale.
 """
 
 from .dualmap import dof_report
-from .greens import greens_table, poisson_solve
+from .greens import greens_table
 from .hamiltonian import ModelParams, h_dual_thetam, h_original
 from .helmholtz import helmholtz_decompose, link_shift_table
 from .hilbert import HilbertSpec, gauss_sector_basis
@@ -47,7 +47,6 @@ __all__ = [
     "laplacian",
     "link_shift_table",
     "lowest_eigenvalues",
-    "poisson_solve",
 ]
 
 __version__ = "0.1.0"

@@ -2,15 +2,19 @@
 
 Design rules: JSON reports, CSV matrices, atomic file writes (temp + rename),
 exit 0 = success with all checks passing, exit 1 = a check failed, exit 2 =
-configuration error.  Errors are emitted as one-line JSON objects on stderr.
+a refusal.  `main` is the one place that decides which is which: bad flags
+(`ConfigError`) and every refusal of the library (a ValueError, or a
+`hilbert.MemoryGuardError`) exit 2; a failed check (`CheckFailure`) or an
+eigenpair residual over its bound (`spectrum.ResidualError`) exits 1.
+Errors are emitted as one-line JSON objects on stderr.
 `--config file.json` overrides flags of the same name; unknown keys are
 rejected.  `--threads` (or the DUALQED_THREADS environment variable) caps
 BLAS/OpenMP parallelism.  The package import has already loaded numpy,
 ``scipy.sparse`` and ``scipy.linalg`` by the time flags are parsed, so the cap
 is set at runtime in the OpenBLAS each of them bundles, and in the
 environment for anything loaded later or run as a child process.  The sparse
-solvers (``scipy.sparse.linalg``: Lanczos, conjugate gradients) load on first
-use, after the cap, and share scipy's capped OpenBLAS.
+solver (``scipy.sparse.linalg``, for Lanczos) loads on first use, after the
+cap, and shares scipy's capped OpenBLAS.
 
 The subcommands are one table, ``_COMMANDS``.  A run whose first argument
 names a subcommand builds that subcommand's parser only; ``--help``, no
@@ -24,9 +28,13 @@ import argparse
 import functools
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
+
+from .hilbert import MemoryGuardError
+from .spectrum import ResidualError
 
 ENV_THREADS = "DUALQED_THREADS"
 _THREAD_VARS = (
@@ -37,6 +45,9 @@ _THREAD_VARS = (
 )
 # (package, setter of the thread count in the OpenBLAS the package bundles)
 _BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"), ("scipy", "scipy_openblas_set_num_threads"))
+# the strings int() reads in base 10: a signed run of decimal digits, single
+# underscores between them, whitespace around (compiled on first use, by re's cache)
+_DECIMAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 
 class ConfigError(Exception):
@@ -112,11 +123,8 @@ def _integer(value, name: str) -> int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if isinstance(value, str) and re.fullmatch(_DECIMAL, value):
+        return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
@@ -125,7 +133,8 @@ def _load_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) ->
 
     The keys are the dests of the subcommand's flags.  Values of ``type=int``
     flags go through `_integer`, except a null where the flag is optional
-    and defaults to None."""
+    and defaults to None; values of ``type=float`` flags must be a number or
+    a string, as a flag's text is."""
     if not getattr(args, "config", None):
         return
     try:
@@ -141,31 +150,30 @@ def _load_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) ->
             raise ConfigError(f"unknown config key {key!r}")
         if flag.type is int and not (value is None and flag.default is None and not flag.required):
             value = _integer(value, key)
+        if flag.type is float and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
         setattr(args, flag.dest, value)
 
 
 def _lattice(args):
     from .lattice import Lattice
 
-    try:
-        return Lattice(args.dim, args.N, args.bc)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return Lattice(args.dim, args.N, args.bc)
 
 
 def _model_params(args):
     from .hamiltonian import ModelParams
 
-    try:
-        q = None
-        if getattr(args, "static_charges", None):
-            raw = args.static_charges
-            if isinstance(raw, str):
-                raw = raw.split(",")
+    q = None
+    if getattr(args, "static_charges", None):
+        raw = args.static_charges
+        if isinstance(raw, str):
+            raw = raw.split(",")
+        try:  # config static_charges of the wrong JSON type: a number, or a list holding a list
             q = tuple(float(x) for x in raw)
-        return ModelParams(g2=float(args.g2), t=float(args.t), m=float(args.m), static_charges=q)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
+    return ModelParams(g2=float(args.g2), t=float(args.t), m=float(args.m), static_charges=q)
 
 
 def _integers(value, name: str) -> tuple[int, ...]:
@@ -191,10 +199,7 @@ def _cmd_greens(args) -> int:
     from . import greens
 
     lat = _lattice(args)
-    try:
-        table = greens.greens_table(lat, args.kind, exact=args.exact)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = greens.greens_table(lat, args.kind, exact=args.exact)
     n = table.values.shape[0]
     lines = [
         f"# greens kind={table.kind} dim={lat.dim} N={lat.N} bc={lat.bc}"
@@ -225,7 +230,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_shifts(args) -> int:
-    from . import helmholtz
+    from . import greens, helmholtz
     from .lattice import cell_coordinates, cell_index
 
     lat = _lattice(args)
@@ -237,10 +242,8 @@ def _cmd_shifts(args) -> int:
         cell_index(lat, "link", direction, site)
     except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
-    try:
-        table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    greens.greens_sites(lat)  # the residual's projector reads it: its dense cap refuses before D+ is inverted
+    table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
     normals, corners = cell_coordinates(lat, "plaquette")
     entries = []
     for idx, (normal, corner, value) in enumerate(zip(normals.tolist(), corners.T.tolist(), table.shifts)):
@@ -313,35 +316,23 @@ def _hilbert_spec(args, lat):
     if formulation not in ("electric", "flux"):
         raise ConfigError("formulation must be 'electric' or 'flux'")
     gauge_kind = "links_E" if formulation == "electric" else "plaqs_M"
-    try:
-        return hilbert.HilbertSpec(
-            lat,
-            gauge_kind,
-            cutoff=args.cutoff,
-            matter=args.matter,
-            n_max=args.n_max,
-            global_cutoff=args.global_cutoff,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _sector_and_operator(args, spec):
-    from . import hilbert
-    from . import spectrum as spx
-
-    try:
-        return spx.sector_hamiltonian(spec, _model_params(args), match_class=args.sector == "physical")
-    except (ValueError, hilbert.MemoryGuardError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return hilbert.HilbertSpec(
+        lat,
+        gauge_kind,
+        cutoff=args.cutoff,
+        matter=args.matter,
+        n_max=args.n_max,
+        global_cutoff=args.global_cutoff,
+    )
 
 
 def _cmd_build(args) -> int:
     from . import hilbert
+    from . import spectrum as spx
 
     lat = _lattice(args)
     spec = _hilbert_spec(args, lat)
-    basis, H, sector = _sector_and_operator(args, spec)
+    basis, H, sector = spx.sector_hamiltonian(spec, _model_params(args), match_class=args.sector == "physical")
     payload = {
         "formulation": args.formulation,
         "dim": lat.dim,
@@ -364,13 +355,8 @@ def _cmd_spectrum(args) -> int:
 
     lat = _lattice(args)
     spec = _hilbert_spec(args, lat)
-    _, H, sector = _sector_and_operator(args, spec)
-    try:
-        rep = spx.lowest_eigenvalues(H, args.k, seed=args.seed, sector=sector, cutoff=args.cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    except spx.ResidualError as exc:
-        raise CheckFailure(str(exc)) from exc
+    _, H, sector = spx.sector_hamiltonian(spec, _model_params(args), match_class=args.sector == "physical")
+    rep = spx.lowest_eigenvalues(H, args.k, seed=args.seed, sector=sector, cutoff=args.cutoff)
     payload = {
         "formulation": args.formulation,
         "dim": lat.dim,
@@ -386,26 +372,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import hilbert
     from . import spectrum as spx
 
     lat = _lattice(args)
     schedule = _integers(args.schedule, "schedule")
-    try:
-        cfg = spx.CompareConfig(
-            lattice=lat,
-            params=_model_params(args),
-            matter=args.matter,
-            n_max=args.n_max,
-            sector=args.sector,
-            cutoff_ratio=args.ratio,
-            tolerance=float(args.tolerance),
-        )
-        rep = spx.compare_formulations(cfg, k=args.k, schedule=schedule, seed=args.seed)
-    except (ValueError, hilbert.MemoryGuardError) as exc:
-        raise ConfigError(str(exc)) from exc
-    except spx.ResidualError as exc:
-        raise CheckFailure(str(exc)) from exc
+    cfg = spx.CompareConfig(
+        lattice=lat,
+        params=_model_params(args),
+        matter=args.matter,
+        n_max=args.n_max,
+        sector=args.sector,
+        cutoff_ratio=args.ratio,
+        tolerance=float(args.tolerance),
+    )
+    rep = spx.compare_formulations(cfg, k=args.k, schedule=schedule, seed=args.seed)
     emit_json(args.out, rep)
     if not rep["passed"]:
         raise CheckFailure(
@@ -422,11 +402,7 @@ def _cmd_dump_op(args) -> int:
     names = lx.operator_names()
     if args.name not in names:
         raise ConfigError(f"unknown operator {args.name!r}; choose from {sorted(names)}")
-    try:
-        op = lx.operator_map(lat, args.name)
-    except ValueError as exc:  # an operator the lattice lacks: cube flux in 2D
-        raise ConfigError(str(exc)) from exc
-    write_text(args.out, op.coo_csv())
+    write_text(args.out, lx.operator_map(lat, args.name).coo_csv())
     return 0
 
 
@@ -547,10 +523,10 @@ def main(argv: list[str] | None = None) -> int:
         _load_config(args, args.flags)
         _apply_thread_cap(args.threads)
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, MemoryGuardError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 2
-    except CheckFailure as exc:
+    except (CheckFailure, ResidualError) as exc:
         sys.stderr.write(json.dumps({"error": "check_failure", "message": str(exc)}) + "\n")
         return 1
     except Exception as exc:  # last resort: keep the JSON-error contract

@@ -228,7 +228,10 @@ def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
     W is the unimodular U of the Smith form, rows with d_i = 1 (no condition)
     dropped and congruence rows reduced modulo d_i.  The reduction runs on
-    Python ints: an entry of U can overflow int64, a reduced row does not.
+    Python ints: an entry of U can overflow int64, a reduced row lies below
+    its modulus.  The moduli grow with the lattice (66 bits on the 2D open
+    N=10 lattice), and a modulus or kept entry past int64 raises ValueError
+    naming its bit length.
     """
     u, d, _ = _flux_class_snf(lat)
     moduli = np.zeros(len(u), dtype=object)
@@ -237,4 +240,10 @@ def flux_class_congruences(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     w, moduli = u[kept], moduli[kept]
     congruent = moduli != 0
     w[congruent] %= moduli[congruent, None]
+    largest = int(max(moduli.max(initial=0), np.abs(w).max(initial=0)))
+    if largest >= 2**63:
+        raise ValueError(
+            f"the flux-class congruences of {lat.label()} need a {largest.bit_length()}-bit integer, "
+            "past the 63 bits of int64"
+        )
     return w.astype(np.int64), moduli.astype(np.int64)

@@ -26,19 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rational
-from .lattice import FieldVector, Lattice, cached, cell_coordinates, laplacian_matrix
+from .lattice import Lattice, cached, cell_coordinates, laplacian_matrix
 
-# Dense-table cutoff: above this many cells, poisson_solve falls back to
-# conjugate gradients instead of materializing (and caching) an n x n table.
+# Dense-table cutoff: above this many cells a float table is refused rather
+# than materialized (and cached) as an n x n array.
 DENSE_LIMIT = 4096
 
 # Exact-rational lane is meant for desk-size lattices; Fraction elimination
 # beyond this is a sign the caller wanted the float path.
 EXACT_LIMIT = 200
-
-
-class NeutralityError(ValueError):
-    """Raised when a site-kind Poisson source has nonzero total charge."""
 
 
 @dataclass
@@ -122,7 +118,10 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
         vals = kernel[tuple((x[:, :, None] - x[:, None, :]) % lat.N)]
         return GreensTable(lat, kind, vals, "zero_row_sum")
     if n > DENSE_LIMIT and not exact:
-        raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} sites; use poisson_solve")
+        raise ValueError(
+            f"dense Green's tables capped at {DENSE_LIMIT} sites, got {n}; use a smaller --N, "
+            "or --bc periodic, whose float site table is the Fourier sum"
+        )
     G = pseudo_inverse(-laplacian_matrix(lat, "site"), np.ones((1, n), dtype=np.int64), exact)
     return GreensTable(lat, kind, G.astype(float) if exact else G, "zero_row_sum", exact=G if exact else None)
 
@@ -134,7 +133,7 @@ def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
     _resolve_kind(lat, "plaq_obc")  # raises on a periodic lattice
     n = lat.n_plaqs
     if n > DENSE_LIMIT and not exact:
-        raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes")
+        raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes, got {n}; use a smaller --N")
     G = pseudo_inverse(-laplacian_matrix(lat, "plaquette"), np.zeros((0, n), dtype=np.int64), exact)
     return GreensTable(lat, "plaq_obc", G.astype(float) if exact else G, "true_inverse", exact=G if exact else None)
 
@@ -161,37 +160,3 @@ def greens_table(lat: Lattice, kind: str, exact: bool = False) -> GreensTable:
         return greens_plaquettes_obc(lat, exact=exact)
     return greens_sites(lat, exact=exact)
 
-
-def poisson_solve(lat: Lattice, rhs: FieldVector, kind: str = "site") -> FieldVector:
-    """Solve the (modified) Poisson problem for the given source.
-
-    site kinds: requires a neutral source (NeutralityError otherwise) and
-    returns the zero-mean potential with -lap f = rhs.  plaq_obc: inverts the
-    modified plaquette Laplacian, no neutrality involved.  The kind is
-    checked against the lattice first, as in `greens_table`.  Falls back to
-    conjugate gradients above the dense-table limit.
-    """
-    if _resolve_kind(lat, kind) == "plaq_obc":
-        if rhs.kind != "plaquette":
-            raise ValueError("plaq_obc Poisson solve needs a plaquette field")
-        cells, table, b = "plaquette", greens_plaquettes_obc, rhs.values
-    else:
-        if rhs.kind != "site":
-            raise ValueError(f"site Poisson solve needs a site field, got {rhs.kind}")
-        total = float(np.sum(rhs.values))
-        scale = float(np.abs(rhs.values).sum()) or 1.0
-        if abs(total) > 1e-9 * scale:
-            raise NeutralityError(
-                f"site source must be neutral: total charge {total:g}"
-            )
-        cells, table, b = "site", greens_sites, rhs.values - rhs.values.mean()
-    n = lat.n_cells(cells)
-    if n <= DENSE_LIMIT:
-        return FieldVector(lat, cells, table(lat).values @ rhs.values)
-    import scipy.sparse.linalg as spla  # loaded only where CG runs
-
-    A = (-laplacian_matrix(lat, cells)).astype(float).tocsr()
-    x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10 * n)
-    if info != 0:
-        raise RuntimeError(f"conjugate gradients did not converge (info={info})")
-    return FieldVector(lat, cells, x - x.mean() if cells == "site" else x)

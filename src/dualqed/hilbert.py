@@ -194,6 +194,13 @@ def _sweep_order(rows: np.ndarray) -> list[int]:
     return order + [f for f in range(rows.shape[1]) if f not in order]
 
 
+def check_product_index(spec: HilbertSpec) -> None:
+    """Raise ``MemoryGuardError`` when the product dimension of ``spec``
+    overflows the int64 product index a basis keys its states by."""
+    if spec.total_dim >= 2**63:
+        raise MemoryGuardError(f"product dimension {spec.total_dim} overflows the int64 product index")
+
+
 def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     """Product states whose factor values v satisfy ``rows @ v == targets``,
     exactly where the modulus is 0 and modulo it elsewhere.
@@ -204,12 +211,11 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     still reach, a congruence row that fails once its last factor is placed.
     So the work follows the sector, not the product space.  The result is
     sorted by product index, as a scan of the product space would give it.
-    ``MemoryGuardError`` is raised before the candidates of a step would
-    hold more than ``spec.max_dim`` int64 entries, at one level per factor
-    and one sum per row each.
+    ``MemoryGuardError`` is raised first by ``check_product_index``, then
+    before the candidates of a step would hold more than ``spec.max_dim``
+    int64 entries, at one level per factor and one sum per row each.
     """
-    if spec.total_dim >= 2**63:
-        raise MemoryGuardError(f"product dimension {spec.total_dim} overflows the int64 product index")
+    check_product_index(spec)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(spec.dims))
     targets = np.asarray(targets, dtype=np.int64)
     moduli = np.asarray(moduli, dtype=np.int64)

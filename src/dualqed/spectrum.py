@@ -10,7 +10,9 @@ runs (ARPACK, seeded start vector, no shift-invert), and
 limit is the crossover measured at one BLAS thread on 2D lattice sectors: the
 dense subset is faster up to 683 states, Lanczos from 1,033 on.  A residual
 ``|Hv - lambda v|`` above ``RESIDUAL_TOL * max(1, |H|)``, with ``|H|`` the
-largest absolute row sum, raises ``ResidualError`` instead of being reported.
+largest absolute row sum, raises ``ResidualError`` instead of being reported;
+an ``|H|`` past which squared residuals could overflow float64 is refused
+with ValueError before any solve.
 
 A matrix that splits is solved block by block.  On a torus without matter no
 term changes the winding fluxes, so a pure-gauge sector is block diagonal:
@@ -205,6 +207,8 @@ def lowest_eigenvalues(
     Lanczos.  Residual norms ``|Hv - lambda v|`` on the whole matrix are
     reported per pair, and ``ResidualError`` is raised when one exceeds
     ``RESIDUAL_TOL * max(1, |H|)`` (``|H|`` the largest absolute row sum).
+    A matrix whose ``|H|`` is too large for the squared residuals to stay
+    finite in float64 is refused with ValueError before any solve.
 
     The k lowest levels can cut a degenerate cluster: only the copies that
     fit within k are reported, so `cluster_levels` counts those and not the
@@ -224,9 +228,17 @@ def lowest_eigenvalues(
     if defect > HERMITICITY_TOL:
         raise ValueError(f"operator is not hermitian (defect {defect:.3e})")
     row_abs = np.asarray(abs(H).sum(axis=1)).ravel()
+    norm = float(row_abs.max())
+    # a unit v and |lambda| <= |H| give |(Hv - lambda v)_i| <= 2|H|: n (2|H|)^2 bounds the squared residual
+    largest = math.sqrt(np.finfo(float).max / (4 * n))
+    if norm > largest:
+        raise ValueError(
+            f"largest absolute row sum {norm:.3e} exceeds {largest:.3e}, past which the squared residuals "
+            "can overflow float64; rescale the couplings"
+        )
     vals, vecs, method = _block_eigenpairs(H, k, seed, row_abs)
     residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-    bound = RESIDUAL_TOL * max(1.0, float(row_abs.max()))
+    bound = RESIDUAL_TOL * max(1.0, norm)
     if residuals.max() > bound:
         raise ResidualError(f"{method} eigenpair residual {residuals.max():.3e} exceeds {bound:.3e}")
     return SpectrumReport(
@@ -274,6 +286,7 @@ def flux_sector_basis(
     q = hilbert.integral_static_charges(lat, static_charges)
     if q is None:
         return hilbert.empty_basis(spec)
+    hilbert.check_product_index(spec)  # before the Smith form, whose moduli grow with the lattice
     n_flux = spec.n_gauge + spec.n_globals
     rows = [np.concatenate([np.ones(spec.n_matter, dtype=np.int64), np.zeros(n_flux, dtype=np.int64)])]
     targets, moduli = [-q.sum()], [0]

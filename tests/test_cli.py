@@ -488,6 +488,15 @@ NON_INTEGRAL_CONFIG = [
     (["check-maps"], {"seed": 1.5}),
     (["dof"], {"threads": 1.5}),
 ]
+# Config values of float flags that are no number (nor a string, as a flag's
+# text is): each failed with a bare TypeError, or ran as 1.0 (a bool).
+_COMPARE_BASE = ["compare", "--ratio", "4", "--schedule", "1"]
+WRONG_TYPE_CONFIG = [
+    (_COMPARE_BASE, {"tolerance": [1]}),
+    (_COMPARE_BASE, {"tolerance": None}),
+    (_COMPARE_BASE, {"g2": True}),
+    (_COMPARE_BASE, {"t": {"a": 1}}),
+]
 
 
 @pytest.mark.parametrize(
@@ -500,17 +509,19 @@ NON_INTEGRAL_CONFIG = [
         (["shifts", "--site", "0,0", "--direction", "0"], {"direction": "x"}),
         (["shifts", "--site", "0,0", "--direction", "0"], {"site": [0, "x"]}),
     ]
-    + NON_INTEGRAL_CONFIG,
+    + NON_INTEGRAL_CONFIG
+    + WRONG_TYPE_CONFIG,
     ids=[
         "schedule", "static-charges", "config-cutoff",
         "shifts-site", "shifts-config-direction", "shifts-config-site",
     ]
-    + [f"{argv[0]}-config-{key}={json.dumps(v, separators=(',', ':'))}" for argv, c in NON_INTEGRAL_CONFIG for key, v in c.items()],
+    + [f"{argv[0]}-config-{key}={json.dumps(v, separators=(',', ':'))}" for argv, c in NON_INTEGRAL_CONFIG + WRONG_TYPE_CONFIG for key, v in c.items()],
 )
 def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys, monkeypatch):
-    """A number that does not parse, or a config value read as an integer
-    that is not one, exits 2 like any bad setting: not 1 with a bare
-    ValueError or TypeError, and not 0 after truncating it."""
+    """A number that does not parse, a config value read as an integer
+    that is not one, or a float flag's config value that is no number,
+    exits 2 like any bad setting: not 1 with a bare ValueError or
+    TypeError, and not 0 after truncating it."""
     from dualqed import cli
 
     for var in cli._THREAD_VARS:  # restored after the test, whatever the command set
@@ -528,6 +539,21 @@ def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys, monk
         assert next(iter(config)) in err["message"]
 
 
+@pytest.mark.parametrize("text", ["2", " 2\t", "+2", "-2", "1_000", "٣", "1__0", "_1", "1_", "", " ", "2.0", "0x10", "1e3"])
+def test_integer_reads_a_string_as_int_does(text):
+    """A config or environment string is an integer exactly when ``int``
+    reads it in base 10, and then has int's value."""
+    from dualqed import cli
+
+    try:
+        expected = int(text)
+    except ValueError:
+        with pytest.raises(cli.ConfigError, match="must be an integer"):
+            cli._integer(text, "N")
+    else:
+        assert cli._integer(text, "N") == expected
+
+
 def test_integral_float_config_value_matches_the_flag(tmp_path, capsys):
     from dualqed import cli
 
@@ -540,13 +566,14 @@ def test_integral_float_config_value_matches_the_flag(tmp_path, capsys):
 
 
 def test_schema_refuses_the_non_integral_config_values():
-    """The run-config schema and the parser agree on what an integer is."""
+    """The run-config schema and the parser agree on what an integer is, and
+    on what is no number."""
     jsonschema = pytest.importorskip("jsonschema")
     import pathlib
 
     schema_dir = pathlib.Path(__file__).resolve().parents[1] / "schemas"
     schema = json.loads((schema_dir / "run_config.schema.json").read_text())
-    for _, config in NON_INTEGRAL_CONFIG:
+    for _, config in NON_INTEGRAL_CONFIG + WRONG_TYPE_CONFIG:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(config, schema)
     jsonschema.validate({"N": 2.0}, schema)
@@ -587,6 +614,64 @@ def test_exact_shifts_past_the_cap_refuse_as_greens_does(capsys):
         errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
     assert errors[0] == errors[1]
     assert "exact rational mode supports up to 200 cells, got 240" in errors[0]["message"]
+
+
+# Every subcommand at the edge where a guard refuses, and on the accepting
+# side where that runs in under a second.  Left out: 2D open N=63, whose
+# 4,096-site tables are computed, and 3D open lattices from N=15 on, whose
+# float D+ has no dense cap and can take GBs before anything refuses.
+_OPEN_2D = ["--dim", "2", "--bc", "open"]
+REFUSAL_SWEEP = [
+    (2, ["build", "--formulation", "flux", "--N", "9"]),  # product index
+    (2, ["build", "--formulation", "flux", "--N", "10"]),  # 66-bit Smith moduli
+    (2, ["build", "--formulation", "flux", "--N", "12"]),  # 92-bit Smith moduli
+    (2, ["spectrum", "--formulation", "flux", "--N", "9"]),
+    (2, ["spectrum", "--formulation", "flux", "--N", "10"]),
+    (2, ["spectrum", "--formulation", "flux", "--N", "12"]),
+    (0, ["build", "--formulation", "flux", "--N", "2"]),
+    (2, ["verify-all", "--N", "64"]),  # dense site-table cap: 4,225 sites
+    (2, ["check-maps", "--N", "64"]),
+    (2, ["shifts", "--N", "64", "--site", "1,1", "--direction", "0"]),
+    (2, ["greens", "--N", "64"]),
+    (0, ["verify-all", "--N", "2"]),
+    (0, ["check-maps", "--N", "2"]),
+    (0, ["shifts", "--N", "2", "--site", "1,1", "--direction", "0"]),
+    (0, ["greens", "--N", "2"]),
+    (2, ["greens", "--N", "14", "--exact"]),  # exact cap: 225 sites
+    (2, ["shifts", "--dim", "3", "--N", "4", "--site", "0,0,0", "--direction", "0", "--exact"]),  # 240 D+ rows
+    (0, ["shifts", "--N", "2", "--site", "1,1", "--direction", "0", "--exact"]),
+    (2, ["spectrum", "--N", "1", "--cutoff", "1", "--g2", "1e-300"]),  # squared residuals overflow
+    (2, ["spectrum", "--N", "1", "--cutoff", "1", "--matter", "staggered_fermion", "--t", "1e300"]),
+    (0, ["spectrum", "--N", "1", "--cutoff", "1", "--g2", "1e-100"]),
+    (0, ["dof", "--N", "2"]),
+    (2, ["dof", "--N", "0"]),
+    (0, ["compare", "--N", "1", "--ratio", "4", "--schedule", "1,2"]),
+    (2, ["compare", "--N", "1", "--ratio", "4", "--schedule", "0"]),
+    (0, ["dump-op", "--N", "2", "--name", "d_matrix"]),
+    (2, ["dump-op", "--N", "2", "--name", "cube_flux"]),
+]
+
+
+@pytest.mark.parametrize("expected, argv", REFUSAL_SWEEP, ids=[" ".join(argv) for _, argv in REFUSAL_SWEEP])
+def test_every_refusal_exits_two_with_one_json_line(expected, argv, capsys):
+    """The exit-code contract at each guard's edge: no Python exception and
+    no warning reaches the user.  A refusal exits 2 with one
+    ``{"error": "config"}`` line on stderr, a success exits 0 with none."""
+    import warnings
+
+    from dualqed import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv[:1] + _OPEN_2D + argv[1:])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert rc == expected, err
+    if rc == 0:
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "config"
 
 
 def test_bad_thread_env_is_a_config_error():
@@ -709,10 +794,9 @@ seen["method"] = json.load(open(out))["method"]
     assert seen == {"import": [], "dof": [], "verify-all": [], "spectrum": []}
 
 
-def test_lanczos_and_conjugate_gradients_load_the_solver_under_the_cap(tmp_path):
+def test_lanczos_loads_the_solver_under_the_cap(tmp_path):
     """A Lanczos-path ``spectrum`` imports ARPACK on first use, under the
-    thread cap already set in scipy's OpenBLAS; a conjugate-gradient
-    ``poisson_solve`` above ``DENSE_LIMIT`` imports it too."""
+    thread cap already set in scipy's OpenBLAS."""
     body = f"""
 get, setter = _bundled_openblas().get("scipy", (lambda: None, lambda n: None))
 setter(2)
@@ -726,20 +810,6 @@ seen["threads"] = get()
     assert seen["import"] == [] and seen["method"] == "iterative"
     assert "scipy.sparse.linalg" in seen["lanczos"]
     assert seen["threads"] in (None, 1)
-
-    body = """
-import numpy as np
-from dualqed.greens import DENSE_LIMIT, poisson_solve
-from dualqed.lattice import FieldVector, Lattice
-lat = Lattice(2, 65, "periodic")
-assert lat.n_sites > DENSE_LIMIT
-rho = np.zeros(lat.n_sites)
-rho[:2] = 1.0, -1.0
-poisson_solve(lat, FieldVector(lat, "site", rho))
-seen["cg"] = solvers()
-"""
-    seen = _fresh_process(body)
-    assert seen["import"] == [] and "scipy.sparse.linalg" in seen["cg"]
 
 
 def test_writes_are_atomic_no_temp_litter(tmp_path):

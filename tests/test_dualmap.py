@@ -249,6 +249,21 @@ def test_flux_class_congruences_fit_where_the_smith_u_overflows(lat, rng):
         assert all(r % m == 0 if m else r == 0 for r, m in zip(rest, d.tolist()))
 
 
+@pytest.mark.parametrize("N, bits", [(9, 52), (10, 66), (12, 92)])
+def test_flux_class_congruences_refuse_moduli_past_int64(N, bits):
+    """The largest Smith modulus of the 2D open class lattice grows with N.
+    Up to 63 bits the congruences come back in int64; past it they are
+    refused with a ValueError naming the bit length, not an OverflowError."""
+    lat = Lattice(2, N, "open")
+    assert max(int(x) for x in _flux_class_snf(lat)[1].diagonal()).bit_length() == bits
+    if bits < 64:
+        w, d = flux_class_congruences(lat)
+        assert w.dtype == d.dtype == np.int64
+        return
+    with pytest.raises(ValueError, match=f"need a {bits}-bit integer, past the 63 bits of int64"):
+        flux_class_congruences(lat)
+
+
 def test_winding_map_counts_axis_crossings():
     lat = Lattice(2, 2, "periodic")
     w = winding_map(lat).toarray()

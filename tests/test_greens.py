@@ -1,4 +1,4 @@
-"""Green's tables: frozen values, an independent Fourier oracle, solvers."""
+"""Green's tables: frozen values and an independent Fourier oracle."""
 
 import tracemalloc
 from fractions import Fraction
@@ -8,15 +8,12 @@ import pytest
 
 from dualqed import dualmap, greens
 from dualqed.greens import (
-    DENSE_LIMIT,
-    NeutralityError,
     _fourier_site_kernel,
     greens_plaquettes_obc,
     greens_sites,
     greens_table,
-    poisson_solve,
 )
-from dualqed.lattice import FieldVector, Lattice, laplacian_matrix
+from dualqed.lattice import Lattice, laplacian_matrix
 
 from conftest import (
     EXACT_GEOMETRIES,
@@ -211,51 +208,3 @@ def test_greens_table_dispatch_and_errors():
         greens_table(obc, "resistance")
     assert greens_table(obc, "modified").kind == "plaq_obc"
 
-
-def test_poisson_solve_round_trip():
-    lat = Lattice(2, 3, "periodic")
-    rng = np.random.default_rng(7)
-    rho = rng.standard_normal(lat.n_sites)
-    rho -= rho.mean()  # neutralize
-    f = poisson_solve(lat, FieldVector(lat, "site", rho))
-    lap = laplacian_matrix(lat, "site").toarray()
-    assert np.abs(-lap @ f.values - rho).max() < 1e-10
-    assert abs(f.values.sum()) < 1e-10  # zero-mean convention
-
-
-@pytest.mark.parametrize(
-    "lat, kind, cells",
-    [(Lattice(2, 65, "periodic"), "site", "site"), (Lattice(2, 65, "open"), "plaq_obc", "plaquette")],
-    ids=["site-periodic", "plaq_obc-open"],
-)
-def test_poisson_solve_conjugate_gradients_above_the_dense_limit(lat, kind, cells):
-    """4,225 cells, above the dense-table limit: the conjugate-gradient
-    fallback solves -lap f = rho."""
-    lap = laplacian_matrix(lat, cells)
-    assert lap.shape[0] > DENSE_LIMIT
-    rho = np.random.default_rng(11).standard_normal(lap.shape[0])
-    if kind == "site":
-        rho -= rho.mean()
-    f = poisson_solve(lat, FieldVector(lat, cells, rho), kind=kind)
-    assert np.abs(-(lap @ f.values) - rho).max() <= 1e-10
-
-
-def test_poisson_solve_rejects_charged_source():
-    lat = Lattice(2, 2, "open")
-    rho = np.ones(lat.n_sites)
-    with pytest.raises(NeutralityError):
-        poisson_solve(lat, FieldVector(lat, "site", rho))
-
-
-@pytest.mark.parametrize("N", [4, 65], ids=["dense", "above-dense-limit"])
-@pytest.mark.parametrize("kind, cells", [("site_obc", "site"), ("plaq_obc", "plaquette")])
-def test_poisson_solve_checks_its_kind_against_the_lattice(N, kind, cells):
-    """An open-boundary kind on a torus raises greens_table's ValueError before
-    any table or conjugate-gradient work, below and above the dense limit."""
-    lat = Lattice(2, N, "periodic")
-    with pytest.raises(ValueError) as table_error:
-        greens_table(lat, kind)
-    rho = np.zeros(lat.n_cells(cells))
-    with pytest.raises(ValueError) as solve_error:
-        poisson_solve(lat, FieldVector(lat, cells, rho), kind=kind)
-    assert str(solve_error.value) == str(table_error.value)

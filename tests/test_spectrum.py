@@ -155,6 +155,25 @@ def test_residuals_are_enforced(monkeypatch, path):
     assert isinstance(info.value, RuntimeError) and not isinstance(info.value, ValueError)
 
 
+def test_an_operator_too_large_for_its_residuals_is_refused():
+    """|Hv - lambda v| of a unit v is at most 2|H| per entry, so the squared
+    residual stays finite up to |H| = sqrt(max float / 4n).  A matrix at that
+    bound is solved without a warning; twice it is refused with ValueError
+    before any solve."""
+    import warnings
+
+    n = 4
+    edge = np.sqrt(np.finfo(float).max / (4 * n))
+    H = sp.diags([np.full(n, 2.0), np.ones(n - 1), np.ones(n - 1)], [0, 1, -1]).tocsr() * (edge / 4)
+    assert np.abs(H).sum(axis=1).max() == edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = lowest_eigenvalues(H, 2)
+    assert np.isfinite(rep.residuals).all() and max(rep.residuals) <= spectrum.RESIDUAL_TOL * edge
+    with pytest.raises(ValueError, match="rescale the couplings"):
+        lowest_eigenvalues(H * 2, 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
