@@ -99,16 +99,17 @@ def write_text(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dualqed-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".dualqed-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # a missing directory, a directory as the target, no permission: refused
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def emit_json(path: str | None, payload: dict) -> None:
@@ -134,7 +135,8 @@ def _load_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) ->
     The keys are the dests of the subcommand's flags.  Values of ``type=int``
     flags go through `_integer`, except a null where the flag is optional
     and defaults to None; values of ``type=float`` flags must be a number or
-    a string, as a flag's text is."""
+    a string, as a flag's text is; a value must be among its flag's
+    ``choices``, and a switch's (bool default) true or false."""
     if not getattr(args, "config", None):
         return
     try:
@@ -152,6 +154,10 @@ def _load_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) ->
             value = _integer(value, key)
         if flag.type is float and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
             raise ConfigError(f"{key} must be a number, got {value!r}")
+        if flag.choices is not None and value not in flag.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(map(repr, flag.choices))}; got {value!r}")
+        if isinstance(flag.default, bool) and not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
         setattr(args, flag.dest, value)
 
 
@@ -242,7 +248,7 @@ def _cmd_shifts(args) -> int:
         cell_index(lat, "link", direction, site)
     except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
-    greens.greens_sites(lat)  # the residual's projector reads it: its dense cap refuses before D+ is inverted
+    greens.greens_sites(lat)  # read by the residual's Helmholtz split: its dense cap refuses before D+ is inverted
     table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
     normals, corners = cell_coordinates(lat, "plaquette")
     entries = []
@@ -312,10 +318,7 @@ def _cmd_checks(args) -> int:
 def _hilbert_spec(args, lat):
     from . import hilbert
 
-    formulation = args.formulation
-    if formulation not in ("electric", "flux"):
-        raise ConfigError("formulation must be 'electric' or 'flux'")
-    gauge_kind = "links_E" if formulation == "electric" else "plaqs_M"
+    gauge_kind = "links_E" if args.formulation == "electric" else "plaqs_M"
     return hilbert.HilbertSpec(
         lat,
         gauge_kind,

@@ -209,20 +209,15 @@ def reconstruct_transverse(potential: FieldVector) -> FieldVector:
     return FieldVector(lat, "link", dual_embedding(lat).matrix @ np.concatenate([potential.values, loops]))
 
 
-@cached
-def transverse_projector(lat: Lattice) -> np.ndarray:
-    """Idempotent link-space projector onto divergence-free fields (dense).
-
-    P = 1 + grad G_site div; its complement projects onto gradients.
-    """
-    P = gradient_matrix(lat) @ greens_sites(lat).values @ divergence_matrix(lat)
-    P[np.diag_indices(lat.n_links)] += 1.0
-    return P
-
-
 # ---------------------------------------------------------------------------
 # Shift tables
 # ---------------------------------------------------------------------------
+
+
+def _unit_field(lat: Lattice, link: int) -> np.ndarray:
+    unit = np.zeros(lat.n_links)
+    unit[link] = 1.0
+    return unit
 
 
 def link_shift_table(
@@ -235,8 +230,7 @@ def link_shift_table(
     runs on the integer unit field and the rational Green's tables.
     """
     n = int(cell_index(lat, "link", direction, site))
-    unit = np.zeros(lat.n_links)
-    unit[n] = 1.0
+    unit = _unit_field(lat, n)
     shifts, loops = _dual_coordinates(lat, unit)
     table = ShiftTable(lat, tuple(site), direction, n, shifts, loops)
     if exact:
@@ -253,7 +247,8 @@ def _check_exact_float_agreement(table: ShiftTable):
 
 
 def shift_reconstruction_residual(table: ShiftTable) -> float:
-    """Max deviation of the shift-table reconstruction from P_T (unit link).
+    """Max deviation of the shift-table reconstruction from the transverse
+    part of the link's unit field (`helmholtz_decompose`).
 
     Zero (to rounding) by construction; exposed so consistency can be
     audited per link from the command line.
@@ -261,16 +256,17 @@ def shift_reconstruction_residual(table: ShiftTable) -> float:
     lat = table.lattice
     pot = FieldVector(lat, "plaquette", table.shifts, table.global_shifts)
     recon = reconstruct_transverse(pot).values
-    return float(np.abs(recon - transverse_projector(lat)[:, table.link]).max())
+    transverse = helmholtz_decompose(lat, FieldVector(lat, "link", _unit_field(lat, table.link))).transverse
+    return float(np.abs(recon - transverse.values).max())
 
 
 def transverse_component_via_shifts(lat: Lattice, F: FieldVector) -> np.ndarray:
-    """Evaluate P_T F through the shift tables: T^T emb^T F.
+    """Evaluate the transverse part of F through the shift tables: T^T emb^T F.
 
     Pairs each link's plaquette shifts with the circulation of F and its
     global shifts with the axis winding sums of F — the contraction pattern
     by which transverse field content enters dual hopping terms.  Agrees
-    with the projector applied directly (`checks`:
+    with the transverse part of `helmholtz_decompose` (`checks`:
     ``shift_pairing_reproduces_transverse_part``).
     """
     return dual_coordinate_map(lat).T @ (flux_and_winding_map(lat) @ F.values)

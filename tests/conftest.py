@@ -13,7 +13,9 @@ import scipy.sparse as sp
 
 from dualqed import checks, dualmap, hilbert, rational, spectrum
 from dualqed.greens import EXACT_LIMIT
+from dualqed.helmholtz import helmholtz_decompose
 from dualqed.lattice import (
+    FieldVector,
     Lattice,
     _cyclic,
     cached,
@@ -80,6 +82,14 @@ def in_flux_class(lat: Lattice, vec) -> bool:
     lattice D·Z^n, in Python-int arithmetic."""
     column = np.array([int(x) for x in vec], dtype=object)[:, None]
     return bool(integer_image_mask(dualmap._flux_class_snf(lat), column)[0])
+
+
+def transverse_columns(lat: Lattice) -> np.ndarray:
+    """The transverse projection as a dense matrix: column l is the transverse
+    part of the unit field on link l, as `helmholtz_decompose` splits it."""
+    return np.column_stack(
+        [helmholtz_decompose(lat, FieldVector(lat, "link", e)).transverse.values for e in np.eye(lat.n_links)]
+    )
 
 
 def entry_test(*names: str, geometries=GEOMETRIES, draws: int | None = None):

@@ -489,13 +489,17 @@ NON_INTEGRAL_CONFIG = [
     (["dof"], {"threads": 1.5}),
 ]
 # Config values of float flags that are no number (nor a string, as a flag's
-# text is): each failed with a bare TypeError, or ran as 1.0 (a bool).
+# text is): each failed with a bare TypeError, or ran as 1.0 (a bool).  A
+# value outside its flag's choices built the unmatched sector, and a switch
+# given a truthy string ran switched on.
 _COMPARE_BASE = ["compare", "--ratio", "4", "--schedule", "1"]
 WRONG_TYPE_CONFIG = [
     (_COMPARE_BASE, {"tolerance": [1]}),
     (_COMPARE_BASE, {"tolerance": None}),
     (_COMPARE_BASE, {"g2": True}),
     (_COMPARE_BASE, {"t": {"a": 1}}),
+    (["build", "--formulation", "flux"], {"sector": "bogus"}),
+    (["greens"], {"exact": "no"}),
 ]
 
 
@@ -519,9 +523,10 @@ WRONG_TYPE_CONFIG = [
 )
 def test_malformed_number_is_a_config_error(argv, config, tmp_path, capsys, monkeypatch):
     """A number that does not parse, a config value read as an integer
-    that is not one, or a float flag's config value that is no number,
+    that is not one, a float flag's config value that is no number, or a
+    config value outside its flag's choices or a switch's true/false,
     exits 2 like any bad setting: not 1 with a bare ValueError or
-    TypeError, and not 0 after truncating it."""
+    TypeError, and not 0 after truncating or misreading it."""
     from dualqed import cli
 
     for var in cli._THREAD_VARS:  # restored after the test, whatever the command set
@@ -672,6 +677,44 @@ def test_every_refusal_exits_two_with_one_json_line(expected, argv, capsys):
     else:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "config"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "sub"], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_a_refusal(target, tmp_path, capsys):
+    """An --out that cannot be written exits 2 naming the path, and leaves
+    no temp file behind."""
+    from dualqed import cli
+
+    (tmp_path / "sub").mkdir()
+    out = str(tmp_path / target)
+    assert cli.main(["dof", *_OPEN_2D, "--N", "1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config" and out in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_shifts_holds_no_link_by_link_array(capsys):
+    """The reconstruction residual reads the Helmholtz split of one unit
+    field: at 2D open N=40 (3,280 links) the command peaks below one
+    n_links x n_links float array.  A dense transverse projector took it
+    to 208 MiB; the largest allocation left is the site table's inverse."""
+    import tracemalloc
+
+    from dualqed import cli
+
+    tracemalloc.start()
+    try:
+        rc = cli.main(["shifts", *_OPEN_2D, "--N", "40", "--site", "3,3", "--direction", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["reconstruction_residual"] < 1e-9
+    assert peak < 3280**2 * 8
 
 
 def test_bad_thread_env_is_a_config_error():

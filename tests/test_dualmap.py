@@ -43,6 +43,7 @@ from conftest import (
     list_modified_greens,
     list_smith_normal_form,
     loop_constraint_set,
+    transverse_columns,
 )
 
 
@@ -143,11 +144,11 @@ test_canonical_pairing_structure = entry_test(
 @pytest.mark.parametrize("lat", GEOMETRIES_2D, ids=geometry_id)
 def test_dual_embedding_reconstructs_transverse_images(lat, rng):
     """Embedding of dual coordinates of F equals the transverse part of F."""
-    from dualqed.helmholtz import dual_coordinate_map, transverse_projector
+    from dualqed.helmholtz import dual_coordinate_map
 
     emb = dual_embedding(lat).matrix.toarray()
     T = dual_coordinate_map(lat)
-    P = transverse_projector(lat)
+    P = transverse_columns(lat)
     assert np.abs(emb @ T - P).max() < 1e-10
 
 

@@ -18,7 +18,6 @@ from dualqed.helmholtz import (
     reconstruct_transverse,
     shift_reconstruction_residual,
     transverse_component_via_shifts,
-    transverse_projector,
 )
 from dualqed.greens import greens_plaquettes_obc, greens_sites
 from dualqed.lattice import (
@@ -42,6 +41,7 @@ from conftest import (
     list_dual_coordinates,
     plaquette_index,
     plaquettes,
+    transverse_columns,
 )
 
 
@@ -60,7 +60,7 @@ test_potential_reconstructs_transverse_part = entry_test("transverse_reconstruct
 
 @pytest.mark.parametrize("lat", GEOMETRIES, ids=geometry_id)
 def test_transverse_projector_is_idempotent_symmetric(lat):
-    P = transverse_projector(lat)
+    P = transverse_columns(lat)
     assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(P - P.T).max() < 1e-12
 
