@@ -248,7 +248,7 @@ def _cmd_shifts(args) -> int:
         cell_index(lat, "link", direction, site)
     except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
-    greens.greens_sites(lat)  # read by the residual's Helmholtz split: its dense cap refuses before D+ is inverted
+    greens.greens_sites(lat)  # read by the residual's split; refuses 2D open N=64 before its 4,096-row D+ is inverted
     table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
     normals, corners = cell_coordinates(lat, "plaquette")
     entries = []

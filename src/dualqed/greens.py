@@ -8,12 +8,13 @@ Three table kinds, each a dense symmetric matrix G[x, y]:
   neutral source inverts the Laplacian exactly.
 - ``site_obc``: Moore-Penrose pseudo-inverse of the open-boundary site
   Laplacian (kernel = constants).  Same zero-row-sum normalization.
-- ``plaq_obc`` (alias ``modified``): *true* inverse of the modified
-  open-boundary plaquette Laplacian, whose full -2*dim diagonal makes it
-  nonsingular.  Rows do not sum to zero; -lap_mod G = 1 exactly.
+- ``plaq_obc`` (alias ``modified``): D+ of `dualmap.modified_greens` on a
+  2D open lattice, where D is minus the modified plaquette Laplacian, whose
+  full -2*dim diagonal makes it nonsingular: a *true* inverse.  Rows do not
+  sum to zero; -lap_mod G = 1 exactly.  No other lattice has this kind.
 
-Every table but the float torus one, and the dual Coulomb kernel D+, is one
-formula, `pseudo_inverse`.  Every kind also exists in exact rational
+Every table but the float torus one is one formula with one size cap per
+lane, `pseudo_inverse`.  Every kind also exists in exact rational
 arithmetic for small lattices (`exact=True`), the same formula on object
 arrays of int / Fraction entries; the float `values` are then its
 ``astype(float)``, each entry rounded once.
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rational
-from .lattice import Lattice, cached, cell_coordinates, laplacian_matrix
+from .lattice import Lattice, cached, laplacian_matrix
 
-# Dense-table cutoff: above this many cells a float table is refused rather
-# than materialized (and cached) as an n x n array.
+# Dense-table cutoff: past this many rows a float table or D+ is refused.
 DENSE_LIMIT = 4096
 
 # Exact-rational lane is meant for desk-size lattices; Fraction elimination
@@ -42,8 +42,8 @@ class GreensTable:
     """Dense Green's table with its defining normalization.
 
     `exact` carries the Fraction matrix, a 2-D object array of int /
-    Fraction entries, when built in rational mode.  Tables are cached and
-    shared, so `cached` leaves both arrays read-only.
+    Fraction entries, when built in rational mode.  Every array a table
+    shares with a cache (`cached`) is read-only.
     """
 
     lattice: Lattice
@@ -83,16 +83,18 @@ def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
     that splitting.  `form` is scipy sparse, `kernel` dense.  The float lane
     inverts with LAPACK; ``exact`` runs the same products on Fraction object
     arrays (`rational.exact_array`, which refuses floats) and inverts by
-    Fraction elimination, up to `EXACT_LIMIT` rows.  Sums are taken in place,
-    so the float lane holds three n x n arrays of its own at its peak.
+    Fraction elimination.  Past `DENSE_LIMIT` (float) or `EXACT_LIMIT`
+    (exact) rows it refuses before allocating.  Sums are taken in place, so
+    the float lane holds three n x n arrays of its own at its peak.
     """
+    n = np.shape(form)[0]
+    if n > (EXACT_LIMIT if exact else DENSE_LIMIT):
+        raise ValueError(
+            f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; use the floating-point tables instead"
+            if exact
+            else f"dense Green's tables and D+ are capped at {DENSE_LIMIT} rows, got {n}; use a smaller --N"
+        )
     if exact:
-        n = np.shape(form)[0]
-        if n > EXACT_LIMIT:
-            raise ValueError(
-                f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; "
-                "use the floating-point tables instead"
-            )
         A, K, inverse = rational.exact_array(form), rational.exact_array(kernel), rational.invert
     else:
         A, K, inverse = form.astype(float).toarray(), np.asarray(kernel, dtype=float), np.linalg.inv
@@ -110,53 +112,37 @@ def greens_sites(lat: Lattice, exact: bool = False) -> GreensTable:
     """Green's table for the site Laplacian (kind site_pbc / site_obc):
     the Fourier sum on a float torus, `pseudo_inverse` with the constants as
     kernel otherwise."""
-    n = lat.n_sites
     kind = _resolve_kind(lat, "site")
     if lat.periodic and not exact:
-        kernel = _fourier_site_kernel(lat)
-        _, x = cell_coordinates(lat, "site")
-        vals = kernel[tuple((x[:, :, None] - x[:, None, :]) % lat.N)]
+        N, d = lat.N, lat.dim  # G[x, y] = g(x - y mod N), read through one (N, N) table per axis
+        disp = (np.arange(N)[:, None] - np.arange(N)) % N
+        axes = tuple(disp.reshape((1,) * i + (N,) + (1,) * (d - 1) + (N,) + (1,) * (d - 1 - i)) for i in range(d))
+        vals = _fourier_site_kernel(lat)[axes].reshape(lat.n_sites, lat.n_sites)
         return GreensTable(lat, kind, vals, "zero_row_sum")
-    if n > DENSE_LIMIT and not exact:
-        raise ValueError(
-            f"dense Green's tables capped at {DENSE_LIMIT} sites, got {n}; use a smaller --N, "
-            "or --bc periodic, whose float site table is the Fourier sum"
-        )
-    G = pseudo_inverse(-laplacian_matrix(lat, "site"), np.ones((1, n), dtype=np.int64), exact)
+    G = pseudo_inverse(-laplacian_matrix(lat, "site"), np.ones((1, lat.n_sites), dtype=np.int64), exact)
     return GreensTable(lat, kind, G.astype(float) if exact else G, "zero_row_sum", exact=G if exact else None)
-
-
-@cached
-def greens_plaquettes_obc(lat: Lattice, exact: bool = False) -> GreensTable:
-    """True inverse of the modified open-boundary plaquette Laplacian:
-    `pseudo_inverse` with no kernel rows."""
-    _resolve_kind(lat, "plaq_obc")  # raises on a periodic lattice
-    n = lat.n_plaqs
-    if n > DENSE_LIMIT and not exact:
-        raise ValueError(f"dense Green's tables capped at {DENSE_LIMIT} plaquettes, got {n}; use a smaller --N")
-    G = pseudo_inverse(-laplacian_matrix(lat, "plaquette"), np.zeros((0, n), dtype=np.int64), exact)
-    return GreensTable(lat, "plaq_obc", G.astype(float) if exact else G, "true_inverse", exact=G if exact else None)
 
 
 def _resolve_kind(lat: Lattice, kind: str) -> str:
     """The table kind `kind` names on `lat`: ``site`` follows the boundary and
-    ``modified`` is ``plaq_obc``.  A kind the lattice does not yield, or an
-    unknown one, raises ValueError."""
+    ``modified`` is ``plaq_obc``, which only a 2D open lattice yields.  A kind
+    the lattice does not yield, or an unknown one, raises ValueError."""
     if kind in ("site_pbc", "site_obc", "site"):
         resolved = "site_pbc" if lat.periodic else "site_obc"
         if kind not in ("site", resolved):
             raise ValueError(f"lattice {lat.label()} yields {resolved}, not {kind}")
         return resolved
     if kind in ("plaq_obc", "modified"):
-        if lat.periodic:
-            raise ValueError("plaq_obc tables are an open-boundary object")
+        if lat.periodic or lat.dim != 2:
+            raise ValueError(f"plaq_obc tables are D+ on a 2D open lattice, its one true inverse; not on {lat.label()}")
         return "plaq_obc"
     raise ValueError(f"unknown Green's kind {kind!r}")
 
 
 def greens_table(lat: Lattice, kind: str, exact: bool = False) -> GreensTable:
-    """Kind-dispatching accessor: site_pbc, site_obc, plaq_obc (alias modified)."""
-    if _resolve_kind(lat, kind) == "plaq_obc":
-        return greens_plaquettes_obc(lat, exact=exact)
-    return greens_sites(lat, exact=exact)
-
+    """Kind-dispatching accessor: site_pbc, site_obc, plaq_obc (alias modified, D+)."""
+    if _resolve_kind(lat, kind) != "plaq_obc":
+        return greens_sites(lat, exact=True) if exact else greens_sites(lat)
+    from .dualmap import modified_greens  # dualmap imports this module
+    G = modified_greens(lat, exact=True) if exact else modified_greens(lat)
+    return GreensTable(lat, "plaq_obc", G.astype(float) if exact else G, "true_inverse", exact=G if exact else None)

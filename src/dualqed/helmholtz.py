@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dualmap import dual_embedding, flux_and_winding_map, modified_greens
 from .greens import greens_sites
@@ -140,25 +141,31 @@ def _solve_potential(lat: Lattice, circulation: np.ndarray, exact: bool = False)
         return (modified_greens(lat, exact=True) if exact else modified_greens(lat)) @ circulation
     G = greens_sites(lat, exact=True).exact if exact else greens_sites(lat).values
     n = lat.n_sites
-    blocks = np.stack(np.split(circulation, lat.n_plaqs // n), axis=1)  # (n, orientation[, field])
-    L = (G @ blocks.reshape(n, -1)).reshape(blocks.shape)
+    blocks = np.moveaxis(circulation.reshape(-1, n, *circulation.shape[1:]), 0, 1)  # (n, orientation[, field])
+    # a C-order right factor, as GEMM rounds by layout; a view when there is one block
+    L = (G @ np.ascontiguousarray(blocks.reshape(n, -1))).reshape(blocks.shape)
     return np.moveaxis(L, 1, 0).reshape(circulation.shape)
 
 
-def _dual_coordinates(lat: Lattice, X: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _dense(product) -> np.ndarray:
+    return product.toarray() if sp.issparse(product) else product
+
+
+def _dual_coordinates(lat: Lattice, X, exact: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Plaquette and (periodic only) global coordinates of the link field(s) X.
 
     solver·circulation + ramp·S on plaquettes and S / N on the axis lines,
-    with S the direction sums.  X is one field or a matrix of field columns.
-    With ``exact`` X must be integer, and the same products run on the
-    Fraction tables as object arrays.
+    with S the direction sums.  X is one field or a matrix of field columns,
+    dense or sparse (densified after the curl and the sums).  With ``exact``
+    X must be integer, and the same products run on the Fraction tables as
+    object arrays.
     """
     if exact and X.dtype.kind not in "iu":
         raise TypeError(f"exact dual coordinates need an integer link field, got {X.dtype}")
-    L = _solve_potential(lat, curl_link_to_plaq_matrix(lat) @ X, exact)
+    L = _solve_potential(lat, _dense(curl_link_to_plaq_matrix(lat) @ X), exact)
     if not lat.periodic:
         return L, None
-    S = direction_sum_matrix(lat) @ X
+    S = _dense(direction_sum_matrix(lat) @ X)
     return L + ramp_matrix(lat, exact=exact) @ S, S / (Fraction(lat.N) if exact else lat.N)
 
 
@@ -171,7 +178,7 @@ def dual_coordinate_map(lat: Lattice) -> np.ndarray:
     This is the linear map whose pairing with the circulation + winding
     functionals emb^T is canonical (`canonical_pairing_matrix`).
     """
-    L, loops = _dual_coordinates(lat, np.eye(lat.n_links))
+    L, loops = _dual_coordinates(lat, sp.identity(lat.n_links, format="csr"))
     return L if loops is None else np.vstack([L, loops])
 
 

@@ -209,17 +209,18 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     and dropped as soon as they can no longer satisfy a row: an exact row
     whose remaining target lies outside the range the unplaced factors can
     still reach, a congruence row that fails once its last factor is placed.
-    So the work follows the sector, not the product space.  The result is
-    sorted by product index, as a scan of the product space would give it.
-    ``MemoryGuardError`` is raised first by ``check_product_index``, then
-    before the candidates of a step would hold more than ``spec.max_dim``
+    So the work follows the sector, not the product space.  Congruence sums
+    are held modulo d, so no step wraps int64 for any d below 2^63.  The
+    result is sorted by product index, as a scan of the product space would
+    give it.  ``MemoryGuardError`` is raised first by ``check_product_index``,
+    then before the candidates of a step would hold more than ``spec.max_dim``
     int64 entries, at one level per factor and one sum per row each.
     """
     check_product_index(spec)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(spec.dims))
-    targets = np.asarray(targets, dtype=np.int64)
     moduli = np.asarray(moduli, dtype=np.int64)
     exact = moduli == 0
+    targets = np.where(exact, targets, np.mod(targets, np.maximum(moduli, 1)))
     order = _sweep_order(rows)
     values = _factor_values(spec)
     # contrib[k]: (levels, rows) contribution of the k-th factor of the sweep;
@@ -227,6 +228,10 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
     contrib = [np.outer(values[f], rows[:, f]) for f in order] + [np.zeros((1, len(rows)), dtype=np.int64)]
     reach_lo = np.cumsum([c.min(axis=0) for c in contrib[::-1]], axis=0)[::-1]
     reach_hi = np.cumsum([c.max(axis=0) for c in contrib[::-1]], axis=0)[::-1]
+    if not exact.all():  # congruence rows: Python-int contributions reduced into [-d, 0)
+        lift = moduli[~exact].astype(object)
+        for c, f in zip(contrib, order):
+            c[:, ~exact] = np.outer(values[f].astype(object), rows[~exact, f].astype(object)) % lift - lift
     position = np.argsort(order)
     closes = np.array([position[np.flatnonzero(row)].max(initial=0) for row in rows], dtype=np.int64)
     width = len(order) + len(rows)
@@ -242,6 +247,8 @@ def sector_basis(spec: HilbertSpec, rows, targets, moduli) -> BasisMap:
                 f"{spec.max_dim}; raise max_dim explicitly to proceed"
             )
         sums = (sums[:, None, :] + contrib[step][None, :, :]).reshape(n * d, len(rows))
+        if not exact.all():  # congruence sums back into [0, d); d = 0 on exact rows
+            np.add(sums, moduli, out=sums, where=sums < 0)
         rest = targets - sums
         keep = np.all((rest[:, exact] >= reach_lo[step + 1, exact]) & (rest[:, exact] <= reach_hi[step + 1, exact]), axis=1)
         shut = ~exact & (closes == step)

@@ -630,7 +630,8 @@ def list_smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[
 
 
 # The exact Green's tables and Coulomb kernel from the list algebra, built as
-# `greens` and `dualmap` build theirs.
+# `greens` and `dualmap` build theirs, but for the 2D open D+: it inverts the
+# modified plaquette Laplacian here and D = emb^T emb in `dualmap`.
 
 
 @cached

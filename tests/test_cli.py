@@ -604,27 +604,29 @@ def test_shifts_config_errors_name_their_cause(argv, message, capsys):
 
 
 def test_exact_shifts_past_the_cap_refuse_as_greens_does(capsys):
-    """D+ of the 3D open N=4 lattice has a row per plaquette, 240, past the
+    """D+ of the 2D open N=15 lattice has a row per plaquette, 225, past the
     exact cap: shifts --exact exits 2 with the message greens --exact gives
-    for those 240 plaquettes, before any Fraction elimination."""
+    for the plaq_obc table, which is that D+, before any Fraction
+    elimination."""
     from dualqed import cli
 
-    lattice = ["--dim", "3", "--N", "4", "--bc", "open"]
+    lattice = ["--dim", "2", "--N", "15", "--bc", "open"]
     errors = []
     for argv in (
-        ["shifts", *lattice, "--site", "0,0,0", "--direction", "0", "--exact"],
+        ["shifts", *lattice, "--site", "0,0", "--direction", "0", "--exact"],
         ["greens", *lattice, "--kind", "plaq_obc", "--exact"],
     ):
         assert cli.main(argv) == 2
         errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
     assert errors[0] == errors[1]
-    assert "exact rational mode supports up to 200 cells, got 240" in errors[0]["message"]
+    assert "exact rational mode supports up to 200 cells, got 225" in errors[0]["message"]
 
 
 # Every subcommand at the edge where a guard refuses, and on the accepting
 # side where that runs in under a second.  Left out: 2D open N=63, whose
-# 4,096-site tables are computed, and 3D open lattices from N=15 on, whose
-# float D+ has no dense cap and can take GBs before anything refuses.
+# 4,096-site tables are computed, and 3D open N=15, whose 4,096-site table
+# is built before its D+ (10,800 rows) refuses: about 4.4 s and 720 MB on a
+# 2-core host.
 _OPEN_2D = ["--dim", "2", "--bc", "open"]
 REFUSAL_SWEEP = [
     (2, ["build", "--formulation", "flux", "--N", "9"]),  # product index
@@ -638,6 +640,11 @@ REFUSAL_SWEEP = [
     (2, ["check-maps", "--N", "64"]),
     (2, ["shifts", "--N", "64", "--site", "1,1", "--direction", "0"]),
     (2, ["greens", "--N", "64"]),
+    (2, ["check-maps", "--dim", "3", "--N", "12", "--bc", "periodic"]),  # D+ cap: 5,187 rows
+    (2, ["verify-all", "--dim", "3", "--N", "12", "--bc", "periodic"]),
+    (2, ["greens", "--dim", "3", "--N", "2", "--kind", "plaq_obc"]),  # D+ is no true inverse in 3D
+    (2, ["greens", "--dim", "3", "--N", "2", "--kind", "modified"]),
+    (0, ["greens", "--N", "2", "--kind", "plaq_obc"]),
     (0, ["verify-all", "--N", "2"]),
     (0, ["check-maps", "--N", "2"]),
     (0, ["shifts", "--N", "2", "--site", "1,1", "--direction", "0"]),

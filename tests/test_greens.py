@@ -9,11 +9,10 @@ import pytest
 from dualqed import dualmap, greens
 from dualqed.greens import (
     _fourier_site_kernel,
-    greens_plaquettes_obc,
     greens_sites,
     greens_table,
 )
-from dualqed.lattice import Lattice, laplacian_matrix
+from dualqed.lattice import Lattice, cell_coordinates, laplacian_matrix
 
 from conftest import (
     EXACT_GEOMETRIES,
@@ -131,13 +130,14 @@ def test_exact_tables_equal_the_list_oracle(lat):
     """The object-array tables equal the list-of-rows Fraction elimination
     they replaced (conftest), entry for entry."""
     assert greens_sites(lat, exact=True).exact.tolist() == list_greens_sites(lat)
-    if not lat.periodic:
-        assert greens_plaquettes_obc(lat, exact=True).exact.tolist() == list_greens_plaquettes_obc(lat)
+    if lat.dim == 2 and not lat.periodic:
+        # D+ of the embedding against the list inverse of the modified Laplacian
+        assert greens_table(lat, "plaq_obc", exact=True).exact.tolist() == list_greens_plaquettes_obc(lat)
 
 
 def test_every_dense_table_is_one_pseudo_inverse_call(monkeypatch):
-    """The site table (float open and exact), the plaq_obc table (float and
-    exact) and D+ (float and exact) each come out of `greens.pseudo_inverse`."""
+    """The site table (float open and exact) and D+ (float and exact) each
+    come out of `greens.pseudo_inverse`, and the plaq_obc table is D+."""
     formula, returned = greens.pseudo_inverse, []
 
     def spy(form, kernel, exact=False):
@@ -149,11 +149,30 @@ def test_every_dense_table_is_one_pseudo_inverse_call(monkeypatch):
     for exact in (False, True):
         # the uncached builders, so every table is built here
         site = greens_sites.__wrapped__(lat, exact)
-        plaq = greens_plaquettes_obc.__wrapped__(lat, exact)
-        tables = [site.exact, plaq.exact] if exact else [site.values, plaq.values]
-        tables.append(dualmap.modified_greens.__wrapped__(lat, exact))
-        assert all(t is r for t, r in zip(tables, returned[-3:], strict=True))
-    assert len(returned) == 6
+        tables = [site.exact if exact else site.values, dualmap.modified_greens.__wrapped__(lat, exact)]
+        assert all(t is r for t, r in zip(tables, returned[-2:], strict=True))
+    assert len(returned) == 4
+    flat = Lattice(2, 2, "open")
+    assert greens_table(flat, "plaq_obc").values is dualmap.modified_greens(flat)
+    assert greens_table(flat, "modified", exact=True).exact is dualmap.modified_greens(flat, exact=True)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_pseudo_inverse_refuses_past_its_lane_cap_before_allocating(exact):
+    """One cap per lane, checked on the form's row count before any dense
+    array exists: DENSE_LIMIT rows for floats, EXACT_LIMIT for Fractions."""
+    import scipy.sparse as sp
+
+    n = (greens.EXACT_LIMIT if exact else greens.DENSE_LIMIT) + 1
+    form, kernel = sp.identity(n, dtype=np.int64, format="csr"), np.zeros((0, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"got {n};"):
+            greens.pseudo_inverse(form, kernel, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 * 64
 
 
 def test_float_pseudo_inverse_peaks_at_three_dense_copies():
@@ -188,7 +207,7 @@ def test_translation_invariance_periodic():
 
 def test_modified_plaquette_table_is_true_inverse():
     lat = Lattice(2, 3, "open")
-    table = greens_plaquettes_obc(lat, exact=True)
+    table = greens_table(lat, "plaq_obc", exact=True)
     assert table.normalization == "true_inverse"
     A = (-laplacian_matrix(lat, "plaquette")).toarray().astype(int)
     G = table.exact
@@ -207,4 +226,25 @@ def test_greens_table_dispatch_and_errors():
     with pytest.raises(ValueError):
         greens_table(obc, "resistance")
     assert greens_table(obc, "modified").kind == "plaq_obc"
+    # D+ is a true inverse, the plaq_obc table, only on 2D open lattices
+    for lat in (pbc, Lattice(3, 2, "open"), Lattice(3, 2, "periodic")):
+        for kind in ("plaq_obc", "modified"):
+            with pytest.raises(ValueError, match="plaq_obc tables are D\\+ on a 2D open lattice"):
+                greens_table(lat, kind)
 
+
+@pytest.mark.parametrize("lat", [Lattice(2, 32, "periodic"), Lattice(3, 10, "periodic")], ids=geometry_id)
+def test_torus_site_table_holds_one_dense_array(lat):
+    """The float torus table indexes the FFT kernel with one (N, N)
+    displacement table per axis: its build peaks near the n x n result
+    alone, where (dim, n, n) int64 index arrays took it to 4-6 of them.
+    The entries are those the index arrays pick, bit for bit."""
+    tracemalloc.start()
+    try:
+        G = greens_sites.__wrapped__(lat).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * lat.n_sites**2 * 8
+    _, x = cell_coordinates(lat, "site")
+    assert G.tobytes() == _fourier_site_kernel(lat)[tuple((x[:, :, None] - x[:, None, :]) % lat.N)].tobytes()

@@ -24,6 +24,7 @@ from dualqed.hilbert import (
     gauge_level_diagonals,
     global_level_diagonals,
     hermiticity_defect,
+    sector_basis,
 )
 from dualqed.lattice import Lattice, curl_link_to_plaq_matrix
 from dualqed.spectrum import flux_sector_basis
@@ -430,6 +431,31 @@ def test_sector_builders_equal_the_product_space_scan(lat, kind, matter, cutoff)
         assert basis.indices.dtype == np.int64 and basis.configs.dtype == np.int64
         assert np.array_equal(basis.indices, indices)
         assert np.array_equal(basis.configs, configs)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("modulus", [3, 6, 7, 9, 12, 2**63 - 25])
+def test_congruence_rows_near_int64_do_not_wrap(modulus, cutoff):
+    """A congruence row whose entries and sums pass int64 is reduced modulo
+    its d: on 2D open N=2 plaquette rotors the row [2^62 - 1] x 4 keeps, at
+    d = 3, all 81 states of cutoff 1 (3 divides 2^62 - 1), where int64 sums
+    wrapped to 71.  Checked against Python-int sums over the product space,
+    with a second row mixing signs and a nonzero target."""
+    import itertools
+
+    spec = HilbertSpec(Lattice(2, 2, "open"), "plaqs_M", cutoff=cutoff)
+    rows = [[2**62 - 1] * 4, [2**62 - 1, -(2**62), 5, 2**61]]
+    targets = [0, 2**62 + 3]
+    basis = sector_basis(spec, rows, targets, [modulus, modulus])
+    levels = range(-cutoff, cutoff + 1)
+    want = [
+        i
+        for i, v in enumerate(itertools.product(levels, repeat=4))
+        if all((sum(r * x for r, x in zip(row, v)) - t) % modulus == 0 for row, t in zip(rows, targets))
+    ]
+    assert basis.indices.tolist() == want
+    if (modulus, cutoff) == (3, 1):
+        assert sector_basis(spec, rows[:1], [0], [3]).dim == 81
 
 
 def test_gauss_sector_of_two_by_two_open_fermions():
