@@ -248,7 +248,10 @@ def _cmd_shifts(args) -> int:
         cell_index(lat, "link", direction, site)
     except KeyError as exc:
         raise ConfigError(f"no such link: site={site} direction={direction}") from exc
-    greens.greens_sites(lat)  # read by the residual's split; refuses 2D open N=64 before its 4,096-row D+ is inverted
+    greens.refuse_oversized_tables(lat, dplus=not lat.periodic, exact=args.exact)  # a torus solves by site table only
+    # The residual's split reads the site table.  Built before D+, its inverse
+    # peaks with no other table held: at 2D open N=40, D+ first would cost 21 MB more.
+    greens.greens_sites(lat)
     table = helmholtz.link_shift_table(lat, site, direction, exact=args.exact)
     normals, corners = cell_coordinates(lat, "plaquette")
     entries = []
@@ -297,9 +300,10 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_checks(args) -> int:
-    from . import checks
+    from . import checks, greens
 
     lat = _lattice(args)
+    greens.refuse_oversized_tables(lat)
     results = checks.run(lat, args.seed, maps_only=args.maps_only)
     payload = {
         "dim": lat.dim,

@@ -14,10 +14,12 @@ Three table kinds, each a dense symmetric matrix G[x, y]:
   sum to zero; -lap_mod G = 1 exactly.  No other lattice has this kind.
 
 Every table but the float torus one is one formula with one size cap per
-lane, `pseudo_inverse`.  Every kind also exists in exact rational
-arithmetic for small lattices (`exact=True`), the same formula on object
-arrays of int / Fraction entries; the float `values` are then its
-``astype(float)``, each entry rounded once.
+lane, `pseudo_inverse`; `refuse_oversized_tables` reads the same caps off a
+lattice's cell counts, so a command refuses before it builds any table.
+Every kind also exists in exact rational arithmetic for small lattices
+(`exact=True`), the same formula on object arrays of int / Fraction
+entries; the float `values` are then its ``astype(float)``, each entry
+rounded once.
 """
 
 from __future__ import annotations
@@ -87,13 +89,7 @@ def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
     (exact) rows it refuses before allocating.  Sums are taken in place, so
     the float lane holds three n x n arrays of its own at its peak.
     """
-    n = np.shape(form)[0]
-    if n > (EXACT_LIMIT if exact else DENSE_LIMIT):
-        raise ValueError(
-            f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; use the floating-point tables instead"
-            if exact
-            else f"dense Green's tables and D+ are capped at {DENSE_LIMIT} rows, got {n}; use a smaller --N"
-        )
+    _refuse_past_cap(np.shape(form)[0], exact)
     if exact:
         A, K, inverse = rational.exact_array(form), rational.exact_array(kernel), rational.invert
     else:
@@ -105,6 +101,34 @@ def pseudo_inverse(form, kernel, exact: bool = False) -> np.ndarray:
     G = inverse(A)
     G -= P
     return G
+
+
+def _refuse_past_cap(n: int, exact: bool) -> None:
+    """The refusal of an n-row dense table in the float or the exact lane."""
+    if n > (EXACT_LIMIT if exact else DENSE_LIMIT):
+        raise ValueError(
+            f"exact rational mode supports up to {EXACT_LIMIT} cells, got {n}; use the floating-point tables instead"
+            if exact
+            else f"dense Green's tables and D+ are capped at {DENSE_LIMIT} rows, got {n}; use a smaller --N"
+        )
+
+
+def refuse_oversized_tables(lat: Lattice, dplus: bool = True, exact: bool = False) -> None:
+    """Raise the ValueError `pseudo_inverse` would, before any table is built.
+
+    The caps are read off the lattice's cell counts in the order a command
+    meets the tables: the float site table (none on the torus, whose table
+    is an FFT), then with ``dplus`` the float D+ (n_plaqs + n_global_loops
+    rows), then with ``exact`` the exact table of the potential solve, D+ on
+    an open lattice and the site table on the torus.
+    """
+    n_dplus = lat.n_plaqs + lat.n_global_loops
+    if not lat.periodic:
+        _refuse_past_cap(lat.n_sites, exact=False)
+    if dplus:
+        _refuse_past_cap(n_dplus, exact=False)
+    if exact:
+        _refuse_past_cap(lat.n_sites if lat.periodic else n_dplus, exact=True)
 
 
 @cached

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
-`rank` runs an exact sparse integer elimination (`_eliminate`).  Its
-inputs are lattice maps and the constraint rows built from them: up to
-thousands of rows with a handful of nonzeros each (the divergence has two
-per column).  Rows are stored as ``{col: int}`` dicts.  Pivots are chosen
-Markowitz-style, least (row nnz - 1)·(col nnz - 1), unit entries first,
-ties broken by (row, col), so results are deterministic.  Row updates are fraction-free and each
-updated row is divided by the gcd of its entries.  Incidence and curl
-matrices are totally unimodular, so fill and entry growth stay small.
+`rank` runs a row-by-row fraction-free echelon reduction of sparse integer
+rows (`_eliminate`).  Its inputs are lattice maps and the constraint rows
+built from them: up to thousands of rows with a handful of nonzeros each
+(the divergence has two per column).  Rows are stored as ``{col: int}``
+dicts.  Each row in turn is reduced against the pivot row of its least
+column until it vanishes or its least column has none; it is then kept,
+divided by the gcd of its entries, as that column's pivot row.  Pivot rows
+come out in ascending column order, each with its other entries in later
+columns.  There is no pivot search.  Incidence and curl matrices are
+totally unimodular, so every entry met stays ±1, and their natural row
+order keeps fill small; the result depends only on the order of the rows.
 
-The nullity of the dual form D is counted without eliminating D, whose
-fraction-free entries grow past a thousand bits.  D = emb^T emb
+The nullity of the dual form D is counted without eliminating D, which is
+not unimodular: at 3D N=4 periodic its pivot rows hold 66-bit entries and
+its rank costs over a hundred times that of emb.  D = emb^T emb
 (`dualmap.d_matrix`), so for rational x, Dx = 0 iff |emb x|^2 = 0 iff
 emb x = 0: dim ker D = n - rank(emb), and emb is a curl/axis incidence
 matrix that `rank` eliminates cheaply.
@@ -30,7 +34,6 @@ launder rounding error into "exact" results.
 
 from __future__ import annotations
 
-import heapq
 import numbers
 from fractions import Fraction
 from math import gcd, lcm
@@ -96,120 +99,65 @@ def _primitive(entries: dict[int, int | Fraction]) -> dict[int, int]:
 
 
 def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:
-    """Sparse primitive integer rows ``{col: int}`` of an exact matrix, and its
-    column count.
+    """Sparse integer rows ``{col: int}`` of an exact matrix, and its column
+    count.
 
-    Accepts scipy sparse matrices with integer dtype, integer or object
-    ndarrays and nested lists of int / Fraction.  Scaling a row by the lcm of
-    its denominators and dividing by the gcd of its entries changes neither
-    rank nor nullspace.  Float input raises TypeError, sparse included.
+    Integer scipy sparse matrices and integer ndarrays are read from a
+    canonical CSR copy (duplicates summed, zeros dropped) as they are: the
+    elimination divides out the content of each row it keeps.  Object arrays
+    and nested lists of int / Fraction are made primitive row by row (lcm of
+    the denominators, then gcd), which changes neither rank nor nullspace.
+    Float input raises TypeError, sparse included.
     """
-    if isinstance(mat, np.ndarray) and mat.dtype.kind in "iu":
-        mat = sp.csr_matrix(mat)
-    if sp.issparse(mat):
+    if sp.issparse(mat) or (isinstance(mat, np.ndarray) and mat.dtype.kind in "iu"):
         if mat.dtype.kind not in "iu":
             raise TypeError(f"exact routines need integer entries, got sparse dtype {mat.dtype}")
-        csr = mat.tocsr()
+        csr = sp.csr_matrix(mat, copy=True)  # summed in place below, never the caller's arrays
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
         indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-        rows = []
-        for i in range(csr.shape[0]):
-            row: dict[int, int] = {}
-            for j, v in zip(indices[indptr[i] : indptr[i + 1]], data[indptr[i] : indptr[i + 1]]):
-                row[j] = row.get(j, 0) + v  # a non-canonical CSR may repeat a column
-            rows.append(_primitive({j: v for j, v in row.items() if v}))
-        return rows, csr.shape[1]
+        return [dict(zip(indices[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])], csr.shape[1]
     arr = exact_array(mat)
     return [_primitive({j: v for j, v in enumerate(row) if v}) for row in arr.tolist()], arr.shape[1]
 
 
 def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Sparse fraction-free Gaussian elimination of integer rows (consumed).
+    """Row-by-row fraction-free echelon reduction of integer rows (consumed).
 
-    Markowitz pivoting: the next pivot is the nonzero with the least
-    (row nnz - 1)·(col nnz - 1) over the rows and columns not yet
-    eliminated, unit entries preferred, ties broken by (row, col), so the
-    result is deterministic.  Every other row through the pivot column
-    becomes ``a·row - b·pivot_row`` (a, b the two entries over their gcd) and
-    is divided by the gcd of its entries.  Candidates sit in a heap keyed by
-    that rule; an entry whose row or column changed is pushed again with its
-    new key and outdated ones are skipped when popped.
+    Each row in turn is reduced against the pivot row of its least column,
+    ``a·row - b·pivot_row`` with a, b the two entries over their gcd, until
+    that column has no pivot row, where the row is kept divided by its
+    content, or the row vanishes.
 
-    Returns (pivot column, pivot row) in pivot order.  A pivot row holds its
-    pivot and entries in columns eliminated later or never, so back
-    substitution in reverse pivot order solves for each pivot column in turn.
+    Returns (pivot column, pivot row) in ascending column order.  A pivot
+    row's other entries lie in later columns, so back substitution in reverse
+    order solves for each pivot column in turn.
     """
-    live = {i: row for i, row in enumerate(rows) if row}
-    where: dict[int, set[int]] = {}  # column -> live rows with a nonzero in it
-    for i, row in live.items():
-        for j in row:
-            where.setdefault(j, set()).add(i)
-
-    # The key (cost, non-unit, row, col) packed into one int, which the heap
-    # compares faster than a tuple.
-    n_rows, n_cols = len(rows), 1 + max(where, default=0)
-
-    def key(i: int, j: int) -> int:
-        row = live[i]
-        cost = (len(row) - 1) * (len(where[j]) - 1)
-        return ((2 * cost + (row[j] not in (1, -1))) * n_rows + i) * n_cols + j
-
-    heap = [key(i, j) for i, row in live.items() for j in row]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        entry = heapq.heappop(heap)
-        rest, j = divmod(entry, n_cols)
-        i = rest % n_rows
-        if j not in live.get(i, ()) or key(i, j) != entry:
-            continue  # outdated: the entry is gone or has a newer key in the heap
-        prow = live.pop(i)
-        for k in prow:
-            where[k].discard(i)
-        pivots.append((j, prow))
-        p = prow[j]
-        updated = sorted(where.pop(j))
-        for t in updated:
-            row = live[t]
-            g = gcd(p, row[j])
-            a, b = p // g, row.pop(j) // g
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            j = min(row)
+            prow = pivots.get(j)
+            if prow is None:
+                g = gcd(*row.values())
+                pivots[j] = {k: v // g for k, v in row.items()} if g > 1 else row
+                break
+            g = gcd(prow[j], row[j])
+            a, b = prow[j] // g, row[j] // g
             if a != 1:
-                for k in row:
-                    row[k] *= a
+                row = {k: a * v for k, v in row.items()}
             for k, v in prow.items():
-                if k == j:
-                    continue
                 new = row.get(k, 0) - b * v
                 if new:
-                    if k not in row:
-                        where[k].add(t)
                     row[k] = new
-                elif k in row:
+                else:
                     del row[k]
-                    where[k].discard(t)
-            g = gcd(*row.values())
-            if g > 1:
-                for k in row:
-                    row[k] //= g
-            if not row:
-                del live[t]
-        # Re-key what moved: every entry of an updated row (its length and
-        # values changed) and every entry in a column of the pivot row (its
-        # count changed).
-        updated = {t for t in updated if t in live}
-        for t in updated:
-            for k in live[t]:
-                heapq.heappush(heap, key(t, k))
-        for k in prow:
-            if k != j:
-                for t in where[k]:
-                    if t not in updated:
-                        heapq.heappush(heap, key(t, k))
-    return pivots
+    return sorted(pivots.items())
 
 
 def rank(mat) -> int:
-    """Exact rank: the number of pivots of the sparse integer elimination
-    (`_eliminate`, Markowitz pivots, fraction-free row updates)."""
+    """Exact rank: the number of pivot rows of the row-by-row fraction-free
+    echelon reduction (`_eliminate`)."""
     rows, _ = _integer_rows(mat)
     return len(_eliminate(rows))
 

@@ -31,6 +31,8 @@ from dualqed.lattice import (
 GEOMETRIES_2D = [Lattice(2, n, bc) for n in (1, 2, 3) for bc in ("open", "periodic")]
 GEOMETRIES_3D = [Lattice(3, n, bc) for n in (1, 2) for bc in ("open", "periodic")]
 GEOMETRIES = GEOMETRIES_2D + GEOMETRIES_3D
+# and a size up, where the dual form's separate constructions are compared
+FORM_GEOMETRIES = GEOMETRIES + [Lattice(d, n, bc) for d, n in ((2, 8), (3, 3)) for bc in ("open", "periodic")]
 # those whose cells all fit the exact-rational lane
 EXACT_GEOMETRIES = [
     lat for lat in GEOMETRIES if max(lat.n_sites, lat.n_plaqs + lat.n_global_loops) <= EXACT_LIMIT
@@ -516,11 +518,13 @@ def list_invert(mat) -> RationalMatrix:
 
 def exact_nullspace(mat) -> list[list[Fraction]]:
     """Exact rational basis of the right nullspace, one vector per free column,
-    by back substitution on the pivots of `rational._eliminate`.
+    by back substitution on the pivot rows of `rational._eliminate`.
 
-    The vector of free column f is 1 at f and 0 at the other free columns;
-    its pivot entries are solved in reverse pivot order.  Free columns are
-    taken in ascending order.
+    The pivot rows come in ascending column order, each with its other
+    entries in later columns.  The vector of free column f is 1 at f and 0
+    at the other free columns; its pivot entries are solved from the last
+    pivot row to the first, each from entries already known.  Free columns
+    are taken in ascending order.
     """
     rows, n_cols = rational._integer_rows(mat)
     pivots = rational._eliminate(rows)

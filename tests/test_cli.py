@@ -622,11 +622,40 @@ def test_exact_shifts_past_the_cap_refuse_as_greens_does(capsys):
     assert "exact rational mode supports up to 200 cells, got 225" in errors[0]["message"]
 
 
+_OPEN_3D_N15 = ["--dim", "3", "--N", "15", "--bc", "open"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", *_OPEN_3D_N15],
+        ["check-maps", *_OPEN_3D_N15],
+        ["shifts", *_OPEN_3D_N15, "--site", "1,1,1", "--direction", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_tables_are_refused_before_any_is_built(argv, monkeypatch, capsys):
+    """3D open N=15 has 4,096 sites, at the site table's cap, and 10,800 D+
+    rows, past it.  The command reads both counts off the lattice and exits 2
+    with the refusal `greens.pseudo_inverse` gives, without building the site
+    table first."""
+    from dualqed import cli, greens, helmholtz
+
+    def built(*args, **kwargs):
+        raise AssertionError("a dense table was built")
+
+    for module in (greens, helmholtz):
+        monkeypatch.setattr(module, "greens_sites", built)
+    monkeypatch.setattr(greens, "pseudo_inverse", built)
+    assert cli.main(argv) == 2
+    message = "dense Green's tables and D+ are capped at 4096 rows, got 10800; use a smaller --N"
+    assert capsys.readouterr().err == json.dumps({"error": "config", "message": message}) + "\n"
+
+
 # Every subcommand at the edge where a guard refuses, and on the accepting
 # side where that runs in under a second.  Left out: 2D open N=63, whose
-# 4,096-site tables are computed, and 3D open N=15, whose 4,096-site table
-# is built before its D+ (10,800 rows) refuses: about 4.4 s and 720 MB on a
-# 2-core host.
+# 4,096-site tables are computed.  3D open N=15 refuses before any table is
+# built (above).
 _OPEN_2D = ["--dim", "2", "--bc", "open"]
 REFUSAL_SWEEP = [
     (2, ["build", "--formulation", "flux", "--N", "9"]),  # product index

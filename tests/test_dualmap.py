@@ -31,6 +31,7 @@ from dualqed.lattice import (
 
 from conftest import (
     EXACT_GEOMETRIES,
+    FORM_GEOMETRIES,
     GEOMETRIES,
     GEOMETRIES_2D,
     assert_entries_hold,
@@ -286,9 +287,6 @@ def test_winding_map_counts_axis_crossings():
 # The flux/winding extractor, the energy form, the loop-field basis and the
 # condensed kernel used to be built on their own.  These copies of the old
 # constructions pin the single form D = emb^T emb to each of them.
-
-FORM_GEOMETRIES = GEOMETRIES + [Lattice(d, n, bc) for d, n in ((2, 8), (3, 3)) for bc in ("open", "periodic")]
-
 
 def _separate_flux_and_winding(lat):
     C = curl_link_to_plaq_matrix(lat)

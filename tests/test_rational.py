@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualqed import dualmap, greens, rational
-from dualqed.lattice import cube_flux_matrix, divergence_matrix
+from dualqed.lattice import Lattice, cube_flux_matrix, divergence_matrix
 
 from conftest import (
+    FORM_GEOMETRIES,
     GEOMETRIES,
     exact_nullspace,
     geometry_id,
@@ -146,11 +147,26 @@ def bareiss_rank(mat) -> int:
     return r
 
 
+def assert_pivot_contract(mat) -> list[tuple[int, dict[int, int]]]:
+    """`_eliminate` returns distinct pivot columns in ascending order, each
+    pivot row nonzero at its column with its other entries in later columns,
+    and primitive (content 1)."""
+    rows, _ = rational._integer_rows(mat)
+    pivots = rational._eliminate(rows)
+    cols = [j for j, _ in pivots]
+    assert cols == sorted(set(cols))
+    for j, prow in pivots:
+        assert min(prow) == j and all(prow.values())
+        assert gcd(*prow.values()) == 1
+    return pivots
+
+
 def assert_matches_oracle(mat, dense) -> None:
-    """rank equals the Bareiss oracle; the nullspace from the elimination's
-    pivots has n - rank vectors, each annihilated exactly."""
+    """rank and the pivot count of `_eliminate`, whose contract is checked,
+    equal the Bareiss oracle; the nullspace from the pivots has n - rank
+    vectors, each annihilated exactly."""
     r = rational.rank(mat)
-    assert r == bareiss_rank(dense)
+    assert r == len(assert_pivot_contract(mat)) == bareiss_rank(dense)
     n_cols = len(dense[0]) if dense else mat.shape[1]
     null = exact_nullspace(mat)
     assert len(null) == n_cols - r
@@ -186,6 +202,26 @@ def exact_matrices(draw):
     return np.array(mat, dtype=object).reshape(rows, cols)
 
 
+def non_canonical_csr(ints: np.ndarray) -> sp.csr_matrix:
+    """The integer matrix as a CSR that repeats every column of every row:
+    entry v is stored as v + 1 and -1, so zeros are pairs that cancel and
+    -1 leaves an explicit zero."""
+    n_rows, n_cols = ints.shape
+    data = np.stack([ints + 1, -np.ones_like(ints)], axis=-1).ravel()
+    indices = np.tile(np.repeat(np.arange(n_cols), 2), n_rows)
+    return sp.csr_matrix((data, indices, np.arange(n_rows + 1) * 2 * n_cols), shape=ints.shape)
+
+
+def test_non_canonical_csr_is_read_as_its_canonical_form():
+    ints = np.array([[3, 0, 0], [0, 0, -1], [0, 0, 0], [0, 4, 0]])
+    mat = non_canonical_csr(ints)
+    assert not mat.has_canonical_format
+    data = mat.data.copy()
+    assert rational._integer_rows(mat) == ([{0: 3}, {2: -1}, {}, {1: 4}], 3)
+    assert np.array_equal(mat.data, data) and not mat.has_canonical_format  # the caller's CSR is untouched
+    assert rational.rank(mat) == rational.rank(ints) == 3
+
+
 @given(mat=exact_matrices())
 @example(mat=np.zeros((0, 0), dtype=object))
 @example(mat=np.zeros((0, 3), dtype=object))
@@ -202,6 +238,7 @@ def test_rank_and_nullspace_match_dense_oracle(mat):
         ints = mat.astype(np.int64)
         assert_matches_oracle(ints, dense)
         assert_matches_oracle(sp.csr_matrix(ints), dense)
+        assert_matches_oracle(non_canonical_csr(ints), dense)
 
 
 def energy_form(lat):
@@ -212,6 +249,7 @@ def energy_form(lat):
 
 LATTICE_MATRICES = {
     "divergence": divergence_matrix,
+    "embedding": lambda lat: dualmap.dual_embedding(lat).matrix,
     "d_matrix": dualmap.d_matrix,
     "A0": energy_form,
     "cube_flux": cube_flux_matrix,
@@ -228,6 +266,28 @@ LATTICE_CASES = [
 def test_lattice_matrices_match_dense_oracle(name, lat):
     mat = LATTICE_MATRICES[name](lat)
     assert_matches_oracle(mat, mat.toarray().tolist())
+
+
+# --- ranks against the lattice's own counts ----------------------------------
+
+# the lattices of the classical_exact benchmark workload (dof and verify-all)
+CLASSICAL_EXACT_LATTICES = [Lattice(2, 16, "periodic"), Lattice(2, 8, "periodic"), Lattice(3, 3, "periodic")]
+GRAPH_ORACLE_LATTICES = list(
+    dict.fromkeys(FORM_GEOMETRIES + CLASSICAL_EXACT_LATTICES + [Lattice(2, 64, "periodic")])
+)
+
+
+@pytest.mark.parametrize("lat", GRAPH_ORACLE_LATTICES, ids=geometry_id)
+def test_divergence_rank_is_sites_minus_one(lat):
+    """The divergence is the incidence matrix of the lattice graph, which is
+    connected: its rank is n_sites - 1, whatever the elimination order."""
+    assert rational.rank(divergence_matrix(lat)) == lat.n_sites - 1
+
+
+@pytest.mark.parametrize("lat", CLASSICAL_EXACT_LATTICES, ids=geometry_id)
+def test_embedding_nullity_is_the_independent_constraint_count(lat):
+    emb = dualmap.dual_embedding(lat).matrix
+    assert emb.shape[1] - rational.rank(emb) == dualmap.constraint_set(lat).n_independent
 
 
 # --- the dual kernel counted through the embedding ----------------------------
