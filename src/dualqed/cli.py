@@ -430,13 +430,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matter", default="none", choices=("none", "staggered_fermion", "hardcore_boson", "truncated_boson"))
-    p.add_argument("--cutoff", type=int, default=1)
-    p.add_argument("--global-cutoff", dest="global_cutoff", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=1)
     p.add_argument("--g2", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--m", type=float, default=0.0)
     p.add_argument("--static-charges", dest="static_charges", default=None, help="comma-separated per-site charges")
+    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
+
+
+def _add_space_flags(p: argparse.ArgumentParser) -> None:
+    """One formulation at one cutoff: `compare` runs both over its schedule instead."""
+    p.add_argument("--cutoff", type=int, default=1)
+    p.add_argument("--global-cutoff", dest="global_cutoff", type=int, default=None)
     p.add_argument("--formulation", default="electric", choices=("electric", "flux"))
 
 
@@ -451,10 +456,6 @@ def _add_shifts_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--site", required=True, help="comma-separated coordinates")
     p.add_argument("--direction", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-
-
-def _add_sector_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sector", choices=("physical", "charge"), default="physical")
 
 
 def _add_k_flag(p: argparse.ArgumentParser) -> None:
@@ -479,16 +480,16 @@ _COMMANDS = {
     "shifts": ("shift table of one link (JSON)", (_add_shifts_flags,), "_cmd_shifts", {}),
     "dof": ("degree-of-freedom audit (JSON)", (), "_cmd_dof", {}),
     "check-maps": ("linear-map identity suite", (), "_cmd_checks", {"maps_only": True}),
-    "build": ("build a Hamiltonian, report dimensions", (_add_model_flags, _add_sector_flag), "_cmd_build", {}),
+    "build": ("build a Hamiltonian, report dimensions", (_add_model_flags, _add_space_flags), "_cmd_build", {}),
     "spectrum": (
         "lowest eigenvalues of one formulation",
-        (_add_model_flags, _add_sector_flag, _add_k_flag),
+        (_add_model_flags, _add_space_flags, _add_k_flag),
         "_cmd_spectrum",
         {},
     ),
     "compare": (
         "cross-formulation spectrum comparison",
-        (_add_model_flags, _add_sector_flag, _add_k_flag, _add_compare_flags),
+        (_add_model_flags, _add_k_flag, _add_compare_flags),
         "_cmd_compare",
         {},
     ),

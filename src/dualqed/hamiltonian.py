@@ -2,10 +2,10 @@
 
 Both descriptions are a diagonal Coulomb kernel plus integer ladder
 stencils read off the lattice maps, and the code says so once: each builder
-supplies only its diagonal, computed from the basis configurations, and the
-integer rows its off-diagonal terms step by.  A term is a coefficient, a
-stencil row, and for the hopping the pair of sites one unit of charge moves
-between; one shared builder gathers every term's triplets from
+supplies only its diagonal, computed from the levels of the basis states,
+and the integer rows its off-diagonal terms step by.  A term is a
+coefficient, a stencil row, and for the hopping the pair of sites one unit
+of charge moves between; one shared builder gathers every term's triplets from
 `hilbert.apply_term`, with their mirrors, into one sparse assembly, so every
 matrix is real and symmetric.
 
@@ -85,12 +85,10 @@ def _mass_diagonal(basis: hilbert.BasisMap, m: float) -> np.ndarray:
     spec = basis.spec
     lat = spec.lattice
     diag = np.zeros(basis.dim)
-    if spec.matter == "none":
-        return diag
     weights = m * site_parity(lat) if spec.matter == "staggered_fermion" else np.full(lat.n_sites, m)
     table = hilbert.occupation_table(spec).astype(float)
-    for s in range(lat.n_sites):
-        diag += weights[s] * table[basis.configs[:, s]]
+    for s in range(spec.n_matter):  # no factor without matter
+        diag += weights[s] * table[basis.levels(s)]
     return diag
 
 
@@ -155,7 +153,7 @@ def h_original(spec: hilbert.HilbertSpec, params: ModelParams, basis: hilbert.Ba
     params = params.validated(spec.lattice)
     lat = spec.lattice
     # no name holds the (n_links, dim) levels, so they are freed before the assembly
-    diag = 0.5 * params.g2 * np.sum(hilbert.gauge_level_diagonals(basis) ** 2, axis=0)
+    diag = 0.5 * params.g2 * np.sum(hilbert.rotor_levels(basis) ** 2, axis=0)
     units = sp.identity(lat.n_links, dtype=np.int64, format="csr")
     return _sector_hamiltonian(params, basis, diag, curl_link_to_plaq_matrix(lat), units)
 
@@ -179,8 +177,7 @@ def h_dual_thetam(spec: hilbert.HilbertSpec, params: ModelParams, basis: hilbert
     lat = spec.lattice
     g2 = params.g2
 
-    flux = np.vstack([hilbert.gauge_level_diagonals(basis), hilbert.global_level_diagonals(basis)])
-    diag = 0.5 * g2 * _quadratic_diagonal(dualmap.modified_greens(lat), flux)
+    diag = 0.5 * g2 * _quadratic_diagonal(dualmap.modified_greens(lat), hilbert.rotor_levels(basis))
     q = params.charges(lat)
     if spec.matter != "none" or np.any(q):
         rho = q[:, None] + hilbert.charge_diagonals(basis)

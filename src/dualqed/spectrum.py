@@ -285,7 +285,7 @@ def flux_sector_basis(
     lat = spec.lattice
     q = hilbert.integral_static_charges(lat, static_charges)
     if q is None:
-        return hilbert.empty_basis(spec)
+        return BasisMap(spec, np.zeros(0, dtype=np.int64))
     hilbert.check_product_index(spec)  # before the Smith form, whose moduli grow with the lattice
     n_flux = spec.n_gauge + spec.n_globals
     rows = [np.concatenate([np.ones(spec.n_matter, dtype=np.int64), np.zeros(n_flux, dtype=np.int64)])]
@@ -396,8 +396,8 @@ def compare_formulations(
             config.lattice, kind, ratio * cutoffs[0], matter=config.matter, n_max=config.n_max, max_dim=config.max_dim
         )
         basis, H, sector = sector_hamiltonian(spec, config.params, match_class=config.sector == "physical")
-        # each state's largest |level| over the gauge and global rotors, all cut at spec.cutoff
-        level = np.abs(basis.configs[:, spec.n_matter :] - spec.cutoff).max(axis=1, initial=0)
+        # each state's largest |level| over the gauge and global rotors
+        level = np.abs(hilbert.rotor_levels(basis)).max(axis=0)
         del basis
         for cutoff in cutoffs:
             keep = level <= ratio * cutoff

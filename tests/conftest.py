@@ -1,9 +1,10 @@
 """Shared fixtures, the tuple cell enumerations, the loop-built reference
 operators and constraint rows, the list-based exact algebra, the
-product-space basis, the per-cell comparison path, and the
-acceptance-summary reporter."""
+product-space basis and the digit reference of basis levels, the per-cell
+comparison path, and the acceptance-summary reporter."""
 
 import itertools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -25,6 +26,7 @@ from dualqed.lattice import (
     direction_sum_matrix,
     divergence_matrix,
     laplacian_matrix,
+    site_parity,
 )
 
 # geometries small enough for exhaustive/dense checks
@@ -57,9 +59,10 @@ def assert_entries_hold(lat: Lattice, rng, *names: str, draws: int | None = None
 
 def gauss_residuals(basis) -> np.ndarray:
     """(n_sites, dim) integer div E - Q per basis state: the Gauss
-    constraint without static charges, for a ``links_E`` basis."""
-    div = divergence_matrix(basis.spec.lattice) @ hilbert.gauge_level_diagonals(basis)
-    return div - hilbert.charge_diagonals(basis)
+    constraint without static charges, for a ``links_E`` basis, read from
+    the digits of the product indices (`digit_values`)."""
+    charges, links = digit_values(basis)
+    return divergence_matrix(basis.spec.lattice) @ links - charges
 
 
 def integer_image_mask(snf, vecs: np.ndarray) -> np.ndarray:
@@ -714,8 +717,32 @@ def product_basis(spec: hilbert.HilbertSpec) -> hilbert.BasisMap:
             f"product dimension {spec.total_dim} exceeds guard {spec.max_dim}; "
             "raise max_dim explicitly to proceed"
         )
-    indices = np.arange(spec.total_dim, dtype=np.int64)
-    return hilbert.BasisMap(spec, indices, np.stack(np.unravel_index(indices, spec.dims), axis=1))
+    return hilbert.BasisMap(spec, np.arange(spec.total_dim, dtype=np.int64))
+
+
+def digits(basis) -> np.ndarray:
+    """(n_factors, dim) local level of every factor in every state: the
+    ``np.unravel_index`` digits of the product indices, the tests' reference
+    for `BasisMap.levels`."""
+    return np.array(np.unravel_index(basis.indices, basis.spec.dims), dtype=np.int64)
+
+
+def digit_values(basis) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_sites, dim) dynamical charges and the (n_gauge + n_globals,
+    dim) rotor levels of every state, read from its `digits`: the reference
+    for `hilbert.charge_diagonals` and `hilbert.rotor_levels`."""
+    spec = basis.spec
+    levels = digits(basis)
+    matter, rotors = levels[: spec.n_matter], levels[spec.n_matter :]
+    cutoffs = np.array([spec.cutoff] * spec.n_gauge + [spec.global_cutoff] * spec.n_globals)
+    if spec.matter == "none":
+        charges = np.zeros((spec.lattice.n_sites, basis.dim), dtype=np.int64)
+    elif spec.matter == "staggered_fermion":  # the occupation, less one on odd sites
+        charges = matter - (site_parity(spec.lattice) < 0)[:, None]
+    else:  # n_a - n_b for the level n_a * (n_max + 1) + n_b
+        n_a, n_b = np.divmod(matter, math.isqrt(spec.dims[0]))
+        charges = n_a - n_b
+    return charges, rotors - cutoffs[:, None]
 
 
 # --- one comparison cell ----------------------------------------------------------

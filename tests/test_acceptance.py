@@ -206,7 +206,7 @@ def test_criterion_9_block_structure():
     spec_m = HilbertSpec(lat_m, "plaqs_M", cutoff=1, matter="staggered_fermion")
     full_m = product_basis(spec_m)
     H_m = h_dual_thetam(spec_m, ModelParams(g2=1.0, t=1.0, m=0.5), full_m)
-    total_m = sp.diags(hilbert.gauge_level_diagonals(full_m).sum(axis=0), dtype=float)
+    total_m = sp.diags(hilbert.rotor_levels(full_m)[: spec_m.n_gauge].sum(axis=0), dtype=float)
     comm_m = (H_m @ total_m - total_m @ H_m).tocoo()
     flux_block = float(np.abs(comm_m.data).max()) if comm_m.nnz else 0.0
 

@@ -260,6 +260,21 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "walrus" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("cutoff", 7), ("global_cutoff", 9), ("formulation", "flux")])
+def test_compare_refuses_the_keys_of_one_space(key, value, tmp_path, capsys):
+    """`compare` takes no cutoff or formulation of its own, so those config
+    keys exit 2 with one JSON line, where `build` reads them."""
+    from dualqed import cli
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    argv = ["--N", "1", "--bc", "open", "--config", str(path)]
+    assert cli.main(["compare", *argv, "--ratio", "4", "--schedule", "1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "config", "message": f"unknown config key {key!r}"}
+    assert cli.main(["build", *argv]) == 0
+
+
 REQUIRED_FLAGS = {"shifts": ["--site", "0,0", "--direction", "0"], "dump-op": ["--name", "divergence"]}
 
 
@@ -688,6 +703,12 @@ REFUSAL_SWEEP = [
     (2, ["dof", "--N", "0"]),
     (0, ["compare", "--N", "1", "--ratio", "4", "--schedule", "1,2"]),
     (2, ["compare", "--N", "1", "--ratio", "4", "--schedule", "0"]),
+    # compare sets both formulations and their cutoffs itself: no flag of one space
+    (2, ["compare", "--N", "1", "--matter", "staggered_fermion", "--ratio", "4", "--schedule", "1", "--cutoff", "7"]),
+    (2, ["compare", "--N", "1", "--ratio", "4", "--schedule", "1", "--global-cutoff", "9"]),
+    (2, ["compare", "--N", "1", "--ratio", "4", "--schedule", "1", "--formulation", "flux"]),
+    (0, ["build", "--N", "1", "--bc", "periodic", "--cutoff", "1", "--global-cutoff", "2", "--formulation", "flux"]),
+    (0, ["spectrum", "--N", "1", "--bc", "periodic", "--cutoff", "1", "--global-cutoff", "2", "--formulation", "flux"]),
     (0, ["dump-op", "--N", "2", "--name", "d_matrix"]),
     (2, ["dump-op", "--N", "2", "--name", "cube_flux"]),
 ]

@@ -18,7 +18,7 @@ from dualqed.hamiltonian import (
 from dualqed.hilbert import HilbertSpec
 from dualqed.lattice import Lattice, curl_link_to_plaq_matrix, site_parity
 
-from conftest import GEOMETRIES_2D, gauss_residuals, links, product_basis, shift_site, site_index
+from conftest import GEOMETRIES_2D, digits, gauss_residuals, links, product_basis, shift_site, site_index
 
 ONE_PLAQ_OPEN = Lattice(2, 1, "open")
 
@@ -181,7 +181,7 @@ def test_dual_hamiltonian_conserves_total_flux_on_periodic_lattices():
     lat = Lattice(2, 2, "periodic")
     spec = HilbertSpec(lat, "plaqs_M", cutoff=1, matter="staggered_fermion")
     H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), product_basis(spec))
-    total_m = sp.diags(hilbert.gauge_level_diagonals(product_basis(spec)).sum(axis=0), dtype=float)
+    total_m = sp.diags(hilbert.rotor_levels(product_basis(spec))[: spec.n_gauge].sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) <= 1e-12
 
@@ -192,7 +192,7 @@ def test_open_boundary_hopping_changes_total_flux():
     lat = ONE_PLAQ_OPEN
     spec = HilbertSpec(lat, "plaqs_M", cutoff=2, matter="staggered_fermion")
     H = h_dual_thetam(spec, ModelParams(g2=0.8, t=0.7, m=0.2), product_basis(spec))
-    total_m = sp.diags(hilbert.gauge_level_diagonals(product_basis(spec)).sum(axis=0), dtype=float)
+    total_m = sp.diags(hilbert.rotor_levels(product_basis(spec))[: spec.n_gauge].sum(axis=0), dtype=float)
     comm = (H @ total_m - total_m @ H).tocoo()
     assert comm.nnz and np.abs(comm.data).max() > 0.1
 
@@ -361,10 +361,11 @@ def test_zero_hopping_spectrum_is_additive_dual():
 
 def _loop_apply_term(basis, cells, steps, hop=None):
     spec = basis.spec
+    source = digits(basis).T
     pos = spec.n_matter + np.asarray(cells, dtype=np.int64)
-    levels = basis.configs[:, pos] + np.asarray(steps, dtype=np.int64)
+    levels = source[:, pos] + np.asarray(steps, dtype=np.int64)
     (cols,) = np.nonzero(np.all((levels >= 0) & (levels < np.asarray(spec.dims)[pos]), axis=1))
-    configs = basis.configs[cols]
+    configs = source[cols]
     configs[:, pos] = levels[cols]
     amps = np.ones(len(cols))
     if hop is not None:

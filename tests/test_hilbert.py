@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from dualqed import dualmap
 from dualqed.hilbert import (
+    GAUGE_KINDS,
     MATTER_KINDS,
     BasisMap,
     HilbertSpec,
@@ -21,9 +22,8 @@ from dualqed.hilbert import (
     apply_term,
     charge_diagonals,
     gauss_sector_basis,
-    gauge_level_diagonals,
-    global_level_diagonals,
     hermiticity_defect,
+    rotor_levels,
     sector_basis,
 )
 from dualqed.lattice import Lattice, curl_link_to_plaq_matrix
@@ -32,6 +32,8 @@ from dualqed.spectrum import flux_sector_basis
 from conftest import (
     GEOMETRIES_2D,
     GEOMETRIES_3D,
+    digit_values,
+    digits,
     gauss_residuals,
     integer_image_mask,
     links,
@@ -270,12 +272,46 @@ def test_kernel_matches_dense_reference(lat, kind, matter, n_max):
         assert np.array_equal(term_matrix(sector, cells, steps, hop).toarray(), restricted)
 
 
-def test_configs_are_the_digits_of_the_indices():
-    spec = HilbertSpec(Lattice(2, 2, "periodic"), "plaqs_M", cutoff=1, global_cutoff=2)
-    full = product_basis(spec)
-    assert full.dim == spec.total_dim
-    assert full.configs.shape == (spec.total_dim, len(spec.dims))
-    assert np.array_equal(np.ravel_multi_index(tuple(full.configs.T), spec.dims), full.indices)
+def digit_cases():
+    """Two product bases (distinct gauge and global cutoffs; boson matter),
+    then the Gauss, class-matched flux and neutral flux sectors of every
+    GEOMETRIES_2D lattice, each matter kind at c = 1, that a 2^20 guard admits."""
+    yield product_basis(HilbertSpec(Lattice(2, 2, "periodic"), "plaqs_M", cutoff=1, global_cutoff=2))
+    yield product_basis(HilbertSpec(Lattice(2, 1, "open"), "links_E", cutoff=1, matter="hardcore_boson"))
+    for lat in GEOMETRIES_2D:
+        for matter in MATTER_KINDS:
+            electric, flux = (HilbertSpec(lat, kind, 1, matter=matter, max_dim=2**20) for kind in GAUGE_KINDS)
+            for build in (
+                lambda: gauss_sector_basis(electric),
+                lambda: flux_sector_basis(flux),
+                lambda: flux_sector_basis(flux, match_class=False),
+            ):
+                try:
+                    yield build()
+                except MemoryGuardError:
+                    pass
+
+
+def test_levels_are_the_digits_of_the_indices():
+    """`BasisMap.levels` (of the basis, or of given keys), `rotor_levels` and
+    `charge_diagonals` equal the ``np.unravel_index`` digits of the product
+    indices (less the cutoff, for a rotor) on product bases and on every
+    sector kind; a built basis holds 8 bytes per state, plus its strides."""
+    covered = set()
+    for basis in digit_cases():
+        spec = basis.spec
+        covered.add((spec.gauge_kind, spec.lattice))
+        want = digits(basis)
+        for f in range(len(spec.dims)):
+            assert np.array_equal(basis.levels(f), want[f])
+            assert np.array_equal(basis.levels(f, basis.indices[::-3]), want[f, ::-3])
+        charges, rotors = digit_values(basis)
+        assert np.array_equal(rotor_levels(basis), rotors) and rotor_levels(basis).dtype == np.int64
+        assert np.array_equal(charge_diagonals(basis), charges)
+        arrays = {name: v for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["indices", "strides"] and basis.indices.dtype == np.int64
+        assert sum(v.nbytes for v in arrays.values()) == 8 * (basis.dim + len(spec.dims))
+    assert covered == {(kind, lat) for kind in GAUGE_KINDS for lat in GEOMETRIES_2D}
 
 
 def test_diagonals_enumerate_levels():
@@ -287,12 +323,12 @@ def test_diagonals_enumerate_levels():
     assert q.dtype.kind == "i"
     # staggered charge convention: even sites count occupation, odd sites count holes
     assert set(np.unique(q)) <= {-1, 0, 1}
-    g = gauge_level_diagonals(full)
+    g = rotor_levels(full)
     assert g.shape == (4, spec.total_dim)
     assert set(np.unique(g)) == {-1, 0, 1}
     pbc = Lattice(2, 2, "periodic")
     dual = HilbertSpec(pbc, "plaqs_M", cutoff=1)
-    glob = global_level_diagonals(product_basis(dual))
+    glob = rotor_levels(product_basis(dual))[dual.n_gauge :]
     assert glob.shape == (2, dual.total_dim)
     assert glob.dtype.kind == "i"
 
@@ -348,15 +384,14 @@ def test_hermiticity_defect_conjugates_complex_entries():
 
 
 def scan(spec, masks, block=2**16):
-    """The product states selected by each of the boolean rows that
+    """The product indices selected by each of the boolean rows that
     ``masks(part)`` returns, found by visiting every product state, block by
     block: the reference for the sector builders."""
     found = []
     for start in range(0, spec.total_dim, block):
-        idx = np.arange(start, min(start + block, spec.total_dim), dtype=np.int64)
-        part = BasisMap(spec, idx, np.stack(np.unravel_index(idx, spec.dims), axis=1))
-        found.append([(idx[mask], part.configs[mask]) for mask in masks(part)])
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*found)]
+        part = BasisMap(spec, np.arange(start, min(start + block, spec.total_dim), dtype=np.int64))
+        found.append([part.indices[mask] for mask in masks(part)])
+    return [np.concatenate(parts) for parts in zip(*found)]
 
 
 def integral(q):
@@ -374,8 +409,7 @@ def gauss_masks(charge_cases):
 def flux_masks(cases):
     def masks(part):
         lat = part.spec.lattice
-        dynamical = charge_diagonals(part)
-        flux = np.vstack([gauge_level_diagonals(part), global_level_diagonals(part)])
+        dynamical, flux = digit_values(part)
         out = []
         for q, match_class in cases:
             if not integral(q):
@@ -416,8 +450,8 @@ def sector_cases(geometries, kinds, cutoffs=(1, 2, 3), limit=2**22):
     + list(sector_cases([g for g in GEOMETRIES_3D if g.N == 1], ("links_E",))),
 )
 def test_sector_builders_equal_the_product_space_scan(lat, kind, matter, cutoff):
-    """Row by row, indices and configurations, for every static-charge case
-    (none, an integral pair, a half pair) and both class-matching modes."""
+    """Row by row, for every static-charge case (none, an integral pair, a
+    half pair) and both class-matching modes."""
     spec = HilbertSpec(lat, kind, cutoff=cutoff, matter=matter)
     charge_cases = list(static_charge_cases(lat).values())
     if kind == "links_E":
@@ -427,10 +461,9 @@ def test_sector_builders_equal_the_product_space_scan(lat, kind, matter, cutoff)
         cases = [(q, match) for q in charge_cases for match in (True, False)]
         built = [flux_sector_basis(spec, q, match) for q, match in cases]
         reference = scan(spec, flux_masks(cases))
-    for basis, (indices, configs) in zip(built, reference):
-        assert basis.indices.dtype == np.int64 and basis.configs.dtype == np.int64
+    for basis, indices in zip(built, reference):
+        assert basis.indices.dtype == np.int64
         assert np.array_equal(basis.indices, indices)
-        assert np.array_equal(basis.configs, configs)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
@@ -466,5 +499,4 @@ def test_gauss_sector_of_two_by_two_open_fermions():
     assert spec.total_dim == 272_097_792
     assert basis.dim == 2443
     assert np.all(np.diff(basis.indices) > 0)
-    assert np.array_equal(np.ravel_multi_index(tuple(basis.configs.T), spec.dims), basis.indices)
     assert np.all(gauss_residuals(basis) == 0)
